@@ -23,13 +23,12 @@ from .joins import (
     SEMI_KINDS,
     join_attr_directions,
     join_profile,
-    key_code_map,
     left_name_map,
     partial_join,
     result_schema,
     right_name_map,
 )
-from .relation import Instance, append_null_row, select_by_values
+from .relation import Instance, append_null_row, take_rows
 
 
 @dataclass
@@ -133,16 +132,14 @@ class JoinContext:
             return self._sides[side]
         kind = self.spec.kind
         if side == "left":
-            inst, on, shared_ok, padded = (
+            inst, shared_ok, padded = (
                 self.left,
-                self.spec.left_on,
                 kind is not JoinKind.RIGHT_SEMI,
                 self.pads_left(),
             )
         elif side == "right":
-            inst, on, shared_ok, padded = (
+            inst, shared_ok, padded = (
                 self.right,
-                self.spec.right_on,
                 kind is not JoinKind.LEFT_SEMI,
                 self.pads_right(),
             )
@@ -156,11 +153,7 @@ class JoinContext:
         elif kind in PADS_LEFT_ATTRS and side == "right":
             sub = inst
         else:
-            code_map = key_code_map(inst, on)
-            keep = set()
-            for value in self.profile.shared:
-                keep |= code_map.get(value, set())
-            sub = select_by_values(inst, on, keep)
+            sub = take_rows(inst, self.profile.rows(side, self.profile.shared))
         if padded:
             sub = append_null_row(sub)
         self._sides[side] = sub
@@ -203,20 +196,6 @@ class JoinContext:
 
     # -- streaming validation (no materialization) ---------------------------
 
-    def _rows_by_value(self, side: str) -> dict:
-        cache = getattr(self, "_value_rows", None)
-        if cache is None:
-            cache = self._value_rows = {}
-        if side not in cache:
-            inst = self.left if side == "left" else self.right
-            on = self.spec.left_on if side == "left" else self.spec.right_on
-            keys = inst.key_column([inst.ordinal(a) for a in on])
-            groups: dict = {}
-            for r, k in enumerate(keys):
-                groups.setdefault(k, []).append(r)
-            cache[side] = groups
-        return cache[side]
-
     def check_fd(self, fd: FunctionalDependency) -> bool:
         """Validate a dependency on the join without materializing any rows.
 
@@ -242,8 +221,8 @@ class JoinContext:
                 return True
             return prev == value
 
-        lgroups = self._rows_by_value("left")
-        rgroups = self._rows_by_value("right")
+        lgroups = self.profile.left_groups
+        rgroups = self.profile.right_groups
         for v in self.profile.shared:
             lrows = self._distinct_on(self.left, lgroups[v], attrs, fd.rhs, "left")
             rrows = self._distinct_on(self.right, rgroups[v], attrs, fd.rhs, "right")

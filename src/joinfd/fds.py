@@ -152,11 +152,6 @@ def implies(
     return candidate.rhs in attribute_closure(candidate.lhs, base)
 
 
-def implied_by_single(d: FunctionalDependency, candidate: FunctionalDependency) -> bool:
-    """Single-rule implication: same rhs with a smaller-or-equal lhs."""
-    return candidate.rhs == d.rhs and d.lhs <= candidate.lhs
-
-
 def remove_implied(fds: "FdSet | Iterable[FunctionalDependency]") -> FdSet:
     """Drop members implied by the remaining ones; canonical processing order.
 

@@ -20,8 +20,7 @@ from typing import Iterable, Sequence
 from .context import JoinContext
 from .discovery import holds
 from .fds import FdSet, FunctionalDependency, attribute_closure, remove_implied
-from .joins import JoinSpec, SEMI_KINDS
-from .relation import Instance
+from .joins import SEMI_KINDS
 
 
 @dataclass
@@ -78,13 +77,7 @@ def infer(
     return out
 
 
-def refine(
-    left: Instance,
-    right: Instance,
-    spec: JoinSpec,
-    inferred: FdSet,
-    context: JoinContext | None = None,
-) -> FdSet:
+def refine(context: JoinContext, inferred: FdSet) -> FdSet:
     """Minimize each dependency's lhs against a narrow partial join.
 
     Dependencies arrive in join-result names. Proper lhs subsets are tested
@@ -93,8 +86,6 @@ def refine(
     holding size replace the original. Members that were actually shrunk
     come back tagged "refined".
     """
-    if context is None:
-        context = JoinContext(left, right, spec)
     out = FdSet()
     shrunk: set[FunctionalDependency] = set()
     for d in inferred:
@@ -140,12 +131,7 @@ def refine(
 
 
 def infer_join_fds(
-    left: Instance,
-    right: Instance,
-    spec: JoinSpec,
-    sigma_left: FdSet,
-    sigma_right: FdSet,
-    context: JoinContext | None = None,
+    context: JoinContext, sigma_left: FdSet, sigma_right: FdSet
 ) -> InferredFdSet:
     """Both inference directions, mapped into the join schema and refined.
 
@@ -153,8 +139,7 @@ def infer_join_fds(
     the join's row sets (preserved plus upstaged), in side-local names.
     Semi-joins have single-sided schemas, so nothing can be inferred.
     """
-    if context is None:
-        context = JoinContext(left, right, spec)
+    spec = context.spec
     if spec.kind in SEMI_KINDS:
         return InferredFdSet(FdSet())
     x_to_y, y_to_x = context.directions()
@@ -180,7 +165,7 @@ def infer_join_fds(
                     f"{','.join(other_names)} -> {d.rhs}",
                 ),
             )
-    refined = refine(left, right, spec, collected, context)
+    refined = refine(context, collected)
     result = FdSet()
     for d in refined:
         result.add(d, refined.origins.get(d, "inferred"))

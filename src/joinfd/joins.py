@@ -13,7 +13,6 @@ kept side unqualified: they are a filtered, deduplicated view of one input.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -244,68 +243,61 @@ def partial_join(
 # -- value-level analysis (no join materialization) --------------------------
 
 
-def key_counts(instance: Instance, on: Sequence[str]) -> Counter:
-    """Multiplicity of each decoded join-value tuple."""
-    ords = [instance.ordinal(a) for a in on]
-    return Counter(instance.key_column(ords))
-
-
-def key_code_map(instance: Instance, on: Sequence[str]) -> dict[tuple, set[tuple]]:
-    """Decoded join value -> the set of code tuples encoding it.
-
-    One decoded value maps to exactly one code tuple within an instance,
-    but the set form feeds select_by_values directly.
-    """
-    ords = [instance.ordinal(a) for a in on]
-    cols = [instance.columns[o] for o in ords]
-    out: dict[tuple, set[tuple]] = {}
-    for r, key in enumerate(instance.key_column(ords)):
-        out.setdefault(key, set()).add(tuple(col[r] for col in cols))
-    return out
-
-
 @dataclass(frozen=True)
 class JoinProfile:
-    """Value-level statistics of a prospective join."""
+    """Value-level structure of a prospective join.
 
-    left_counts: Counter
-    right_counts: Counter
+    Each side's groups map a decoded join-value tuple to the ascending ids
+    of the rows carrying it; every row count is read off those groups.
+    """
+
+    left_groups: dict[tuple, list[int]]
+    right_groups: dict[tuple, list[int]]
     shared: frozenset
     dangling_left: frozenset
     dangling_right: frozenset
     inner_rows: int
 
+    def groups(self, side: str) -> dict[tuple, list[int]]:
+        return self.left_groups if side == "left" else self.right_groups
+
+    def count(self, side: str, values: Iterable[tuple]) -> int:
+        """Rows of one side carrying any of `values`."""
+        groups = self.groups(side)
+        return sum(len(groups[v]) for v in values)
+
+    def rows(self, side: str, values: Iterable[tuple]) -> list[int]:
+        """Ascending ids of one side's rows carrying any of `values`."""
+        groups = self.groups(side)
+        return sorted(r for v in values for r in groups[v])
+
     def rows_for(self, kind: JoinKind) -> int:
         if kind is JoinKind.INNER:
             return self.inner_rows
         if kind is JoinKind.LEFT_OUTER:
-            return self.inner_rows + sum(
-                self.left_counts[v] for v in self.dangling_left
-            )
+            return self.inner_rows + self.count("left", self.dangling_left)
         if kind is JoinKind.RIGHT_OUTER:
-            return self.inner_rows + sum(
-                self.right_counts[v] for v in self.dangling_right
-            )
+            return self.inner_rows + self.count("right", self.dangling_right)
         if kind is JoinKind.FULL_OUTER:
             return (
                 self.inner_rows
-                + sum(self.left_counts[v] for v in self.dangling_left)
-                + sum(self.right_counts[v] for v in self.dangling_right)
+                + self.count("left", self.dangling_left)
+                + self.count("right", self.dangling_right)
             )
         raise JoinSpecError(f"no closed-form row count for {kind}")
 
 
 def join_profile(left: Instance, right: Instance, spec: JoinSpec) -> JoinProfile:
-    lc = key_counts(left, spec.left_on)
-    rc = key_counts(right, spec.right_on)
-    shared = frozenset(lc) & frozenset(rc)
+    lg = _key_index(left.key_column([left.ordinal(a) for a in spec.left_on]))
+    rg = _key_index(right.key_column([right.ordinal(a) for a in spec.right_on]))
+    shared = frozenset(lg) & frozenset(rg)
     return JoinProfile(
-        left_counts=lc,
-        right_counts=rc,
+        left_groups=lg,
+        right_groups=rg,
         shared=shared,
-        dangling_left=frozenset(lc) - shared,
-        dangling_right=frozenset(rc) - shared,
-        inner_rows=sum(lc[v] * rc[v] for v in shared),
+        dangling_left=frozenset(lg) - shared,
+        dangling_right=frozenset(rg) - shared,
+        inner_rows=sum(len(lg[v]) * len(rg[v]) for v in shared),
     )
 
 
@@ -364,14 +356,14 @@ class CoverageReport:
         }
 
 
-def _side_coverage(own: Counter, other: Counter) -> tuple[Fraction, tuple[dict, ...]]:
+def _side_coverage(own: dict, other: dict) -> tuple[Fraction, tuple[dict, ...]]:
     if not own:
         return Fraction(0), ()
     entries = []
     total = Fraction(0)
     for value in sorted(own, key=lambda v: tuple(str(x) for x in v)):
-        side_rows = own[value]
-        join_rows = side_rows * other.get(value, 0)
+        side_rows = len(own[value])
+        join_rows = side_rows * len(other.get(value, ()))
         ratio = Fraction(join_rows, side_rows)
         total += ratio
         entries.append(
@@ -385,6 +377,20 @@ def _side_coverage(own: Counter, other: Counter) -> tuple[Fraction, tuple[dict, 
     return total / len(own), tuple(entries)
 
 
+def profile_coverage(profile: JoinProfile) -> CoverageReport:
+    """Coverage of the join a profile describes; see `coverage`."""
+    lg, rg = profile.left_groups, profile.right_groups
+    cov_left, per_left = _side_coverage(lg, rg)
+    cov_right, per_right = _side_coverage(rg, lg)
+    return CoverageReport(
+        cov_left=cov_left,
+        cov_right=cov_right,
+        coverage=(cov_left + cov_right) / 2,
+        per_value_left=per_left,
+        per_value_right=per_right,
+    )
+
+
 def coverage(left: Instance, right: Instance, spec: JoinSpec) -> CoverageReport:
     """Mean over both sides of the average per-join-value survival ratio.
 
@@ -394,13 +400,4 @@ def coverage(left: Instance, right: Instance, spec: JoinSpec) -> CoverageReport:
     side scores zero.
     """
     spec.validate(left, right)
-    profile = join_profile(left, right, spec)
-    cov_left, per_left = _side_coverage(profile.left_counts, profile.right_counts)
-    cov_right, per_right = _side_coverage(profile.right_counts, profile.left_counts)
-    return CoverageReport(
-        cov_left=cov_left,
-        cov_right=cov_right,
-        coverage=(cov_left + cov_right) / 2,
-        per_value_left=per_left,
-        per_value_right=per_right,
-    )
+    return profile_coverage(join_profile(left, right, spec))

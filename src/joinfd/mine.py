@@ -22,8 +22,7 @@ from .fds import (
     implies,
     remove_implied,
 )
-from .joins import JoinSpec, SEMI_KINDS
-from .relation import Instance
+from .joins import SEMI_KINDS
 
 
 def _anchors(
@@ -92,24 +91,21 @@ def _next_lhs_level(survivors: list[frozenset[str]]) -> list[frozenset[str]]:
 
 
 def discover(
-    instance_i: Instance,
-    instance_j: Instance,
-    x_attrs: Sequence[str],
-    y_attrs: Sequence[str],
+    context: JoinContext,
+    i_is_left: bool,
     sigma_j: FdSet,
     sigma_prior: FdSet,
-    context: JoinContext | None = None,
     i_plausible_rhs: frozenset[str] | None = None,
 ) -> FdSet:
     """Mine dependencies with lhs from side I and anchored rhs from side J.
 
+    Side I is the join's left input when `i_is_left`, else its right one.
     `sigma_j` holds on side J's join row set, in side-local names;
     `sigma_prior` is everything already established, in join-result names.
-    The default context treats I as the left input of an inner join.
     """
-    if context is None:
-        context = JoinContext(instance_i, instance_j, JoinSpec.equi(x_attrs, y_attrs))
-    i_is_left = instance_i is context.left
+    instance_i = context.left if i_is_left else context.right
+    instance_j = context.right if i_is_left else context.left
+    y_attrs = context.spec.right_on if i_is_left else context.spec.left_on
     i_map = context.lmap if i_is_left else context.rmap
     j_map = context.rmap if i_is_left else context.lmap
     out = FdSet()
@@ -133,11 +129,12 @@ def discover(
             for lhs_i in level:
                 if not set(lhs_i) <= set(alphabet):
                     continue
-                cand = FunctionalDependency(
-                    frozenset(i_map[a] for a in lhs_i) | ext_mapped, rhs
-                )
-                if cand.rhs in cand.lhs:
+                # a natural join maps both sides' key to one name, so the
+                # mapped lhs can contain the rhs: such a candidate is trivial
+                lhs = frozenset(i_map[a] for a in lhs_i) | ext_mapped
+                if rhs in lhs:
                     continue
+                cand = FunctionalDependency(lhs, rhs)
                 if implies(prior_pool + list(out), cand):
                     continue
                 if context.check_fd(cand):
@@ -159,48 +156,32 @@ def discover(
 
 
 def discover_selective(
-    left: Instance,
-    right: Instance,
-    spec: JoinSpec,
+    context: JoinContext,
     sigma_left: FdSet,
     sigma_right: FdSet,
     sigma_prior: FdSet,
-    context: JoinContext | None = None,
 ) -> FdSet:
     """Mine both directions; returns only the newly mined dependencies.
 
     `sigma_left` / `sigma_right` are each side's join-level dependency sets
     in side-local names; `sigma_prior` is the established set in join names.
     """
-    if context is None:
-        context = JoinContext(left, right, spec)
+    spec = context.spec
     if spec.kind in SEMI_KINDS:
         return FdSet()
     plausible_left = frozenset(
-        b for b, _ in _anchors(left.attr_names, spec.left_on, sigma_left)
+        b for b, _ in _anchors(context.left.attr_names, spec.left_on, sigma_left)
     )
     plausible_right = frozenset(
-        b for b, _ in _anchors(right.attr_names, spec.right_on, sigma_right)
+        b for b, _ in _anchors(context.right.attr_names, spec.right_on, sigma_right)
     )
     first = discover(
-        left,
-        right,
-        spec.left_on,
-        spec.right_on,
-        sigma_right,
-        sigma_prior,
-        context=context,
+        context, i_is_left=True, sigma_j=sigma_right, sigma_prior=sigma_prior,
         i_plausible_rhs=plausible_left,
     )
     prior_plus = sigma_prior.union(first)
     second = discover(
-        right,
-        left,
-        spec.right_on,
-        spec.left_on,
-        sigma_left,
-        prior_plus,
-        context=context,
+        context, i_is_left=False, sigma_j=sigma_left, sigma_prior=prior_plus,
         i_plausible_rhs=plausible_right,
     )
     mined = FdSet()

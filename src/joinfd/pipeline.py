@@ -5,7 +5,8 @@ sampling strategy swaps the mining stage for micro-join sampling; the oracle
 strategy materializes the join and mines it exhaustively. All strategies
 produce the same report shape: dependencies in join-result names tagged with
 the first stage that produced them, coverage, per-stage timings, and
-materialization counters. Frugal strategies never record a full join.
+materialization counters. A single frugal run never records a full join;
+left-deep chains count their materialized intermediates as full joins.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, field
 from .context import Counters, JoinContext
 from .discovery import discover_fds
 from .errors import InputError, InternalInvariantError
-from .fds import Afd, FdSet, FunctionalDependency, remove_implied
+from .fds import ORIGIN_TAGS, Afd, FdSet, FunctionalDependency, remove_implied
 from .infer import infer_join_fds
-from .joins import CoverageReport, JoinKind, JoinSpec, SEMI_KINDS, coverage
-from .metrics import EvalMetrics, evaluate
+from .joins import CoverageReport, JoinKind, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
 from .oracle import oracle_join_fds
 from .relation import NULL_CODE, Instance
@@ -29,17 +29,6 @@ from .upstage import upstage
 STRATEGIES = ("selective", "sampling", "oracle")
 
 REPORT_SCHEMA_VERSION = 1
-
-_ORIGIN_PRIORITY = (
-    "preserved-left",
-    "preserved-right",
-    "upstaged-left",
-    "upstaged-right",
-    "inferred",
-    "refined",
-    "mined",
-    "sampled",
-)
 
 
 @dataclass
@@ -110,7 +99,7 @@ def classify_origins(
     sources.update(stage_outputs)
     tagged = FdSet()
     for d in final:
-        for tag in _ORIGIN_PRIORITY:
+        for tag in ORIGIN_TAGS:
             pool = sources.get(tag)
             if pool is not None and d in pool:
                 tagged.add(d, tag)
@@ -158,7 +147,7 @@ def run_pipeline(
     context = JoinContext(left, right, spec)
     timings: dict[str, float] = {}
     started = time.perf_counter()
-    cov = coverage(left, right, spec)
+    cov = profile_coverage(context.profile)
 
     if _vacuous(context):
         timings["total"] = time.perf_counter() - started
@@ -214,14 +203,11 @@ def run_pipeline(
     # stage 1: preserved and upstaged dependencies per side
     t0 = time.perf_counter()
     up = upstage(
-        left,
-        right,
-        spec,
+        context,
         left_fds=left_fds,
         right_fds=right_fds,
         left_afds=left_afds,
         right_afds=right_afds,
-        context=context,
     )
     timings["upstage"] = time.perf_counter() - t0
     warnings: list[str] = []
@@ -264,7 +250,7 @@ def run_pipeline(
     if spec.kind not in SEMI_KINDS:
         # stage 2: inference through the join attributes
         t0 = time.perf_counter()
-        inferred = infer_join_fds(left, right, spec, eff_left, eff_right, context)
+        inferred = infer_join_fds(context, eff_left, eff_right)
         timings["infer"] = time.perf_counter() - t0
         stage_outputs["inferred"] = FdSet(
             d for d in inferred.fds if inferred.fds.origins.get(d) == "inferred"
@@ -278,16 +264,12 @@ def run_pipeline(
         # stage 3: remaining dependencies
         t0 = time.perf_counter()
         if strategy == "selective":
-            mined = discover_selective(
-                left, right, spec, eff_left, eff_right, prior, context
-            )
+            mined = discover_selective(context, eff_left, eff_right, prior)
             stage_outputs["mined"] = mined
             timings["mine"] = time.perf_counter() - t0
         else:
             cfg = sample_cfg or SampleConfig()
-            sampled = discover_sampled(
-                left, right, spec, eff_left, eff_right, cfg, context
-            )
+            sampled = discover_sampled(context, cfg)
             stage_outputs["sampled"] = sampled
             timings["sample"] = time.perf_counter() - t0
         prior = prior.union(stage_outputs.get("mined", FdSet()))
@@ -305,13 +287,8 @@ def run_pipeline(
     if strategy == "sampling":
         denom = context.result_rows()
         if denom is None:  # semi-join: bounded by the matched kept rows
-            prof = context.profile
-            counts = (
-                prof.left_counts
-                if spec.kind is JoinKind.LEFT_SEMI
-                else prof.right_counts
-            )
-            denom = sum(counts[v] for v in prof.shared)
+            kept = "left" if spec.kind is JoinKind.LEFT_SEMI else "right"
+            denom = context.profile.count(kept, context.profile.shared)
         ratio = (context.counters.sample_join_rows / denom) if denom else 0.0
     warnings.extend(context.warnings)
     timings["total"] = time.perf_counter() - started
@@ -340,8 +317,9 @@ def run_left_deep(
 
     Each intermediate join is materialized so the next binary step has a
     left input; its dependency cover is carried forward, skipping
-    single-table rediscovery. Counters and timings accumulate into the
-    final report.
+    single-table rediscovery. Materialized rows and timings accumulate into
+    the final report, and every intermediate join counts as a full join:
+    a chain is not frugal.
     """
     from .discovery import holds
     from .joins import join
@@ -351,7 +329,7 @@ def run_left_deep(
     current = tables[0]
     current_fds: FdSet | None = None
     report: DiscoveryReport | None = None
-    carried_rows = 0
+    carried_partial = carried_full = 0
     carried_time = 0.0
     for step, (nxt, spec) in enumerate(zip(tables[1:], specs)):
         report = run_pipeline(
@@ -363,22 +341,16 @@ def run_left_deep(
             sample_cfg=sample_cfg,
             left_fds=current_fds,
         )
-        report.counters.partial_join_rows += carried_rows
+        report.counters.partial_join_rows += carried_partial
+        report.counters.full_join_rows += carried_full
         report.timings["total"] += carried_time
         if step < len(specs) - 1:
             current = join(current, nxt, spec)
-            carried_rows = report.counters.partial_join_rows + current.row_count
+            carried_partial = report.counters.partial_join_rows
+            carried_full = report.counters.full_join_rows + current.row_count
             carried_time = report.timings["total"]
             # a sampled cover may overclaim; keep only what the materialized
             # intermediate actually satisfies
             current_fds = FdSet(d for d in report.fds if holds(current, d))
     assert report is not None
     return report
-
-
-def compare_to_oracle(
-    left: Instance, right: Instance, spec: JoinSpec, report: DiscoveryReport
-) -> EvalMetrics:
-    """Precision/recall of a report against the materialized ground truth."""
-    truth = oracle_join_fds(left, right, spec)
-    return evaluate(report.fds, truth)

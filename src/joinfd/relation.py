@@ -176,20 +176,6 @@ def distinct_values(
     return {tuple(col[r] for col in cols) for r in range(instance.row_count)}
 
 
-def select_by_values(
-    instance: Instance, attrs: Iterable[AttrRef], keep: set[tuple[int, ...]]
-) -> Instance:
-    """Rows whose projection on `attrs` is in `keep`, original order."""
-    ords = instance.ordinals(attrs)
-    cols = [instance.columns[o] for o in ords]
-    kept = [
-        r
-        for r in range(instance.row_count)
-        if tuple(col[r] for col in cols) in keep
-    ]
-    return take_rows(instance, kept)
-
-
 def distinct_rows(instance: Instance) -> Instance:
     """Drop duplicate rows, keeping the first occurrence of each."""
     seen: set[tuple[int, ...]] = set()

@@ -5,10 +5,11 @@ attributes in ascending distinct-value order (skipping the most diverse ones)
 and keeping, for every attribute value, either the single join value behind
 it or a seeded choice of a few. The two sides' selections are intersected,
 the selected rows joined, and exact dependencies mined from that micro-join.
-Dependencies discovered this way always imply the true join dependencies;
-they are only exact themselves when the sample happened to contain a
-counterexample pair for everything false, so precision is measured, never
-assumed.
+On single-key, null-free inputs the dependencies discovered this way imply
+the true join dependencies (composite or null-bearing keys under outer
+operators can break that); they are only exact themselves when the sample
+happened to contain a counterexample pair for everything false, so precision
+is measured, never assumed.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Sequence
 from .context import JoinContext
 from .discovery import discover_fds
 from .errors import InputError
-from .fds import FdSet, implied_by_single, minimal_cover
-from .joins import PADS_LEFT_ATTRS, PADS_RIGHT_ATTRS, JoinSpec, join
-from .relation import Instance, distinct_values, select_by_values
+from .fds import FdSet, minimal_cover
+from .joins import PADS_LEFT_ATTRS, PADS_RIGHT_ATTRS, join
+from .relation import Instance, take_rows
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,6 @@ class SampleConfig:
             raise InputError(f"n_v must be nonnegative, got {self.n_v}")
 
 
-@dataclass
-class MicroJoinBatch:
-    pairs: list[tuple[Instance, Instance]]
-    per_pair: list[FdSet]
-    consensus: FdSet
-    selected_values: set
-    warnings: list[str]
-
-
 def _value_sort_key(value: tuple) -> tuple:
     return tuple((v is None, "" if v is None else v) for v in value)
 
@@ -68,146 +60,94 @@ def _rank(seed: int, value: tuple) -> tuple:
 
 
 def generate_ids_set(
-    instance: Instance, on: Sequence[str], cfg: SampleConfig
+    instance: Instance,
+    on: Sequence[str],
+    groups: dict[tuple, list[int]],
+    cfg: SampleConfig,
 ) -> set[tuple]:
-    """Join values selected by the attribute tree of one side."""
-    ids, _ = _generate_with_branches(instance, on, cfg)
-    return ids
+    """Join values selected by the attribute tree of one side.
 
-
-def _generate_with_branches(
-    instance: Instance, on: Sequence[str], cfg: SampleConfig
-) -> tuple[set[tuple], list[tuple[tuple, list[tuple]]]]:
+    `groups` maps each candidate join value to the ids of the rows carrying
+    it; the tree walks only those rows.
+    """
     on_set = set(on)
     nonjoin = [a for a in instance.attr_names if a not in on_set]
-    ranked = sorted(
-        nonjoin, key=lambda a: (len(distinct_values(instance, [a])), a)
-    )
+    rows = [r for group in groups.values() for r in group]
+
+    def distinct(attr: str) -> int:
+        col = instance.columns[instance.ordinal(attr)]
+        return len({col[r] for r in rows})
+
+    ranked = sorted(nonjoin, key=lambda a: (distinct(a), a))
     retained = ranked[: max(0, len(ranked) - cfg.n_v)]
-    key_ords = [instance.ordinal(a) for a in on]
-    keys = instance.key_column(key_ords)
     out: set[tuple] = set()
-    branches: list[tuple[tuple, list[tuple]]] = []
     for attr in retained:
         col = instance.columns[instance.ordinal(attr)]
         by_value: dict[int, set[tuple]] = {}
-        for r in range(instance.row_count):
-            by_value.setdefault(col[r], set()).add(keys[r])
+        for value, group in groups.items():
+            for r in group:
+                by_value.setdefault(col[r], set()).add(value)
         for code in sorted(by_value):
             branch = sorted(by_value[code], key=_value_sort_key)
             if len(branch) > 1:
                 branch = sorted(branch, key=lambda v: _rank(cfg.seed, v))[: cfg.n_b]
             out.update(branch)
-            branches.append(((attr, code), branch))
-    return out, branches
+    return out
 
 
-def selective_sampling(
-    left: Instance,
-    right: Instance,
-    x_attrs: Sequence[str],
-    y_attrs: Sequence[str],
-    cfg: SampleConfig,
-) -> set[tuple]:
+def selective_sampling(context: JoinContext, cfg: SampleConfig) -> set[tuple]:
     """Join values selected on both sides, restricted to the shared ones."""
-    shared = _shared_values(left, right, x_attrs, y_attrs)
-    if not shared:
-        return set()
-    left_ids = select_by_values(left, x_attrs, _codes(left, x_attrs, shared))
-    right_ids = select_by_values(right, y_attrs, _codes(right, y_attrs, shared))
-    picked_left = generate_ids_set(left_ids, x_attrs, cfg)
-    picked_right = generate_ids_set(right_ids, y_attrs, cfg)
+    profile, spec = context.profile, context.spec
+    picked_left = generate_ids_set(
+        context.left,
+        spec.left_on,
+        {v: profile.left_groups[v] for v in profile.shared},
+        cfg,
+    )
+    picked_right = generate_ids_set(
+        context.right,
+        spec.right_on,
+        {v: profile.right_groups[v] for v in profile.shared},
+        cfg,
+    )
     return picked_left & picked_right
 
 
-def _shared_values(left, right, x_attrs, y_attrs) -> set[tuple]:
-    lx = set(left.key_column([left.ordinal(a) for a in x_attrs]))
-    ry = set(right.key_column([right.ordinal(a) for a in y_attrs]))
-    return lx & ry
-
-
-def _codes(instance: Instance, on: Sequence[str], values: set) -> set[tuple]:
-    ords = [instance.ordinal(a) for a in on]
-    cols = [instance.columns[o] for o in ords]
-    keys = instance.key_column(ords)
-    return {
-        tuple(col[r] for col in cols)
-        for r in range(instance.row_count)
-        if keys[r] in values
-    }
-
-
-def consensus(fd_sets: Sequence[FdSet]) -> FdSet:
-    """Members of the union that every set supports with an implying rule."""
-    if not fd_sets:
-        raise InputError("consensus needs at least one dependency set")
-    pool = FdSet()
-    for s in fd_sets:
-        pool = pool.union(s)
-    kept = [
-        d
-        for d in pool
-        if all(any(implied_by_single(e, d) for e in s) for s in fd_sets)
-    ]
-    return minimal_cover(kept)
-
-
 def micro_join_batch(
-    left: Instance,
-    right: Instance,
-    spec: JoinSpec,
-    cfg: SampleConfig,
-    context: JoinContext | None = None,
-) -> MicroJoinBatch:
+    context: JoinContext, cfg: SampleConfig
+) -> tuple[Instance | None, FdSet]:
     """Select, join, and mine; one micro-join over the selected values.
 
     The selected rows of both sides are joined with the real operator.
     Rows an outer operator keeps dangling are part of that operator's
     semantics, not of the shared value space, so they always participate;
     the micro-join is therefore a sub-multiset of the full join result.
+    Returns the micro-join (None when nothing was selected) and the minimal
+    cover of its dependencies.
     """
-    if context is None:
-        context = JoinContext(left, right, spec)
-    warnings: list[str] = []
-    ids = selective_sampling(left, right, spec.left_on, spec.right_on, cfg)
+    ids = selective_sampling(context, cfg)
     if not ids:
-        warnings.append("sample selection is empty; no dependencies mined")
-        context.warnings.extend(warnings)
-        return MicroJoinBatch([], [], FdSet(), set(), warnings)
+        context.warnings.append("sample selection is empty; no dependencies mined")
+        return None, FdSet()
+    spec, profile = context.spec, context.profile
     left_values = set(ids)
     right_values = set(ids)
     if spec.kind in PADS_RIGHT_ATTRS:
-        left_values |= context.profile.dangling_left
+        left_values |= profile.dangling_left
     if spec.kind in PADS_LEFT_ATTRS:
-        right_values |= context.profile.dangling_right
-    li = select_by_values(left, spec.left_on, _codes(left, spec.left_on, left_values))
-    ri = select_by_values(
-        right, spec.right_on, _codes(right, spec.right_on, right_values)
-    )
+        right_values |= profile.dangling_right
+    li = take_rows(context.left, profile.rows("left", left_values))
+    ri = take_rows(context.right, profile.rows("right", right_values))
     micro = join(li, ri, spec)
     context.counters.sample_join_rows += micro.row_count
-    fds_i, _ = discover_fds(micro)
-    return MicroJoinBatch(
-        pairs=[(li, ri)],
-        per_pair=[fds_i],
-        consensus=consensus([fds_i]),
-        selected_values=ids,
-        warnings=warnings,
-    )
+    fds, _ = discover_fds(micro)
+    return micro, minimal_cover(fds)
 
 
-def discover_sampled(
-    left: Instance,
-    right: Instance,
-    spec: JoinSpec,
-    sigma_left: FdSet,
-    sigma_right: FdSet,
-    cfg: SampleConfig,
-    context: JoinContext | None = None,
-) -> FdSet:
+def discover_sampled(context: JoinContext, cfg: SampleConfig) -> FdSet:
     """Sampling stage entry point; returns mined dependencies tagged sampled."""
-    batch = micro_join_batch(left, right, spec, cfg, context)
+    _, cover = micro_join_batch(context, cfg)
     out = FdSet()
-    for d in batch.consensus:
+    for d in cover:
         out.add(d, "sampled")
     return out

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .context import JoinContext
 from .discovery import discover_fds, discover_new_fds, holds
 from .errors import InputError
 from .fds import Afd, FdSet, FunctionalDependency, remove_implied
-from .joins import JoinKind, JoinSpec
+from .joins import JoinKind
 from .partition import violating_tuples
-from .relation import Instance, select_by_values
+from .relation import Instance
 
 _FILTERED_SIDES = {
     JoinKind.INNER: ("left", "right"),
@@ -58,38 +58,14 @@ class UpstageResult:
     right_preserved: FdSet = field(default_factory=FdSet)
 
 
-def upstaged_fds(
-    instance: Instance,
-    other: Instance,
-    on: Sequence[str],
-    other_on: Sequence[str],
-    known: FdSet | Iterable[FunctionalDependency],
-) -> FdSet:
-    """New minimal dependencies appearing after the inner-join filter.
-
-    Keeps only rows whose join value occurs on the other side, then mines,
-    pruning candidates implied by `known`. Returns empty when nothing was
-    filtered out.
-    """
-    own_values = set(_decoded_keys(instance, on))
-    other_values = set(_decoded_keys(other, other_on))
-    keep_codes = _codes_for(instance, on, own_values & other_values)
-    filtered = select_by_values(instance, on, keep_codes)
-    if filtered.row_count >= instance.row_count:
-        return FdSet()
-    return discover_new_fds(filtered, known)
-
-
 def upstaged_afds(
-    instance: Instance,
-    other: Instance,
-    on: Sequence[str],
-    other_on: Sequence[str],
-    afds: Sequence[Afd],
+    instance: Instance, dangling_rows: set[int], afds: Sequence[Afd]
 ) -> FdSet:
-    """Promote each approximate dependency whose violators all dangle."""
-    other_values = set(_decoded_keys(other, other_on))
-    own_keys = _decoded_keys(instance, on)
+    """Promote each approximate dependency whose violators all dangle.
+
+    `dangling_rows` holds the ids of the rows whose join value has no
+    partner on the other side.
+    """
     promoted = []
     for afd in afds:
         violators = violating_tuples(instance, afd.fd)
@@ -97,24 +73,9 @@ def upstaged_afds(
             raise InputError(
                 f"{afd.fd} is exact on {instance.name!r}; not an approximate input"
             )
-        if all(own_keys[t] not in other_values for t in violators.tuple_ids):
+        if violators.tuple_ids <= dangling_rows:
             promoted.append(afd.fd)
     return remove_implied(promoted)
-
-
-def _decoded_keys(instance: Instance, on: Sequence[str]) -> list[tuple]:
-    return instance.key_column([instance.ordinal(a) for a in on])
-
-
-def _codes_for(instance: Instance, on: Sequence[str], values: set) -> set[tuple]:
-    ords = [instance.ordinal(a) for a in on]
-    cols = [instance.columns[o] for o in ords]
-    keys = _decoded_keys(instance, on)
-    return {
-        tuple(col[r] for col in cols)
-        for r in range(instance.row_count)
-        if keys[r] in values
-    }
 
 
 def _validate_exact(instance: Instance, fds: FdSet) -> None:
@@ -140,15 +101,12 @@ def _minimize_on(instance: Instance, d: FunctionalDependency) -> list[Functional
 
 
 def upstage(
-    left: Instance,
-    right: Instance,
-    spec: JoinSpec,
+    context: JoinContext,
     left_fds: FdSet | None = None,
     right_fds: FdSet | None = None,
     left_afds: Sequence[Afd] | None = None,
     right_afds: Sequence[Afd] | None = None,
     validate: bool = True,
-    context: JoinContext | None = None,
 ) -> UpstageResult:
     """Run the upstaging stage on both sides of the join.
 
@@ -158,25 +116,18 @@ def upstage(
     Promoted dependencies are lhs-minimized against the surviving rows so
     every emitted dependency is minimal on the join.
     """
-    if context is None:
-        context = JoinContext(left, right, spec)
     profile = context.profile
+    filtered = _FILTERED_SIDES[context.spec.kind]
     stats = UpstageStats()
-    stats.rows_filtered_left = (
-        sum(profile.left_counts[v] for v in profile.dangling_left)
-        if "left" in _FILTERED_SIDES[spec.kind]
-        else 0
-    )
-    stats.rows_filtered_right = (
-        sum(profile.right_counts[v] for v in profile.dangling_right)
-        if "right" in _FILTERED_SIDES[spec.kind]
-        else 0
-    )
+    if "left" in filtered:
+        stats.rows_filtered_left = profile.count("left", profile.dangling_left)
+    if "right" in filtered:
+        stats.rows_filtered_right = profile.count("right", profile.dangling_right)
     out: dict[str, FdSet] = {}
     preserved: dict[str, FdSet] = {}
-    for side, inst, other, afds, fds in (
-        ("left", left, right, left_afds, left_fds),
-        ("right", right, left, right_afds, right_fds),
+    for side, inst, afds, fds in (
+        ("left", context.left, left_afds, left_fds),
+        ("right", context.right, right_afds, right_fds),
     ):
         run_discovery_path = not afds or fds is not None
         if fds is None:
@@ -199,9 +150,10 @@ def upstage(
             continue
         new = FdSet()
         if afds:
-            own_on = spec.left_on if side == "left" else spec.right_on
-            other_on = spec.right_on if side == "left" else spec.left_on
-            promoted = upstaged_afds(inst, other, own_on, other_on, afds)
+            dangling = (
+                profile.dangling_left if side == "left" else profile.dangling_right
+            )
+            promoted = upstaged_afds(inst, set(profile.rows(side, dangling)), afds)
             stats.afds_checked += len(afds)
             stats.afds_promoted += len(promoted)
             for d in promoted:

@@ -126,6 +126,7 @@ def test_criterion_3_four_row_tables_exactly():
 def test_criterion_4_upstage_promotion():
     """Dangling violators promote the planted dependency; surviving
     violators block it. 100 seeded fixtures each way."""
+    from joinfd.context import JoinContext
     from joinfd.upstage import upstage
 
     promoted = blocked = 0
@@ -142,7 +143,7 @@ def test_criterion_4_upstage_promotion():
         )
         left, right, spec = make_fixture(profile, seed=seed)
         afd = planted_afd(profile)
-        result = upstage(left, right, spec, left_afds=[afd])
+        result = upstage(JoinContext(left, right, spec), left_afds=[afd])
         joined = join(left, right, spec)
         renamed = afd.fd.rename(left_name_map(left, right, spec))
         if positive:

@@ -61,6 +61,25 @@ def test_join_discover_selective(tables, capsys):
     assert implies(reported, fd(["patients.flag"], "patients.date"))
 
 
+def test_join_discover_natural_exits_0(tmp_path, capsys):
+    left = tmp_path / "l.csv"
+    left.write_text("k,a\n1,x\n2,y\n")
+    right = tmp_path / "r.csv"
+    right.write_text("k,b\n1,p\n2,q\n2,r\n")
+    code, doc = _run(
+        capsys,
+        [
+            "join-discover",
+            "--left", str(left),
+            "--right", str(right),
+            "--on", "k=k",
+            "--natural",
+        ],
+    )
+    assert code == 0
+    assert doc["strategy"] == "selective"
+
+
 def test_join_discover_oracle_and_compare(tables, tmp_path, capsys):
     left, right = tables
     args = ["--left", str(left), "--right", str(right), "--on", "pid=pid"]

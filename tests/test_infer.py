@@ -41,7 +41,7 @@ def test_admission_style_chain():
     spec = JoinSpec.equi(["pid"], ["pid"])
     sigma_l, _ = discover_fds(left)
     sigma_r, _ = discover_fds(right)
-    got = infer_join_fds(left, right, spec, sigma_l, sigma_r)
+    got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
     assert implies(got.fds, fd(["ADM.admit"], "PAT.dob"))
     assert fd(["ADM.admit"], "PAT.pid") in got.fds
     assert got.provenance[fd(["ADM.admit"], "PAT.pid")]
@@ -51,7 +51,7 @@ def test_proof_tables_infer_nothing_for_the_mixed_rhs(pair_with_join_only_fd):
     left, right, spec = pair_with_join_only_fd
     sigma_l, _ = discover_fds(left)
     sigma_r, _ = discover_fds(right)
-    got = infer_join_fds(left, right, spec, sigma_l, sigma_r)
+    got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
     # nothing with a pure left-side lhs can determine C: A does not
     # determine X on the left table
     for d in got.fds:
@@ -73,10 +73,10 @@ def test_inferred_fds_hold_on_the_full_join():
         left, right, spec = make_fixture(prof, seed=seed)
         if spec.kind in (JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI):
             continue
-        up = upstage(left, right, spec)
+        up = upstage(JoinContext(left, right, spec))
         sigma_l = up.left_preserved.union(up.left_upstaged)
         sigma_r = up.right_preserved.union(up.right_upstaged)
-        got = infer_join_fds(left, right, spec, sigma_l, sigma_r)
+        got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
         joined = join(left, right, spec)
         for d in got.fds:
             assert holds(joined, d), f"{d} fails on seed {seed} {spec.kind}"
@@ -109,7 +109,7 @@ def test_refine_keeps_singleton_lhs_without_a_join():
     right = loads_csv("k,b\n1,p\n2,q", name="R")
     spec = JoinSpec.equi(["k"], ["k"])
     context = JoinContext(left, right, spec)
-    got = refine(left, right, spec, FdSet([fd(["L.a"], "R.b")]), context)
+    got = refine(context, FdSet([fd(["L.a"], "R.b")]))
     assert fd(["L.a"], "R.b") in got
     assert context.counters.partial_joins_built == 0
 
@@ -123,7 +123,7 @@ def test_refine_finds_smaller_variant():
     right = loads_csv("pid,dob\n1,b1\n2,b2\n3,b3", name="PAT")
     spec = JoinSpec.equi(["pid"], ["pid"])
     inferred = FdSet([fd(["ADM.loc", "ADM.diag"], "PAT.dob")])
-    got = refine(left, right, spec, inferred)
+    got = refine(JoinContext(left, right, spec), inferred)
     assert fd(["ADM.diag"], "PAT.dob") in got
     assert got.origins.get(fd(["ADM.diag"], "PAT.dob")) == "refined"
     assert fd(["ADM.loc", "ADM.diag"], "PAT.dob") not in got
@@ -133,7 +133,7 @@ def test_refine_tests_the_constant_subset():
     left = loads_csv("k,a\n1,x\n2,y", name="L")
     right = loads_csv("k,b\n1,same\n2,same", name="R")
     spec = JoinSpec.equi(["k"], ["k"])
-    got = refine(left, right, spec, FdSet([fd(["L.a"], "R.b")]))
+    got = refine(JoinContext(left, right, spec), FdSet([fd(["L.a"], "R.b")]))
     assert fd([], "R.b") in got
 
 
@@ -147,10 +147,10 @@ def test_refine_never_emits_a_violated_dependency():
             dangling_fraction=0.25,
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        up = upstage(left, right, spec)
+        up = upstage(JoinContext(left, right, spec))
         sigma_l = up.left_preserved.union(up.left_upstaged)
         sigma_r = up.right_preserved.union(up.right_upstaged)
-        got = infer_join_fds(left, right, spec, sigma_l, sigma_r)
+        got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
         joined = join(left, right, spec)
         for d in got.fds:
             assert holds(joined, d)
@@ -168,14 +168,14 @@ def test_refined_output_implies_inferred_input():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         context = JoinContext(left, right, spec)
-        up = upstage(left, right, spec, context=context)
+        up = upstage(context)
         sigma_l = up.left_preserved.union(up.left_upstaged)
         sigma_r = up.right_preserved.union(up.right_upstaged)
         raw = infer(
             spec.left_on, spec.right_on, sigma_l, sigma_r,
             lhs_map=context.lmap, rhs_map=context.rmap,
         )
-        refined = refine(left, right, spec, raw, context)
+        refined = refine(context, raw)
         for d in raw:
             assert implies(refined, d)
 
@@ -186,8 +186,8 @@ def test_output_stable_under_input_order():
     spec = JoinSpec.equi(["k"], ["k"])
     sigma_l, _ = discover_fds(left)
     sigma_r, _ = discover_fds(right)
-    a = infer_join_fds(left, right, spec, sigma_l, sigma_r)
+    a = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
     shuffled_l = FdSet(list(sigma_l)[::-1])
     shuffled_r = FdSet(list(sigma_r)[::-1])
-    b = infer_join_fds(left, right, spec, shuffled_l, shuffled_r)
+    b = infer_join_fds(JoinContext(left, right, spec), shuffled_l, shuffled_r)
     assert a.fds == b.fds

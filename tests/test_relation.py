@@ -3,17 +3,24 @@ import random
 import pytest
 
 from joinfd.errors import CsvFormatError, SchemaError
+from joinfd.joins import JoinSpec, join_profile
 from joinfd.relation import (
     NULL_CODE,
     distinct_values,
     load_csv,
     loads_csv,
     project,
-    select_by_values,
+    take_rows,
     to_csv,
 )
 
 from conftest import random_instance
+
+
+def _select(inst, attr, values):
+    """Rows whose `attr` value is among `values`, via the join-value groups."""
+    profile = join_profile(inst, inst, JoinSpec.equi([attr], [attr]))
+    return take_rows(inst, profile.rows("left", values))
 
 
 def test_smallest_wellformed_csv():
@@ -125,21 +132,17 @@ def test_shared_join_values_of_the_four_row_pair():
 
 def test_select_by_all_values_is_identity():
     inst = loads_csv("a,b\nx,1\ny,2\nx,3")
-    kept = select_by_values(inst, ["a"], distinct_values(inst, ["a"]))
-    assert kept == inst
+    assert _select(inst, "a", [("x",), ("y",)]) == inst
 
 
 def test_select_by_empty_set_drops_everything():
     inst = loads_csv("a,b\nx,1\ny,2")
-    assert select_by_values(inst, ["a"], set()).row_count == 0
+    assert _select(inst, "a", set()).row_count == 0
 
 
 def test_select_matching_rows_of_proof_table():
     right = loads_csv("Y,B,C\n0,0,0\n1,0,0\n1,1,1\n2,1,0")
-    code = next(
-        c for c in distinct_values(right, ["Y"]) if right.decode(0, c[0]) == "1"
-    )
-    picked = select_by_values(right, ["Y"], {code})
+    picked = _select(right, "Y", [("1",)])
     assert picked.raw_rows() == [("1", "0", "0"), ("1", "1", "1")]
 
 
@@ -161,8 +164,7 @@ def test_round_trip_with_nulls():
 
 def test_row_order_preserved_by_selection():
     inst = loads_csv("a\n3\n1\n2\n1")
-    keep = {c for c in distinct_values(inst, ["a"]) if inst.decode(0, c[0]) != "3"}
-    assert [r[0] for r in select_by_values(inst, ["a"], keep).raw_rows()] == [
+    assert [r[0] for r in _select(inst, "a", [("1",), ("2",)]).raw_rows()] == [
         "1",
         "2",
         "1",

@@ -8,12 +8,7 @@ from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
 from joinfd.joins import JoinKind, JoinSpec, coverage
 from joinfd.metrics import evaluate
 from joinfd.oracle import oracle_join_fds
-from joinfd.pipeline import (
-    classify_origins,
-    compare_to_oracle,
-    run_left_deep,
-    run_pipeline,
-)
+from joinfd.pipeline import classify_origins, run_left_deep, run_pipeline
 from joinfd.relation import loads_csv
 
 from conftest import brute_force_fds
@@ -154,7 +149,7 @@ def test_selective_strategy_matches_oracle_metrics():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         rep = run_pipeline(left, right, spec)
-        m = compare_to_oracle(left, right, spec, rep)
+        m = evaluate(rep.fds, oracle_join_fds(left, right, spec))
         assert (m.precision, m.recall) == (1.0, 1.0)
 
 
@@ -240,3 +235,22 @@ def test_left_deep_chain_runs_three_tables():
 
     oracle = oracle_join_fds(join(a, b, spec_ab), c, spec_bc)
     assert closure_equal(minimal_cover(rep.fds), oracle)
+
+
+def test_left_deep_chain_counts_intermediates_as_full_joins():
+    prof = FixtureProfile(left_rows=8, right_rows=8, left_attrs=2, right_attrs=2)
+    a, b, spec_ab = make_fixture(prof, seed=1)
+    c = loads_csv(
+        "k2,z\n" + "\n".join(f"s{i},w{i % 2}" for i in range(6)), name="C"
+    )
+    spec_bc = JoinSpec.equi(["L.k"], ["k2"])
+    from joinfd.joins import join
+
+    intermediate = join(a, b, spec_ab)
+    first = run_pipeline(a, b, spec_ab)
+    last = run_pipeline(intermediate, c, spec_bc, left_fds=first.fds)
+    rep = run_left_deep([a, b, c], [spec_ab, spec_bc])
+    assert rep.counters.full_join_rows == intermediate.row_count > 0
+    assert rep.counters.partial_join_rows == (
+        first.counters.partial_join_rows + last.counters.partial_join_rows
+    )

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from joinfd.context import JoinContext
+from joinfd.discovery import discover_fds
 from joinfd.errors import InputError
 from joinfd.fds import FdSet, fd, implies, minimal_cover, closure_equal
 from joinfd.fixtures import FixtureProfile, make_fixture
@@ -11,11 +13,22 @@ from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 from joinfd.sample import (
     SampleConfig,
-    consensus,
     generate_ids_set,
     micro_join_batch,
     selective_sampling,
 )
+
+
+def _k_equi(left, right):
+    return JoinContext(left, right, JoinSpec.equi(["k"], ["k"]))
+
+
+def _groups(inst):
+    """Join value -> row ids, keyed on the first column."""
+    groups = {}
+    for r, row in enumerate(inst.raw_rows()):
+        groups.setdefault((row[0],), []).append(r)
+    return groups
 
 
 def test_config_validation():
@@ -28,26 +41,26 @@ def test_config_validation():
 def test_disjoint_join_values_select_nothing():
     left = loads_csv("k,a\n1,x", name="L")
     right = loads_csv("k,b\n2,p", name="R")
-    got = selective_sampling(left, right, ["k"], ["k"], SampleConfig())
+    got = selective_sampling(_k_equi(left, right), SampleConfig())
     assert got == set()
 
 
 def test_key_unique_sides_select_every_shared_value():
     left = loads_csv("k,a\n1,x\n2,y\n3,z", name="L")
     right = loads_csv("k,b\n1,p\n2,q\n9,r", name="R")
-    got = selective_sampling(left, right, ["k"], ["k"], SampleConfig(n_b=1))
+    got = selective_sampling(_k_equi(left, right), SampleConfig(n_b=1))
     assert got == {("1",), ("2",)}
 
 
 def test_single_constant_attribute_keeps_one_representative():
     inst = loads_csv("k,a\n1,c\n2,c\n3,c", name="L")
-    got = generate_ids_set(inst, ["k"], SampleConfig(n_b=1, seed=4))
+    got = generate_ids_set(inst, ["k"], _groups(inst), SampleConfig(n_b=1, seed=4))
     assert len(got) == 1
 
 
 def test_skipping_every_level_selects_nothing():
     inst = loads_csv("k,a\n1,x\n2,y", name="L")
-    got = generate_ids_set(inst, ["k"], SampleConfig(n_b=1, n_v=1))
+    got = generate_ids_set(inst, ["k"], _groups(inst), SampleConfig(n_b=1, n_v=1))
     assert got == set()
 
 
@@ -57,7 +70,7 @@ def test_branch_contribution_property():
         prof = FixtureProfile(left_rows=14, right_rows=14, left_attrs=4, right_attrs=3)
         left, _, _ = make_fixture(prof, seed=seed)
         cfg = SampleConfig(n_b=2, n_v=1, seed=seed)
-        got = generate_ids_set(left, ["k"], cfg)
+        got = generate_ids_set(left, ["k"], _groups(left), cfg)
         all_values = {(row[0],) for row in left.raw_rows()}
         assert got <= all_values
         # recompute one branch by hand: every attribute value contributes
@@ -83,41 +96,31 @@ def test_selection_is_deterministic():
                           duplicate_fraction=0.4)
     left, right, spec = make_fixture(prof, seed=9)
     cfg = SampleConfig(n_b=1, n_v=1, seed=123)
-    a = selective_sampling(left, right, ["k"], ["k"], cfg)
-    b = selective_sampling(left, right, ["k"], ["k"], cfg)
+    a = selective_sampling(_k_equi(left, right), cfg)
+    b = selective_sampling(_k_equi(left, right), cfg)
     assert a == b
-    c = selective_sampling(left, right, ["k"], ["k"], SampleConfig(n_b=1, n_v=1, seed=124))
+    c = selective_sampling(_k_equi(left, right), SampleConfig(n_b=1, n_v=1, seed=124))
     assert isinstance(c, set)  # different seed may select differently, still valid
 
 
 def test_proof_tables_strict_sample(pair_with_join_only_fd):
     left, right, spec = pair_with_join_only_fd
-    got = selective_sampling(left, right, ["X"], ["Y"], SampleConfig(n_b=1, seed=0))
+    context = JoinContext(left, right, spec)
+    got = selective_sampling(context, SampleConfig(n_b=1, seed=0))
     shared = {("0",), ("1",), ("2",)}
     assert got <= shared
-    assert got == selective_sampling(left, right, ["X"], ["Y"], SampleConfig(n_b=1, seed=0))
+    assert got == selective_sampling(context, SampleConfig(n_b=1, seed=0))
 
 
-def test_consensus_of_single_set_is_its_cover():
-    s = FdSet([fd(["A"], "b"), fd(["A", "C"], "b")])
-    assert consensus([s]) == minimal_cover(s)
-
-
-def test_consensus_drops_members_missing_from_one_set():
-    a = FdSet([fd(["A"], "b")])
-    b = FdSet()
-    assert len(consensus([a, b])) == 0
-
-
-def test_consensus_keeps_commonly_supported_members():
-    a = FdSet([fd(["A"], "b")])
-    b = FdSet([fd(["A"], "b"), fd(["C"], "b")])
-    assert consensus([a, b]) == {fd(["A"], "b")}
-
-
-def test_consensus_requires_input():
-    with pytest.raises(InputError):
-        consensus([])
+def test_micro_join_cover_is_minimal_cover_of_its_fds():
+    prof = FixtureProfile(left_rows=16, right_rows=16, left_attrs=4, right_attrs=4,
+                          duplicate_fraction=0.4)
+    left, right, spec = make_fixture(prof, seed=9)
+    micro, cover = micro_join_batch(
+        JoinContext(left, right, spec), SampleConfig(n_b=1, seed=9)
+    )
+    assert micro is not None
+    assert cover == minimal_cover(discover_fds(micro)[0])
 
 
 def test_micro_join_is_submultiset_of_full_join():
@@ -133,11 +136,12 @@ def test_micro_join_is_submultiset_of_full_join():
             op=list(JoinKind)[seed % 6],
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        batch = micro_join_batch(left, right, spec, SampleConfig(n_b=1, seed=seed))
-        if not batch.pairs:
+        micro, _ = micro_join_batch(
+            JoinContext(left, right, spec), SampleConfig(n_b=1, seed=seed)
+        )
+        if micro is None:
             continue
-        li, ri = batch.pairs[0]
-        micro = Counter(join(li, ri, spec).raw_rows())
+        micro = Counter(micro.raw_rows())
         full = Counter(join(left, right, spec).raw_rows())
         assert all(micro[row] <= full[row] for row in micro)
 
@@ -211,6 +215,7 @@ def test_empty_selection_warns_and_returns_nothing():
     left = loads_csv("k,a\n1,x", name="L")
     right = loads_csv("k,b\n2,p", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.FULL_OUTER)
-    batch = micro_join_batch(left, right, spec, SampleConfig())
-    assert batch.pairs == []
-    assert any("empty" in w for w in batch.warnings)
+    context = JoinContext(left, right, spec)
+    micro, cover = micro_join_batch(context, SampleConfig())
+    assert micro is None and len(cover) == 0
+    assert any("empty" in w for w in context.warnings)

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds, holds
 from joinfd.errors import InputError
 from joinfd.fds import Afd, FdSet, fd, implies
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
 from joinfd.joins import JoinKind, JoinSpec, join, left_name_map
 from joinfd.relation import loads_csv
-from joinfd.upstage import upstage, upstaged_afds, upstaged_fds
+from joinfd.upstage import upstage
 
 
 def _bijective_pair():
@@ -19,7 +20,7 @@ def _bijective_pair():
 
 def test_nothing_upstaged_when_join_values_preserved():
     left, right, spec = _bijective_pair()
-    got = upstage(left, right, spec)
+    got = upstage(JoinContext(left, right, spec))
     assert len(got.left_upstaged) == 0
     assert len(got.right_upstaged) == 0
 
@@ -33,7 +34,7 @@ def test_dangling_violator_promotes_the_dependency():
     right = loads_csv("k,ward\np1,w\np2,w\np3,w\np4,w", name="R")
     spec = JoinSpec.equi(["k"], ["k"])
     afd = Afd(fd(["flag"], "date"), error=0.2, degree=1)
-    got = upstage(left, right, spec, left_afds=[afd])
+    got = upstage(JoinContext(left, right, spec), left_afds=[afd])
     assert fd(["flag"], "date") in got.left_upstaged
     joined = join(left, right, spec)
     assert holds(joined, fd(["flag"], "date").rename(left_name_map(left, right, spec)))
@@ -45,7 +46,7 @@ def test_surviving_violator_blocks_promotion():
     )
     right = loads_csv("k,ward\np1,w\np2,w\np3,w\np4,w\np5,w", name="R")
     afd = Afd(fd(["flag"], "date"), error=0.2, degree=1)
-    got = upstage(left, right, JoinSpec.equi(["k"], ["k"]), left_afds=[afd])
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])), left_afds=[afd])
     assert fd(["flag"], "date") not in got.left_upstaged
 
 
@@ -54,7 +55,10 @@ def test_exact_input_rejected_by_afd_path():
     right = loads_csv("k\n1", name="R")
     exact_as_afd = Afd(fd(["a"], "b"), error=0.5, degree=1)
     with pytest.raises(InputError, match="exact"):
-        upstaged_afds(left, right, ["k"], ["k"], [exact_as_afd])
+        upstage(
+            JoinContext(left, right, JoinSpec.equi(["k"], ["k"])),
+            left_afds=[exact_as_afd],
+        )
 
 
 def test_invalid_provided_fds_rejected():
@@ -62,14 +66,15 @@ def test_invalid_provided_fds_rejected():
     right = loads_csv("k\n1\n2", name="R")
     bogus = FdSet([fd(["a"], "b")])
     with pytest.raises(InputError, match="does not hold"):
-        upstage(left, right, JoinSpec.equi(["k"], ["k"]), left_fds=bogus)
+        upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])), left_fds=bogus)
 
 
 def test_no_filtering_means_no_new_fds():
     left = loads_csv("k,a\n1,x\n2,y", name="L")
     right = loads_csv("k,b\n1,p\n2,q", name="R")
     exact, _ = discover_fds(left)
-    assert len(upstaged_fds(left, right, ["k"], ["k"], exact)) == 0
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])), left_fds=exact)
+    assert len(got.left_upstaged) == 0
 
 
 def test_dangled_duplicate_reveals_key():
@@ -78,7 +83,9 @@ def test_dangled_duplicate_reveals_key():
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
     exact, _ = discover_fds(left)
-    got = upstaged_fds(left, right, ["k"], ["k"], exact)
+    got = upstage(
+        JoinContext(left, right, JoinSpec.equi(["k"], ["k"])), left_fds=exact
+    ).left_upstaged
     assert implies(list(got) + list(exact), fd(["a"], "b"))
 
 
@@ -91,7 +98,7 @@ def test_known_dependencies_never_reappear():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         exact, _ = discover_fds(left)
-        got = upstaged_fds(left, right, ["k"], ["k"], exact)
+        got = upstage(JoinContext(left, right, spec), left_fds=exact).left_upstaged
         for d in got:
             assert not implies(exact, d)
 
@@ -110,7 +117,7 @@ def test_promotion_and_blocking_match_the_oracle():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         afd = planted_afd(prof)
-        got = upstage(left, right, spec, left_afds=[afd])
+        got = upstage(JoinContext(left, right, spec), left_afds=[afd])
         joined = join(left, right, spec)
         renamed = afd.fd.rename(left_name_map(left, right, spec))
         if positive:
@@ -133,7 +140,7 @@ def test_upstaged_fds_hold_on_the_join():
             op=list(JoinKind)[seed % 6],
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        got = upstage(left, right, spec)
+        got = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
         lmap = left_name_map(left, right, spec)
         from joinfd.joins import right_name_map
@@ -157,8 +164,8 @@ def test_afd_path_agrees_with_discovery_path():
         left, right, spec = make_fixture(prof, seed=seed)
         afd = planted_afd(prof)
         exact, _ = discover_fds(left)
-        via_afds = upstage(left, right, spec, left_afds=[afd])
-        via_discovery = upstage(left, right, spec, left_fds=exact)
+        via_afds = upstage(JoinContext(left, right, spec), left_afds=[afd])
+        via_discovery = upstage(JoinContext(left, right, spec), left_fds=exact)
         pool = list(via_discovery.left_upstaged) + list(exact)
         for d in via_afds.left_upstaged:
             assert implies(pool, d)
@@ -168,13 +175,13 @@ def test_preserved_side_of_outer_join_never_upstages():
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.LEFT_OUTER)
-    got = upstage(left, right, spec)
+    got = upstage(JoinContext(left, right, spec))
     assert len(got.left_upstaged) == 0  # left rows all survive a left outer
 
 
 def test_stats_reflect_filtered_rows():
     left = loads_csv("k,a\n1,x\n2,y\n9,z", name="L")
     right = loads_csv("k,b\n1,p\n2,q", name="R")
-    got = upstage(left, right, JoinSpec.equi(["k"], ["k"]))
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
     assert got.stats.rows_filtered_left == 1
     assert got.stats.rows_filtered_right == 0
