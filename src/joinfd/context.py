@@ -2,14 +2,17 @@
 
 The context owns the value-level join profile, name mapping between side
 attributes and join-result attributes, the per-side sub-instances (the join's
-row set restricted to one side's columns), and a cache of partial joins keyed
-by kept attribute sets. Counters record how much was materialized, which is
-the frugality evidence the report exposes.
+row set restricted to one side's columns), a cache of partial joins keyed
+by kept attribute sets, and the streaming validator's layout: each
+participating join-value group's columns as integer code slabs, built once
+on first use. Counters record how much was materialized, which is the
+frugality evidence the report exposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .discovery import holds
 from .errors import InternalInvariantError, JoinSpecError
@@ -28,7 +31,7 @@ from .joins import (
     result_schema,
     right_name_map,
 )
-from .relation import Instance, append_null_row, take_rows
+from .relation import NULL_CODE, Instance, append_padding, take_rows
 
 
 @dataclass
@@ -71,6 +74,7 @@ class JoinContext:
         self._partials: dict[tuple[frozenset, frozenset], Instance] = {}
         self._directions: tuple[bool, bool] | None = None
         self._sides: dict[str, Instance | None] = {}
+        self._layout: tuple[list[tuple], dict[str, tuple[int, int]]] | None = None
 
     # -- schema ------------------------------------------------------------
 
@@ -125,8 +129,12 @@ class JoinContext:
 
         For the dropped side of a semi-join there is no such thing (its
         attributes are absent from the result), hence None. Outer padding
-        is modelled by one appended all-null row: row multiplicity never
-        affects dependency validity, so one row stands for all padding.
+        is modelled by appended padding rows; row multiplicity never affects
+        dependency validity, so one row stands for all padding rows that
+        agree. Under an equi-join that is a single all-null row. Under a
+        natural join the merged key columns of a padding row carry the
+        other side's join value, so there is one padding row per dangling
+        join value of the other side, null outside the key columns.
         """
         if side in self._sides:
             return self._sides[side]
@@ -154,8 +162,15 @@ class JoinContext:
             sub = inst
         else:
             sub = take_rows(inst, self.profile.rows(side, self.profile.shared))
-        if padded:
-            sub = append_null_row(sub)
+        if padded and self.spec.natural:
+            if side == "left":
+                on, dangling = self.spec.left_on, self.profile.dangling_right
+            else:
+                on, dangling = self.spec.right_on, self.profile.dangling_left
+            values = sorted(dangling, key=lambda v: tuple(str(x) for x in v))
+            sub = append_padding(sub, [inst.ordinal(a) for a in on], values)
+        elif padded:
+            sub = append_padding(sub, (), [()])
         self._sides[side] = sub
         return sub
 
@@ -199,102 +214,75 @@ class JoinContext:
     def check_fd(self, fd: FunctionalDependency) -> bool:
         """Validate a dependency on the join without materializing any rows.
 
-        Walks the join-value groups of both sides (plus the padded groups an
-        outer operator adds), deduplicated on the columns the dependency
-        touches, and checks map consistency from lhs tuples to the rhs cell.
-        Works on decoded values so merged natural-join columns can take the
-        surviving side's value on padded rows.
+        Walks the participating join-value groups (the shared ones plus the
+        dangling ones an outer operator pads). In each group, the side that
+        carries the rhs is projected to its distinct (lhs part, rhs code)
+        pairs and the other side to its distinct lhs parts; crossing the
+        two gives the group's distinct join rows over the dependency's
+        columns, and one map from lhs tuples to rhs codes spans all groups.
+        Codes serve as values: within one column code equality is value
+        equality, and padding is NULL_CODE.
         """
         self.counters.candidates_validated += 1
-        attrs = sorted(fd.lhs)
-        cells = [self._accessor(a) for a in attrs]
-        rhs_cell = self._accessor(fd.rhs)
-        seen: dict[tuple, str | None] = {}
-        missing = object()
-
-        def feed(lrow, rrow) -> bool:
-            key = tuple(cell(lrow, rrow) for cell in cells)
-            value = rhs_cell(lrow, rrow)
-            prev = seen.get(key, missing)
-            if prev is missing:
-                seen[key] = value
-                return True
-            return prev == value
-
-        lgroups = self.profile.left_groups
-        rgroups = self.profile.right_groups
-        for v in self.profile.shared:
-            lrows = self._distinct_on(self.left, lgroups[v], attrs, fd.rhs, "left")
-            rrows = self._distinct_on(self.right, rgroups[v], attrs, fd.rhs, "right")
-            for lrow in lrows:
-                for rrow in rrows:
-                    if not feed(lrow, rrow):
-                        return False
-        if self.pads_right():
-            for v in self.profile.dangling_left:
-                for lrow in self._distinct_on(
-                    self.left, lgroups[v], attrs, fd.rhs, "left"
-                ):
-                    if not feed(lrow, None):
-                        return False
-        if self.pads_left():
-            for v in self.profile.dangling_right:
-                for rrow in self._distinct_on(
-                    self.right, rgroups[v], attrs, fd.rhs, "right"
-                ):
-                    if not feed(None, rrow):
+        if self._layout is None:
+            self._layout = self._build_layout()
+        groups, source = self._layout
+        cols: tuple[list[int], list[int]] = ([], [])
+        for name in fd.lhs:
+            side, column = source[name]
+            cols[side].append(column)
+        own, rhs_column = source[fd.rhs]
+        own_cols, other_cols = cols[own], cols[1 - own]
+        seen: dict[tuple, object] = {}
+        for group in groups:
+            own_slabs, other_slabs = group[own], group[1 - own]
+            parts = zip(*[own_slabs[c] for c in own_cols]) if own_cols else repeat(())
+            pairs = set(zip(parts, own_slabs[rhs_column]))
+            rests = (
+                set(zip(*[other_slabs[c] for c in other_cols])) if other_cols else {()}
+            )
+            for part, value in pairs:
+                for rest in rests:
+                    if seen.setdefault((part, rest), value) != value:
                         return False
         return True
 
-    def _distinct_on(self, inst, rows, lhs_attrs, rhs, side) -> list[int]:
-        ords = []
-        for name in list(lhs_attrs) + [rhs]:
-            owner_side, base = self.owner[name]
-            if owner_side == side:
-                ords.append(inst.ordinal(base))
-            elif self.spec.natural and base in self.spec.left_on and side == "right":
-                # merged column: the right side carries it too
-                pos = self.spec.left_on.index(base)
-                ords.append(inst.ordinal(self.spec.right_on[pos]))
-        seen = set()
-        out = []
-        for r in rows:
-            key = tuple(inst.columns[o][r] for o in ords)
-            if key not in seen:
-                seen.add(key)
-                out.append(r)
-        return out
+    def _build_layout(self) -> tuple[list[tuple], dict[str, tuple[int, int]]]:
+        """Participating groups as code slabs, and where each column lives.
 
-    def _accessor(self, name: str):
-        side, base = self.owner[name]
-        if side == "left":
-            ordinal = self.left.ordinal(base)
-            column, decode = self.left.columns[ordinal], self.left
-            merged_pos = (
-                self.spec.left_on.index(base)
-                if self.spec.natural and base in self.spec.left_on
-                else None
-            )
-            if merged_pos is not None:
-                r_ord = self.right.ordinal(self.spec.right_on[merged_pos])
+        A group is a (left slabs, right slabs) pair holding one group-major
+        code tuple per column of that side; a padded side holds one all-null
+        row. Under a natural join the left slabs also carry one slab per
+        merged column, after the left's own columns: a merged column takes
+        the present side's join value on padded rows too, so it is constant
+        within a group and read off the group's join value. Each join-result
+        name maps to (side, slab index), with side 0 for left and 1 for
+        right.
+        """
+        profile, spec = self.profile, self.spec
+        merged = range(len(spec.left_on) if spec.natural else 0)
 
-                def cell(lrow, rrow):
-                    if lrow is not None:
-                        return decode.decode(ordinal, column[lrow])
-                    if rrow is not None:
-                        return self.right.decode(r_ord, self.right.columns[r_ord][rrow])
-                    return None
+        def slabs(inst: Instance, rows: list[int] | None) -> list[tuple]:
+            if rows is None:
+                return [(NULL_CODE,)] * len(inst.columns)
+            return [tuple(col[r] for r in rows) for col in inst.columns]
 
-                return cell
+        def left_slabs(v: tuple, rows: list[int] | None) -> list[tuple]:
+            width = 1 if rows is None else len(rows)
+            return slabs(self.left, rows) + [(v[p],) * width for p in merged]
 
-            def cell(lrow, rrow):
-                return decode.decode(ordinal, column[lrow]) if lrow is not None else None
-
-            return cell
-        ordinal = self.right.ordinal(base)
-        column = self.right.columns[ordinal]
-
-        def cell(lrow, rrow):
-            return self.right.decode(ordinal, column[rrow]) if rrow is not None else None
-
-        return cell
+        lg, rg = profile.left_groups, profile.right_groups
+        values = [(v, lg[v], rg[v]) for v in profile.shared]
+        if self.pads_right():
+            values += [(v, lg[v], None) for v in profile.dangling_left]
+        if self.pads_left():
+            values += [(v, None, rg[v]) for v in profile.dangling_right]
+        groups = [(left_slabs(v, lr), slabs(self.right, rr)) for v, lr, rr in values]
+        source: dict[str, tuple[int, int]] = {}
+        for base, name in self.rmap.items():
+            source[name] = (1, self.right.ordinal(base))
+        for base, name in self.lmap.items():
+            source[name] = (0, self.left.ordinal(base))
+        for p in merged:
+            source[self.lmap[spec.left_on[p]]] = (0, len(self.left.columns) + p)
+        return groups, source

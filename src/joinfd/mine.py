@@ -1,10 +1,11 @@
-"""Stage 3: mine the remaining join dependencies on partial joins only.
+"""Stage 3: mine the remaining join dependencies without computing the join.
 
 An attribute b can be the rhs of a still-unknown join dependency only if the
 rhs side's join attributes (possibly together with some side-local set A')
 determine b on the join. Every anchored rhs is explored level-wise over lhs
 candidates drawn from the opposite side's non-join attributes, each candidate
-validated on a narrow partial join rather than the full result. Candidates
+validated by the context's streaming validator (`JoinContext.check_fd`), which
+reads per-group code slabs and materializes no join rows. Candidates
 implied by previously established dependencies are skipped, and a lhs
 attribute is dropped from the alphabet once it can no longer contribute.
 """
@@ -42,9 +43,10 @@ def _anchors(
     without its anchor, so every extension must stay on the table.
     """
     y_set = frozenset(y_attrs)
+    rules = list(sigma_j)  # iterating an FdSet sorts it; do that once
     out: list[tuple[str, frozenset[str]]] = []
     for b in j_attrs:  # join attributes are themselves trivially anchored
-        if assume_all_anchored or b in attribute_closure(y_set, sigma_j):
+        if assume_all_anchored or b in attribute_closure(y_set, rules):
             out.append((b, frozenset()))
         # the extension may include join attributes: under outer padding an
         # lhs carrying them is not equivalent to its rewritten form
@@ -52,10 +54,10 @@ def _anchors(
         for size in range(1, len(others) + 1):
             for combo in combinations(others, size):
                 ext = frozenset(combo)
-                if b in attribute_closure(ext, sigma_j):
+                if b in attribute_closure(ext, rules):
                     continue  # the extension alone already determines b
                 if assume_all_anchored or b in attribute_closure(
-                    y_set | ext, sigma_j
+                    y_set | ext, rules
                 ):
                     out.append((b, ext))
     out.sort(key=lambda t: (t[0], len(t[1]), tuple(sorted(t[1]))))
@@ -109,7 +111,7 @@ def discover(
     i_map = context.lmap if i_is_left else context.rmap
     j_map = context.rmap if i_is_left else context.lmap
     out = FdSet()
-    prior_pool = list(sigma_prior)
+    pool = list(sigma_prior)  # the prior set plus every accepted candidate
     anchors = _anchors(
         instance_j.attr_names,
         y_attrs,
@@ -135,10 +137,11 @@ def discover(
                 if rhs in lhs:
                     continue
                 cand = FunctionalDependency(lhs, rhs)
-                if implies(prior_pool + list(out), cand):
+                if implies(pool, cand):
                     continue
                 if context.check_fd(cand):
                     out.add(cand, "mined")
+                    pool.append(cand)
                 else:
                     survivors.append(lhs_i)
                     for a in lhs_i:

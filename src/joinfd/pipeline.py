@@ -12,7 +12,7 @@ left-deep chains count their materialized intermediates as full joins.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .context import Counters, JoinContext
 from .discovery import discover_fds
@@ -218,12 +218,20 @@ def run_pipeline(
     ):
         sub_exists = context.side_subinstance(side) is not None
         dropped = [d for d in given if sub_exists and d not in survived]
+        # natural-join padding rows are null outside the merged key columns,
+        # where they carry the other side's join values: without any null in
+        # the data they can still agree with a row on a lhs within those
+        # columns, or disagree with another padding row on a key rhs
+        merged = set(spec.left_on if side == "left" else spec.right_on)
         for d in dropped:
             violated.append(f"{side}: {d}")
+            if spec.natural and (d.lhs <= merged or d.rhs in merged):
+                continue
             if d.lhs and not (_has_nulls(left) or _has_nulls(right)):
                 raise InternalInvariantError(
                     f"preserved dependency {d} of the {side} table no longer "
-                    f"holds on the join; this should be impossible without nulls"
+                    f"holds on the join; this should be impossible without nulls "
+                    f"outside natural join keys"
                 )
         if dropped:
             warnings.append(
@@ -306,6 +314,17 @@ def run_pipeline(
     )
 
 
+def _carry(
+    report: DiscoveryReport, counters: Counters, timings: dict[str, float]
+) -> None:
+    """Add an earlier step's counters and per-stage timings into `report`."""
+    for f in fields(Counters):
+        total = getattr(report.counters, f.name) + getattr(counters, f.name)
+        setattr(report.counters, f.name, total)
+    for stage, seconds in timings.items():
+        report.timings[stage] = report.timings.get(stage, 0.0) + seconds
+
+
 def run_left_deep(
     tables: list[Instance],
     specs: list[JoinSpec],
@@ -317,9 +336,9 @@ def run_left_deep(
 
     Each intermediate join is materialized so the next binary step has a
     left input; its dependency cover is carried forward, skipping
-    single-table rediscovery. Materialized rows and timings accumulate into
-    the final report, and every intermediate join counts as a full join:
-    a chain is not frugal.
+    single-table rediscovery. Every counter and per-stage timing of the
+    earlier steps accumulates into the final report, and every intermediate
+    join counts as a full join: a chain is not frugal.
     """
     from .discovery import holds
     from .joins import join
@@ -329,8 +348,7 @@ def run_left_deep(
     current = tables[0]
     current_fds: FdSet | None = None
     report: DiscoveryReport | None = None
-    carried_partial = carried_full = 0
-    carried_time = 0.0
+    carried, carried_timings = Counters(), {}
     for step, (nxt, spec) in enumerate(zip(tables[1:], specs)):
         report = run_pipeline(
             current,
@@ -341,14 +359,11 @@ def run_left_deep(
             sample_cfg=sample_cfg,
             left_fds=current_fds,
         )
-        report.counters.partial_join_rows += carried_partial
-        report.counters.full_join_rows += carried_full
-        report.timings["total"] += carried_time
+        _carry(report, carried, carried_timings)
         if step < len(specs) - 1:
             current = join(current, nxt, spec)
-            carried_partial = report.counters.partial_join_rows
-            carried_full = report.counters.full_join_rows + current.row_count
-            carried_time = report.timings["total"]
+            report.counters.full_join_rows += current.row_count
+            carried, carried_timings = report.counters, report.timings
             # a sampled cover may overclaim; keep only what the materialized
             # intermediate actually satisfies
             current_fds = FdSet(d for d in report.fds if holds(current, d))

@@ -188,15 +188,38 @@ def distinct_rows(instance: Instance) -> Instance:
     return take_rows(instance, kept)
 
 
-def append_null_row(instance: Instance) -> Instance:
-    """Append one all-null row; used to model outer-join padding per side."""
-    cols = tuple(col + (NULL_CODE,) for col in instance.columns)
+def append_padding(
+    instance: Instance,
+    ordinals: Sequence[int],
+    values: Sequence[tuple[str | None, ...]],
+) -> Instance:
+    """Append one outer-join padding row per tuple of `values`.
+
+    Row i carries the raw values of `values[i]` at `ordinals` and nulls
+    everywhere else; with no ordinals and one empty tuple this is a single
+    all-null row. Existing codes are kept: only the dictionaries of
+    `ordinals` grow, by the values they lack.
+    """
+    dictionaries = list(instance.dictionaries)
+    padding = [[NULL_CODE] * len(values) for _ in instance.columns]
+    for position, o in enumerate(ordinals):
+        words = list(dictionaries[o])
+        codes = {w: c for c, w in enumerate(words)}
+        for i, value in enumerate(values):
+            raw = value[position]
+            if raw is None:
+                continue
+            if raw not in codes:
+                codes[raw] = len(words)
+                words.append(raw)
+            padding[o][i] = codes[raw]
+        dictionaries[o] = tuple(words)
     return Instance(
         name=instance.name,
         schema=instance.schema,
-        columns=cols,
-        dictionaries=instance.dictionaries,
-        row_count=instance.row_count + 1,
+        columns=tuple(col + tuple(pad) for col, pad in zip(instance.columns, padding)),
+        dictionaries=tuple(dictionaries),
+        row_count=instance.row_count + len(values),
     )
 
 

@@ -74,3 +74,16 @@ def test_side_subinstances_reflect_the_operator():
     assert louter.side_subinstance("right").row_count == 2
     lsemi = JoinContext(left, right, JoinSpec.equi(["k"], ["k"], JoinKind.LEFT_SEMI))
     assert lsemi.side_subinstance("right") is None
+
+
+def test_natural_padding_rows_carry_the_dangling_join_values():
+    left = loads_csv("k,a\n1,x\n2,y\n,z", name="L", null_tokens=[""])
+    right = loads_csv("k,b\n1,p\n8,q", name="R")
+    spec = JoinSpec.natural_join(left, right, JoinKind.FULL_OUTER)
+    ctx = JoinContext(left, right, spec)
+    sub = ctx.side_subinstance("right")
+    # both right rows, then one padding row per dangling left value (2, null)
+    assert sub.raw_rows() == [("1", "p"), ("8", "q"), ("2", None), (None, None)]
+    assert sub.columns[1] == right.columns[1] + (-1, -1)  # existing codes kept
+    lsub = ctx.side_subinstance("left")
+    assert lsub.raw_rows()[-1] == ("8", None)

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds, holds
 from joinfd.fds import FdSet, fd, implies, minimal_cover, closure_equal
@@ -171,14 +169,27 @@ def test_natural_join_key_is_not_a_candidate_for_itself():
         assert closure_equal(rep.fds, oracle_join_fds(left, right, spec)), kind
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="side_subinstance models natural outer padding as an all-null row, "
-    "but the merged key column of a padded row carries the other side's key",
-)
 def test_natural_full_outer_with_null_keys_matches_oracle():
     left, right, spec = _natural_pair(
         "k0,a0\ny,y\nz,z\ny,∅\n∅,z\nx,z", "k0,b0\nz,z", JoinKind.FULL_OUTER
     )
     rep = run_pipeline(left, right, spec, strategy="selective")
     assert closure_equal(rep.fds, oracle_join_fds(left, right, spec))
+
+
+def test_natural_padding_breaks_dependencies_without_nulls_in_the_data():
+    # natural padding rows are null outside the merged key, which carries
+    # the dangling join value: the left padding row (x,y,∅,∅) agrees with
+    # the left row (y,y,y,z) on k1 but not on a1, and the padding rows
+    # (x,y,∅) and (z,y,∅) agree on a0 but not on k0. The run must report
+    # the broken dependencies, not raise.
+    cases = [
+        ("k0,k1,a0,a1\nz,x,y,x\ny,y,y,z", "k0,k1\nx,y\ny,y", "left: k1 -> a1"),
+        ("k0,k1,a0\nx,x,p\nw,x,q", "k0,k1\ny,y\nz,y\nx,x\nw,x", "left: a0 -> k0"),
+    ]
+    for left_csv, right_csv, broken in cases:
+        for kind in (JoinKind.RIGHT_OUTER, JoinKind.FULL_OUTER):
+            left, right, spec = _natural_pair(left_csv, right_csv, kind)
+            rep = run_pipeline(left, right, spec, strategy="selective")
+            assert broken in rep.violated_fds, kind
+            assert closure_equal(rep.fds, oracle_join_fds(left, right, spec)), kind

@@ -254,3 +254,11 @@ def test_left_deep_chain_counts_intermediates_as_full_joins():
     assert rep.counters.partial_join_rows == (
         first.counters.partial_join_rows + last.counters.partial_join_rows
     )
+    # every counter and stage timing of the first step is carried, too
+    assert first.counters.candidates_validated == 6
+    assert last.counters.candidates_validated == 15
+    assert rep.counters.candidates_validated == 21
+    assert rep.counters.partial_joins_built == (
+        first.counters.partial_joins_built + last.counters.partial_joins_built
+    )
+    assert set(first.timings) <= set(rep.timings)
