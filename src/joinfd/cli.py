@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .discovery import discover_fds
 from .errors import GuardError, InputError, InternalInvariantError, JoinFdError
@@ -53,35 +54,46 @@ def _load_table(path: str, args) -> "Instance":
     )
 
 
-def _load_fd_file(path: str) -> FdSet:
+def _load_entries(path: str) -> list[tuple[FunctionalDependency, float, int]]:
+    """Each entry of an FD/AFD JSON file as (dependency, error, degree)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
         doc = doc.get("fds", [])
-    out = FdSet()
+    if not isinstance(doc, list):
+        raise InputError(f"{path}: expected a list of dependencies")
+    out = []
     for entry in doc:
-        if float(entry.get("error", 0)) == 0:
-            out.add(FunctionalDependency(frozenset(entry["lhs"]), entry["rhs"]))
+        try:
+            lhs, rhs = entry["lhs"], entry["rhs"]
+            error = float(entry.get("error", 0))
+            degree = int(entry.get("degree", 0)) or 1
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}: malformed entry {entry!r} ({exc!r})") from None
+        if not isinstance(rhs, str) or not (
+            isinstance(lhs, list) and all(isinstance(a, str) for a in lhs)
+        ):
+            raise InputError(
+                f"{path}: entry {entry!r} needs a list of names as lhs and a name as rhs"
+            )
+        if rhs in lhs:
+            raise InputError(f"{path}: entry {entry!r} is a trivial dependency")
+        if not 0 <= error <= 1:
+            raise InputError(f"{path}: entry {entry!r} has an error outside [0, 1]")
+        out.append((FunctionalDependency(frozenset(lhs), rhs), error, degree))
     return out
+
+
+def _load_fd_file(path: str) -> FdSet:
+    return FdSet(d for d, error, _ in _load_entries(path) if error == 0)
 
 
 def _load_afd_file(path: str) -> list[Afd]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict):
-        doc = doc.get("fds", [])
-    out = []
-    for entry in doc:
-        err = float(entry.get("error", 0))
-        if err > 0:
-            out.append(
-                Afd(
-                    FunctionalDependency(frozenset(entry["lhs"]), entry["rhs"]),
-                    error=err,
-                    degree=int(entry.get("degree", 0)) or 1,
-                )
-            )
-    return out
+    return [
+        Afd(d, error=error, degree=degree)
+        for d, error, degree in _load_entries(path)
+        if error > 0
+    ]
 
 
 def _add_csv_options(parser) -> None:
@@ -180,8 +192,20 @@ def _cmd_fixture(args) -> dict:
     if args.profile:
         with open(args.profile, encoding="utf-8") as fh:
             kwargs = json.load(fh)
+        if not isinstance(kwargs, dict):
+            raise InputError(f"{args.profile}: expected a JSON object of profile fields")
+        unknown = sorted(set(kwargs) - {f.name for f in fields(FixtureProfile)})
+        if unknown:
+            raise InputError(
+                f"{args.profile}: unknown profile field(s) {', '.join(unknown)}"
+            )
     if "op" in kwargs:
-        kwargs["op"] = _OP_ALIASES[kwargs["op"]]
+        try:
+            kwargs["op"] = _OP_ALIASES[kwargs["op"]]
+        except (KeyError, TypeError):
+            raise InputError(
+                f"{args.profile}: op must be one of {', '.join(sorted(_OP_ALIASES))}"
+            ) from None
     profile = FixtureProfile(**kwargs)
     left, right, spec = make_fixture(profile, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)

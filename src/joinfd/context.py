@@ -28,7 +28,6 @@ from .joins import (
     join_profile,
     left_name_map,
     partial_join,
-    result_schema,
     right_name_map,
 )
 from .relation import NULL_CODE, Instance, append_padding, take_rows
@@ -77,18 +76,6 @@ class JoinContext:
         self._layout: tuple[list[tuple], dict[str, tuple[int, int]]] | None = None
 
     # -- schema ------------------------------------------------------------
-
-    def join_attr_names(self) -> list[str]:
-        if self.spec.kind in SEMI_KINDS:
-            kept = self.spec.left_on if self.spec.kind is JoinKind.LEFT_SEMI else self.spec.right_on
-            return list(kept)
-        names = [self.lmap[a] for a in self.spec.left_on]
-        if not self.spec.natural:
-            names += [self.rmap[a] for a in self.spec.right_on]
-        return names
-
-    def schema(self) -> list[str]:
-        return result_schema(self.left, self.right, self.spec)
 
     def split(self, attrs) -> tuple[set[str], set[str]]:
         """Split join-result attribute names into per-side base names."""
@@ -175,6 +162,9 @@ class JoinContext:
         return sub
 
     # -- materialization -----------------------------------------------------
+    # No stage validates on partial joins any more; the benchmark's tracer
+    # still resolves `partial` and `holds_on_join` by name, so they stay
+    # until the benchmark drops those names.
 
     def partial(self, left_attrs, right_attrs) -> Instance:
         """Distinct partial join keeping the given per-side base attributes.

@@ -10,7 +10,8 @@ keeps expanding below them because exact dependencies may still appear there.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import combinations
+from typing import Callable, Iterable
 
 from .fds import Afd, FdSet, FunctionalDependency, implies
 from .partition import StrippedPartition, _class_violations, build_partition
@@ -40,6 +41,26 @@ def holds(instance: Instance, fd: FunctionalDependency) -> bool:
     return True
 
 
+def minimal_variants(
+    fd: FunctionalDependency, valid: Callable[[FunctionalDependency], bool]
+) -> list[FunctionalDependency]:
+    """Every holding lhs variant of `fd` at the smallest size, else `fd`.
+
+    Proper lhs subsets are tried bottom-up, the empty one first; `valid`
+    says whether a candidate holds wherever the caller validates.
+    """
+    attrs = sorted(fd.lhs)
+    for size in range(len(attrs)):
+        candidates = [
+            FunctionalDependency(frozenset(sub), fd.rhs)
+            for sub in combinations(attrs, size)
+        ]
+        found = [cand for cand in candidates if valid(cand)]
+        if found:
+            return found
+    return [fd]
+
+
 class _PartitionCache:
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -59,30 +80,33 @@ class _PartitionCache:
         return count
 
 
+def next_lhs_level(lhss: Iterable[frozenset[str]]) -> list[frozenset[str]]:
+    """Apriori step: unions of two same-size sets sharing all but their last."""
+    tuples = sorted({tuple(sorted(s)) for s in lhss})
+    out = set()
+    for i, a in enumerate(tuples):
+        for b in tuples[i + 1 :]:
+            if a[:-1] != b[:-1]:
+                break
+            out.add(frozenset(a) | {b[-1]})
+    return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
 def next_level_candidates(
     current: Iterable[FunctionalDependency],
     pruned: FdSet | Iterable[FunctionalDependency],
 ) -> list[FunctionalDependency]:
     """Join same-rhs lhs sets sharing a prefix; drop candidates `pruned` implies."""
     pruned = list(pruned)
-    by_rhs: dict[str, list[tuple[str, ...]]] = {}
+    by_rhs: dict[str, list[frozenset[str]]] = {}
     for d in current:
-        by_rhs.setdefault(d.rhs, []).append(tuple(sorted(d.lhs)))
+        by_rhs.setdefault(d.rhs, []).append(d.lhs)
     out = []
-    emitted = set()
     for rhs in sorted(by_rhs):
-        lhss = sorted(set(by_rhs[rhs]))
-        for i, a in enumerate(lhss):
-            for b in lhss[i + 1 :]:
-                if a[:-1] != b[:-1]:
-                    break
-                merged = frozenset(a) | {b[-1]}
-                cand = FunctionalDependency(merged, rhs)
-                if cand in emitted:
-                    continue
-                emitted.add(cand)
-                if not implies(pruned, cand):
-                    out.append(cand)
+        for lhs in next_lhs_level(by_rhs[rhs]):
+            cand = FunctionalDependency(lhs, rhs)
+            if not implies(pruned, cand):
+                out.append(cand)
     out.sort(key=FunctionalDependency.sort_key)
     return out
 

@@ -9,12 +9,21 @@ the left side whose violating rows either all dangle or all survive the join.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError
 from .fds import Afd, FunctionalDependency
 from .joins import JoinKind, JoinSpec
 from .relation import Instance
+
+# accepted value types per annotation; bool is an int, so it is refused apart
+_FIELD_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "JoinKind": JoinKind,
+    "int | None": (int, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -32,6 +41,12 @@ class FixtureProfile:
     domain_high: int | None = None  # default: about half the row count
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise InputError(f"fixture field {f.name} must be {f.type}, got {value!r}")
         if min(self.left_rows, self.right_rows) < 1:
             raise InputError("fixture needs at least one row per side")
         if min(self.left_attrs, self.right_attrs) < 1:

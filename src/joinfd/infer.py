@@ -8,7 +8,7 @@ directions, which is checked on value pairs before a direction is used.
 
 Determination is read through attribute closure, not syntactic membership,
 since the input sets are covers. Each inferred dependency then gets its lhs
-minimized against a partial join carrying only the attributes involved.
+minimized on the join's validator, which materializes no join rows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .context import JoinContext
-from .discovery import holds
+from .discovery import minimal_variants
 from .fds import FdSet, FunctionalDependency, attribute_closure, remove_implied
 from .joins import SEMI_KINDS
 
@@ -78,51 +78,21 @@ def infer(
 
 
 def refine(context: JoinContext, inferred: FdSet) -> FdSet:
-    """Minimize each dependency's lhs against a narrow partial join.
+    """Minimize each dependency's lhs on the join's validator.
 
-    Dependencies arrive in join-result names. Proper lhs subsets are tested
-    bottom-up on a partial join carrying only the join attributes plus the
-    dependency's own attributes; all minimal variants at the smallest
-    holding size replace the original. Members that were actually shrunk
-    come back tagged "refined".
+    Dependencies arrive in join-result names. Proper lhs subsets, the empty
+    one included, are validated bottom-up by `JoinContext.check_fd`; all
+    variants holding at the smallest size replace the original. Members
+    that were actually shrunk come back tagged "refined".
     """
     out = FdSet()
     shrunk: set[FunctionalDependency] = set()
     for d in inferred:
-        if not d.lhs:
-            out.add(d)
-            continue
-        # the empty subset asks whether the rhs column is constant on the
-        # join, a one-sided fact answerable without any partial join
-        side, base = context.owner[d.rhs]
-        side_sub = context.side_subinstance(side)
-        if side_sub is not None and holds(
-            side_sub, FunctionalDependency(frozenset(), base)
-        ):
-            constant = FunctionalDependency(frozenset(), d.rhs)
-            out.add(constant)
-            shrunk.add(constant)
-            continue
-        if len(d.lhs) == 1:
-            out.add(d)
-            continue
-        carrier = context.carrier_for(d)
-        attrs = sorted(d.lhs)
-        replaced = False
-        for size in range(1, len(attrs)):
-            hits = []
-            for sub in combinations(attrs, size):
-                cand = FunctionalDependency(frozenset(sub), d.rhs)
-                if context.holds_on_join(cand, carrier):
-                    hits.append(cand)
-            if hits:
-                for cand in hits:
-                    out.add(cand)
-                    shrunk.add(cand)
-                replaced = True
-                break
-        if not replaced:
-            out.add(d)
+        variants = minimal_variants(d, context.check_fd)
+        for v in variants:
+            out.add(v)
+        if variants != [d]:
+            shrunk.update(variants)
     reduced = remove_implied(out)
     result = FdSet()
     for d in reduced:

@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .context import JoinContext
+from .discovery import next_lhs_level
 from .fds import (
     FdSet,
     FunctionalDependency,
@@ -24,6 +25,7 @@ from .fds import (
     remove_implied,
 )
 from .joins import SEMI_KINDS
+from .relation import has_nulls
 
 
 def _anchors(
@@ -75,21 +77,7 @@ def _padding_shadows_anchors(context: JoinContext, j_is_left: bool) -> bool:
     pads = context.pads_left() if j_is_left else context.pads_right()
     if not pads:
         return False
-    side = context.left if j_is_left else context.right
-    from .relation import NULL_CODE
-
-    return any(NULL_CODE in column for column in side.columns)
-
-
-def _next_lhs_level(survivors: list[frozenset[str]]) -> list[frozenset[str]]:
-    tuples = sorted({tuple(sorted(s)) for s in survivors})
-    out = []
-    for i, a in enumerate(tuples):
-        for b in tuples[i + 1 :]:
-            if a[:-1] != b[:-1]:
-                break
-            out.append(frozenset(a) | {b[-1]})
-    return sorted(set(out), key=lambda s: tuple(sorted(s)))
+    return has_nulls(context.left if j_is_left else context.right)
 
 
 def discover(
@@ -153,7 +141,7 @@ def discover(
                     if a in i_plausible_rhs or not blocked.get(a, False)
                 ]
             level = [
-                s for s in _next_lhs_level(survivors) if set(s) <= set(alphabet)
+                s for s in next_lhs_level(survivors) if set(s) <= set(alphabet)
             ]
     return out
 

@@ -12,7 +12,7 @@ import os
 
 from .context import JoinContext
 from .discovery import discover_fds
-from .errors import GuardError
+from .errors import GuardError, InputError
 from .fds import FdSet, minimal_cover
 from .joins import JoinSpec, join
 from .relation import Instance
@@ -22,7 +22,13 @@ DEFAULT_ROW_LIMIT = 1_000_000
 
 
 def row_limit() -> int:
-    return int(os.environ.get(ROW_LIMIT_ENV, DEFAULT_ROW_LIMIT))
+    text = os.environ.get(ROW_LIMIT_ENV)
+    if text is None:
+        return DEFAULT_ROW_LIMIT
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{ROW_LIMIT_ENV} must be an integer, got {text!r}") from None
 
 
 def oracle_join_fds(

@@ -27,9 +27,6 @@ class StrippedPartition:
     classes: tuple[tuple[int, ...], ...]
     source_rows: int
 
-    def refines_to_singletons(self) -> bool:
-        return not self.classes
-
 
 @dataclass(frozen=True)
 class ViolationSet:

@@ -22,7 +22,7 @@ from .infer import infer_join_fds
 from .joins import CoverageReport, JoinKind, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
 from .oracle import oracle_join_fds
-from .relation import NULL_CODE, Instance
+from .relation import Instance, has_nulls
 from .sample import SampleConfig, discover_sampled
 from .upstage import upstage
 
@@ -109,10 +109,6 @@ def classify_origins(
                 f"dependency {d} in the final set has no producing stage"
             )
     return tagged
-
-
-def _has_nulls(instance: Instance) -> bool:
-    return any(NULL_CODE in col for col in instance.columns)
 
 
 def _map_fdset(fds: FdSet, mapping: dict[str, str]) -> FdSet:
@@ -227,7 +223,7 @@ def run_pipeline(
             violated.append(f"{side}: {d}")
             if spec.natural and (d.lhs <= merged or d.rhs in merged):
                 continue
-            if d.lhs and not (_has_nulls(left) or _has_nulls(right)):
+            if d.lhs and not (has_nulls(left) or has_nulls(right)):
                 raise InternalInvariantError(
                     f"preserved dependency {d} of the {side} table no longer "
                     f"holds on the join; this should be impossible without nulls "

@@ -110,9 +110,6 @@ class Instance:
     def decode(self, ordinal: int, code: int) -> str | None:
         return None if code == NULL_CODE else self.dictionaries[ordinal][code]
 
-    def row_codes(self, row: int, ordinals: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.columns[o][row] for o in ordinals)
-
     def raw_row(self, row: int) -> tuple[str | None, ...]:
         return tuple(
             self.decode(o, self.columns[o][row]) for o in range(len(self.schema))
@@ -186,6 +183,10 @@ def distinct_rows(instance: Instance) -> Instance:
             seen.add(key)
             kept.append(r)
     return take_rows(instance, kept)
+
+
+def has_nulls(instance: Instance) -> bool:
+    return any(NULL_CODE in col for col in instance.columns)
 
 
 def append_padding(

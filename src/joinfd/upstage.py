@@ -14,13 +14,12 @@ against the padded row set so that nothing broken by padding slips through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
 from .context import JoinContext
-from .discovery import discover_fds, discover_new_fds, holds
+from .discovery import discover_fds, discover_new_fds, holds, minimal_variants
 from .errors import InputError
-from .fds import Afd, FdSet, FunctionalDependency, remove_implied
+from .fds import Afd, FdSet, remove_implied
 from .joins import JoinKind
 from .partition import violating_tuples
 from .relation import Instance
@@ -86,20 +85,6 @@ def _validate_exact(instance: Instance, fds: FdSet) -> None:
             )
 
 
-def _minimize_on(instance: Instance, d: FunctionalDependency) -> list[FunctionalDependency]:
-    """Minimal lhs variants of `d` on `instance`, smallest size level only."""
-    attrs = sorted(d.lhs)
-    for size in range(len(attrs)):
-        found = [
-            FunctionalDependency(frozenset(sub), d.rhs)
-            for sub in combinations(attrs, size)
-            if holds(instance, FunctionalDependency(frozenset(sub), d.rhs))
-        ]
-        if found:
-            return found
-    return [d]
-
-
 def upstage(
     context: JoinContext,
     left_fds: FdSet | None = None,
@@ -158,7 +143,7 @@ def upstage(
             stats.afds_promoted += len(promoted)
             for d in promoted:
                 if holds(sub, d):  # padding may break a promotion
-                    for minimal in _minimize_on(sub, d):
+                    for minimal in minimal_variants(d, lambda c: holds(sub, c)):
                         new.add(minimal)
         if run_discovery_path:
             known = survivors.union(new)

@@ -199,3 +199,65 @@ def test_null_token_flag(tmp_path, capsys):
     )
     assert code == 0
     assert doc["rows"] == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"lhs": ["pid"], "rhs": "pid"},
+        {"lhs": ["flag"], "rhs": "date", "error": 2},
+        {"rhs": "date"},
+    ],
+    ids=["trivial", "error-above-1", "no-lhs"],
+)
+@pytest.mark.parametrize("command", ["join-discover", "compare"])
+def test_malformed_fd_file_entry_exits_2(tables, tmp_path, capsys, entry, command):
+    left, right = tables
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([entry]))
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    if command == "compare":
+        argv = ["compare", "--truth", str(empty), "--candidate", str(bad)]
+    else:
+        argv = [
+            "join-discover",
+            "--left", str(left),
+            "--right", str(right),
+            "--on", "pid=pid",
+            "--afds", f"{bad},{empty}",
+        ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and entry["rhs"] in err
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [({"left_rows": 8, "rows": 8}, "rows"), ({"left_rows": "ten"}, "left_rows")],
+    ids=["unknown-field", "wrong-type"],
+)
+def test_bad_fixture_profile_exits_2(tmp_path, capsys, fields, named):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(fields))
+    code = main(["fixture", "--profile", str(profile), "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+
+
+def test_non_integer_row_limit_exits_2(tables, capsys, monkeypatch):
+    monkeypatch.setenv("JOINFD_MAX_JOIN_ROWS", "abc")
+    left, right = tables
+    code = main(
+        [
+            "join-discover",
+            "--left", str(left),
+            "--right", str(right),
+            "--on", "pid=pid",
+            "--strategy", "oracle",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "JOINFD_MAX_JOIN_ROWS" in err

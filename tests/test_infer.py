@@ -129,6 +129,20 @@ def test_refine_finds_smaller_variant():
     assert fd(["ADM.loc", "ADM.diag"], "PAT.dob") not in got
 
 
+def test_refine_validates_on_the_join_validator():
+    # the same pair: the empty lhs, then diag and loc, each a check on the
+    # validator's code slabs, and no partial join behind any of them
+    left = loads_csv(
+        "pid,loc,diag\n1,e,d1\n2,e,d2\n3,w,d3\n3,w,d3", name="ADM"
+    )
+    right = loads_csv("pid,dob\n1,b1\n2,b2\n3,b3", name="PAT")
+    context = JoinContext(left, right, JoinSpec.equi(["pid"], ["pid"]))
+    refine(context, FdSet([fd(["ADM.loc", "ADM.diag"], "PAT.dob")]))
+    assert context.counters.partial_joins_built == 0
+    assert context.counters.partial_join_rows == 0
+    assert context.counters.candidates_validated == 3
+
+
 def test_refine_tests_the_constant_subset():
     left = loads_csv("k,a\n1,x\n2,y", name="L")
     right = loads_csv("k,b\n1,same\n2,same", name="R")

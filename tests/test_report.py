@@ -255,9 +255,9 @@ def test_left_deep_chain_counts_intermediates_as_full_joins():
         first.counters.partial_join_rows + last.counters.partial_join_rows
     )
     # every counter and stage timing of the first step is carried, too
-    assert first.counters.candidates_validated == 6
-    assert last.counters.candidates_validated == 15
-    assert rep.counters.candidates_validated == 21
+    assert first.counters.candidates_validated == 10
+    assert last.counters.candidates_validated == 23
+    assert rep.counters.candidates_validated == 33
     assert rep.counters.partial_joins_built == (
         first.counters.partial_joins_built + last.counters.partial_joins_built
     )
