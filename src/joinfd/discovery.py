@@ -2,19 +2,22 @@
 
 For each right-hand attribute the search walks lhs candidates bottom-up,
 starting from the empty set (constant columns), pruning every branch below an
-exact hit. Partitions are cached per attribute set so the error of a
-candidate costs one refinement pass. With a nonzero error budget the search
-also reports approximate dependencies that are minimal under the budget; it
-keeps expanding below them because exact dependencies may still appear there.
+exact hit: a next-level candidate is kept only if every one-smaller lhs subset
+was tested and failed, so `discover_fds` needs no implication check. Each
+partition is refined from its cached parent, and a candidate is tested
+exactly by scanning lhs classes until one disagrees on the rhs. With a nonzero
+error budget the search also counts g3 violations and reports approximate
+dependencies that are minimal under the budget; it keeps expanding below them
+because exact dependencies may still appear there.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .fds import Afd, FdSet, FunctionalDependency, implies
-from .partition import StrippedPartition, _class_violations, build_partition
+from .partition import StrippedPartition, _class_violations, build_partition, refine
 from .relation import Instance
 
 
@@ -62,21 +65,39 @@ def minimal_variants(
 
 
 class _PartitionCache:
+    """Stripped partitions of one instance, each refined from its parent.
+
+    The parent of an attribute set is the set without its largest name. The
+    level-wise searches evaluated that set one level earlier, so a new
+    partition usually costs one `refine` pass over a cached one.
+    """
+
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._cache: dict[frozenset[str], StrippedPartition] = {}
+        self._cache: dict[frozenset[str], StrippedPartition] = {
+            frozenset(): build_partition(instance, ())
+        }
 
     def get(self, attrs: frozenset[str]) -> StrippedPartition:
         part = self._cache.get(attrs)
         if part is None:
-            part = build_partition(self.instance, attrs)
+            last = max(attrs)
+            part = refine(self.get(attrs - {last}), self.instance, last)
             self._cache[attrs] = part
         return part
 
-    def error_count(self, lhs: frozenset[str], rhs: str) -> int:
-        part = self.get(lhs)
-        rhs_ord = self.instance.ordinal(rhs)
-        count, _ = _class_violations(self.instance, part.classes, rhs_ord)
+    def holds(self, lhs: frozenset[str], rhs_ord: int) -> bool:
+        """Exact test: stops at the first lhs class that is not rhs-constant."""
+        rhs_col = self.instance.columns[rhs_ord]
+        for cls in self.get(lhs).classes:
+            first = rhs_col[cls[0]]
+            for t in cls:
+                if rhs_col[t] != first:
+                    return False
+        return True
+
+    def error_count(self, lhs: frozenset[str], rhs_ord: int) -> int:
+        count, _ = _class_violations(self.instance, self.get(lhs).classes, rhs_ord)
         return count
 
 
@@ -92,18 +113,27 @@ def next_lhs_level(lhss: Iterable[frozenset[str]]) -> list[frozenset[str]]:
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
+def _next_level(kept: Collection[frozenset[str]]) -> list[frozenset[str]]:
+    """Apriori step keeping only sets whose one-smaller subsets are all kept.
+
+    A set with a one-smaller subset missing from `kept` contains the lhs of a
+    dependency found or implied below, so it is implied too and needs no test.
+    """
+    return [c for c in next_lhs_level(kept) if all(c - {a} in kept for a in c)]
+
+
 def next_level_candidates(
     current: Iterable[FunctionalDependency],
     pruned: FdSet | Iterable[FunctionalDependency],
 ) -> list[FunctionalDependency]:
-    """Join same-rhs lhs sets sharing a prefix; drop candidates `pruned` implies."""
+    """Per rhs, `_next_level` of `current`'s lhs sets, minus what `pruned` implies."""
     pruned = list(pruned)
-    by_rhs: dict[str, list[frozenset[str]]] = {}
+    by_rhs: dict[str, set[frozenset[str]]] = {}
     for d in current:
-        by_rhs.setdefault(d.rhs, []).append(d.lhs)
+        by_rhs.setdefault(d.rhs, set()).add(d.lhs)
     out = []
     for rhs in sorted(by_rhs):
-        for lhs in next_lhs_level(by_rhs[rhs]):
+        for lhs in _next_level(by_rhs[rhs]):
             cand = FunctionalDependency(lhs, rhs)
             if not implies(pruned, cand):
                 out.append(cand)
@@ -123,39 +153,38 @@ def discover_fds(
     n = instance.row_count
     exact = FdSet()
     afds: list[Afd] = []
+
+    def within_budget(lhs: frozenset[str], rhs: str, rhs_ord: int) -> bool:
+        count = cache.error_count(lhs, rhs_ord)
+        if count > epsilon * n:
+            return False
+        afds.append(Afd(FunctionalDependency(lhs, rhs), count / n, count))
+        return True
+
     names = list(instance.attr_names)
     for rhs in names:
-        others = [a for a in names if a != rhs]
+        rhs_ord = instance.ordinal(rhs)
         # level 0: constant column (vacuously constant when there are no rows)
-        e0 = cache.error_count(frozenset(), rhs)
-        if e0 == 0:
+        if cache.holds(frozenset(), rhs_ord):
             exact.add(FunctionalDependency(frozenset(), rhs))
             continue
-        budget_hit_above = n > 0 and epsilon > 0 and e0 <= epsilon * n
-        if budget_hit_above:
-            afds.append(Afd(FunctionalDependency(frozenset(), rhs), e0 / n, e0))
-        exact_b = FdSet(d for d in exact if d.rhs == rhs)
-        survivors: dict[frozenset[str], bool] = {}  # lhs -> some subset within budget
-        level = [FunctionalDependency(frozenset([a]), rhs) for a in sorted(others)]
+        # each non-dependency lhs of the level below -> whether some subset
+        # of it, itself included, is within the error budget
+        empty = frozenset()
+        below = {empty: epsilon > 0 and within_budget(empty, rhs, rhs_ord)}
+        level = [frozenset([a]) for a in sorted(names) if a != rhs]
         while level:
-            next_scores: dict[frozenset[str], bool] = {}
-            kept: list[FunctionalDependency] = []
-            for cand in level:
-                count = cache.error_count(cand.lhs, rhs)
-                if count == 0:
-                    exact.add(cand)
-                    exact_b.add(cand)
+            kept: dict[frozenset[str], bool] = {}
+            for lhs in level:
+                if cache.holds(lhs, rhs_ord):
+                    exact.add(FunctionalDependency(lhs, rhs))
                     continue
-                tainted = budget_hit_above or any(
-                    survivors.get(cand.lhs - {a}, False) for a in cand.lhs
+                kept[lhs] = epsilon > 0 and (
+                    any(below[lhs - {a}] for a in lhs)
+                    or within_budget(lhs, rhs, rhs_ord)
                 )
-                if epsilon > 0 and count <= epsilon * n and not tainted:
-                    afds.append(Afd(cand, count / n, count))
-                    tainted = True
-                next_scores[cand.lhs] = tainted
-                kept.append(cand)
-            survivors = next_scores
-            level = next_level_candidates(kept, exact_b)
+            below = kept
+            level = _next_level(kept)
     afds.sort(key=lambda a: a.fd.sort_key())
     return exact, afds
 
@@ -175,9 +204,10 @@ def discover_new_fds(
     out = FdSet()
     names = list(instance.attr_names)
     for rhs in names:
+        rhs_ord = instance.ordinal(rhs)
         pruning = FdSet(known.as_set())
         base = FunctionalDependency(frozenset(), rhs)
-        if not implies(pruning, base) and cache.error_count(frozenset(), rhs) == 0:
+        if not implies(pruning, base) and cache.holds(frozenset(), rhs_ord):
             out.add(base)
             continue
         level = [
@@ -188,12 +218,16 @@ def discover_new_fds(
         level = [d for d in level if not implies(pruning, d)]
         while level:
             kept = []
+            # a level arrives filtered by `pruning`; only what this level adds
+            # to it can prune the rest
+            grown = False
             for cand in level:
-                if implies(pruning, cand):
+                if grown and implies(pruning, cand):
                     continue
-                if cache.error_count(cand.lhs, rhs) == 0:
+                if cache.holds(cand.lhs, rhs_ord):
                     out.add(cand)
                     pruning.add(cand)
+                    grown = True
                 else:
                     kept.append(cand)
             level = next_level_candidates(kept, pruning)

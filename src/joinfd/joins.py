@@ -360,21 +360,21 @@ def _side_coverage(own: dict, other: dict) -> tuple[Fraction, tuple[dict, ...]]:
     if not own:
         return Fraction(0), ()
     entries = []
-    total = Fraction(0)
+    # each value's ratio join_rows / side_rows is its partner count
+    total = 0
     for value in sorted(own, key=lambda v: tuple(str(x) for x in v)):
         side_rows = len(own[value])
-        join_rows = side_rows * len(other.get(value, ()))
-        ratio = Fraction(join_rows, side_rows)
-        total += ratio
+        partners = len(other.get(value, ()))
+        total += partners
         entries.append(
             {
                 "value": ["" if x is None else x for x in value],
                 "side_rows": side_rows,
-                "join_rows": join_rows,
-                "ratio": float(ratio),
+                "join_rows": side_rows * partners,
+                "ratio": float(partners),
             }
         )
-    return total / len(own), tuple(entries)
+    return Fraction(total, len(own)), tuple(entries)
 
 
 def profile_coverage(profile: JoinProfile) -> CoverageReport:

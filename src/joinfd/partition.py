@@ -2,9 +2,11 @@
 
 A stripped partition keeps only the equivalence classes of size >= 2 under an
 attribute set; singleton classes can never witness an FD violation, so they
-are dropped. The error of a candidate dependency is the minimum fraction of
-rows whose removal makes it hold, computed class by class as "everything
-outside one largest consistent subclass".
+are dropped. A partition is built by refining a coarser one attribute at a
+time, starting from the single all-rows class. The error of a candidate
+dependency is the minimum fraction of rows whose removal makes it hold,
+computed class by class as "everything outside one largest consistent
+subclass".
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TYPE_CHECKING
 
-from .errors import SchemaError
 from .relation import AttrRef, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,57 +37,43 @@ class ViolationSet:
     tuple_ids: frozenset[int]
 
 
-def _grouped(instance: Instance, ordinals: Sequence[int]) -> dict:
-    groups: dict[tuple[int, ...], list[int]] = {}
-    cols = [instance.columns[o] for o in ordinals]
-    for r in range(instance.row_count):
-        groups.setdefault(tuple(col[r] for col in cols), []).append(r)
-    return groups
+def refine(
+    part: StrippedPartition, instance: Instance, attr: AttrRef
+) -> StrippedPartition:
+    """Partition under attrs(part) | {attr}, split class by class.
+
+    Only the rows of `part`'s stripped classes are read, so the cost shrinks
+    as the attribute set grows. Classes come out in ascending row order,
+    ordered by their first row.
+    """
+    ordinal = instance.ordinal(attr)
+    col = instance.columns[ordinal]
+    out: list[tuple[int, ...]] = []
+    for cls in part.classes:
+        groups: dict[int, list[int]] = {}
+        for t in cls:
+            groups.setdefault(col[t], []).append(t)
+        if len(groups) == 1:
+            out.append(cls)
+            continue
+        out.extend(tuple(g) for g in groups.values() if len(g) >= 2)
+    out.sort(key=lambda g: g[0])
+    name = instance.schema[ordinal].name
+    return StrippedPartition(part.attrs | {name}, tuple(out), part.source_rows)
 
 
 def build_partition(instance: Instance, attrs: Iterable[AttrRef]) -> StrippedPartition:
-    """Group rows with identical code tuples on `attrs`, dropping singletons.
+    """Group rows with identical codes on `attrs`, dropping singletons.
 
     The empty attribute set is allowed and produces the single all-rows
-    class (stripped if the instance has fewer than two rows).
+    class (stripped if the instance has fewer than two rows); every other
+    set refines it one attribute at a time.
     """
-    ords = instance.ordinals(attrs)
-    names = frozenset(instance.schema[o].name for o in ords)
-    if not ords:
-        classes = (
-            (tuple(range(instance.row_count)),) if instance.row_count >= 2 else ()
-        )
-        return StrippedPartition(names, classes, instance.row_count)
-    groups = _grouped(instance, ords)
-    classes = tuple(
-        tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]) if len(g) >= 2
-    )
-    return StrippedPartition(names, classes, instance.row_count)
-
-
-def partition_product(p: StrippedPartition, q: StrippedPartition) -> StrippedPartition:
-    """Partition under attrs(p) | attrs(q), refined from the two inputs."""
-    if p.source_rows != q.source_rows:
-        raise SchemaError(
-            f"partition product over mismatched instances "
-            f"({p.source_rows} vs {q.source_rows} rows)"
-        )
-    lookup: dict[int, int] = {}
-    for idx, cls in enumerate(p.classes):
-        for t in cls:
-            lookup[t] = idx
-    out: list[tuple[int, ...]] = []
-    for cls in q.classes:
-        buckets: dict[int, list[int]] = {}
-        for t in cls:
-            owner = lookup.get(t)
-            if owner is not None:
-                buckets.setdefault(owner, []).append(t)
-        for group in buckets.values():
-            if len(group) >= 2:
-                out.append(tuple(group))
-    out.sort(key=lambda g: g[0])
-    return StrippedPartition(p.attrs | q.attrs, tuple(out), p.source_rows)
+    n = instance.row_count
+    part = StrippedPartition(frozenset(), (tuple(range(n)),) if n >= 2 else (), n)
+    for ordinal in instance.ordinals(attrs):
+        part = refine(part, instance, instance.schema[ordinal])
+    return part
 
 
 def _class_violations(

@@ -24,7 +24,7 @@ from .mine import discover_selective
 from .oracle import oracle_join_fds
 from .relation import Instance, has_nulls
 from .sample import SampleConfig, discover_sampled
-from .upstage import upstage
+from .upstage import upstage, validate_exact
 
 STRATEGIES = ("selective", "sampling", "oracle")
 
@@ -184,16 +184,20 @@ def run_pipeline(
             timings=timings,
         )
 
-    # stage 0: single-table dependency sets
+    # stage 0: single-table dependency sets; only a caller's need checking
     t0 = time.perf_counter()
     if left_fds is None:
         left_fds, found_afds = discover_fds(left, epsilon)
         if epsilon > 0 and left_afds is None:
             left_afds = found_afds
+    else:
+        validate_exact(left, left_fds)
     if right_fds is None:
         right_fds, found_afds = discover_fds(right, epsilon)
         if epsilon > 0 and right_afds is None:
             right_afds = found_afds
+    else:
+        validate_exact(right, right_fds)
     timings["single_tables"] = time.perf_counter() - t0
 
     # stage 1: preserved and upstaged dependencies per side
@@ -204,6 +208,7 @@ def run_pipeline(
         right_fds=right_fds,
         left_afds=left_afds,
         right_afds=right_afds,
+        validate=False,
     )
     timings["upstage"] = time.perf_counter() - t0
     warnings: list[str] = []

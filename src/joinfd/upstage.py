@@ -77,7 +77,8 @@ def upstaged_afds(
     return remove_implied(promoted)
 
 
-def _validate_exact(instance: Instance, fds: FdSet) -> None:
+def validate_exact(instance: Instance, fds: FdSet) -> None:
+    """Raise InputError unless every dependency a caller gave holds."""
     for d in fds:
         if not holds(instance, d):
             raise InputError(
@@ -99,7 +100,9 @@ def upstage(
     inputs (provided or computed) the discovery path runs; with both, the
     promotion path runs first and the discovery path prunes with the union.
     Promoted dependencies are lhs-minimized against the surviving rows so
-    every emitted dependency is minimal on the join.
+    every emitted dependency is minimal on the join. With `validate`, given
+    exact sets are checked first; a caller that checked them already, or
+    computed them, passes False.
     """
     profile = context.profile
     filtered = _FILTERED_SIDES[context.spec.kind]
@@ -118,7 +121,7 @@ def upstage(
         if fds is None:
             fds, _ = discover_fds(inst)
         elif validate:
-            _validate_exact(inst, fds)
+            validate_exact(inst, fds)
         sub = context.side_subinstance(side)
         if sub is None:  # dropped side of a semi-join
             out[side] = FdSet()

@@ -57,6 +57,43 @@ def brute_force_fds(instance: Instance) -> FdSet:
     return out
 
 
+def brute_force_violations(instance: Instance, lhs, rhs) -> int:
+    """g3 count: per lhs group, the rows outside its most frequent rhs value."""
+    rows = instance.raw_rows()
+    names = list(instance.attr_names)
+    idx = {a: i for i, a in enumerate(names)}
+    groups: dict = {}
+    for row in rows:
+        key = tuple(row[idx[a]] for a in sorted(lhs))
+        counts = groups.setdefault(key, {})
+        counts[row[idx[rhs]]] = counts.get(row[idx[rhs]], 0) + 1
+    return sum(sum(c.values()) - max(c.values()) for c in groups.values())
+
+
+def brute_force_afds(instance: Instance, epsilon: float) -> dict:
+    """Minimal approximate dependencies by exhaustive enumeration.
+
+    X -> A is reported, with its violation count, exactly when
+    0 < count <= epsilon * n and every proper subset of X, the empty one
+    included, is over that budget.
+    """
+    n = instance.row_count
+    names = list(instance.attr_names)
+    out = {}
+    for rhs in names:
+        others = [a for a in names if a != rhs]
+        count = {
+            frozenset(combo): brute_force_violations(instance, combo, rhs)
+            for size in range(len(others) + 1)
+            for combo in combinations(others, size)
+        }
+        for lhs, c in count.items():
+            proper = [s for s in count if s < lhs]
+            if 0 < c <= epsilon * n and all(count[s] > epsilon * n for s in proper):
+                out[FunctionalDependency(lhs, rhs)] = c
+    return out
+
+
 def brute_force_min_removals(instance: Instance, lhs, rhs) -> int:
     """Smallest number of rows to delete so lhs -> rhs holds; exhaustive."""
     rows = instance.raw_rows()
@@ -96,13 +133,20 @@ def model_implies(base, candidate, universe) -> bool:
     return True
 
 
-def random_instance(rng, n_attrs=None, n_rows=None, name="T") -> Instance:
+def random_instance(
+    rng, n_attrs=None, n_rows=None, name="T", null_share=0.0
+) -> Instance:
     n_attrs = n_attrs or rng.randint(2, 4)
     n_rows = n_rows or rng.randint(2, 20)
     names = [f"c{i}" for i in range(n_attrs)]
     domains = [rng.randint(1, max(2, n_rows // 2)) for _ in range(n_attrs)]
     rows = [
-        [f"v{rng.randrange(domains[i])}" for i in range(n_attrs)]
+        [
+            None
+            if null_share and rng.random() < null_share
+            else f"v{rng.randrange(domains[i])}"
+            for i in range(n_attrs)
+        ]
         for _ in range(n_rows)
     ]
     return Instance.from_rows(names, rows, name=name)

@@ -201,6 +201,33 @@ def test_null_token_flag(tmp_path, capsys):
     assert doc["rows"] == 2
 
 
+@pytest.mark.parametrize("strategy", ["selective", "sampling"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_fd_file_dependency_that_does_not_hold_exits_2(
+    tables, tmp_path, capsys, strategy, side
+):
+    left, right = tables
+    wrong = {
+        "left": {"lhs": ["flag"], "rhs": "date"},
+        "right": {"lhs": [], "rhs": "ward"},
+    }
+    files = []
+    for name in ("left", "right"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps([wrong[name]] if name == side else []))
+        files.append(str(path))
+    argv = [
+        "join-discover",
+        "--left", str(left),
+        "--right", str(right),
+        "--on", "pid=pid",
+        "--strategy", strategy,
+        "--afds", ",".join(files),
+    ]
+    assert main(argv) == 2
+    assert "does not hold" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "entry",
     [

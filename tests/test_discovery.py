@@ -1,10 +1,15 @@
 import random
 
-from joinfd.discovery import discover_fds, holds, next_level_candidates
+from joinfd.discovery import (
+    discover_fds,
+    discover_new_fds,
+    holds,
+    next_level_candidates,
+)
 from joinfd.fds import FdSet, fd
 from joinfd.relation import loads_csv, take_rows
 
-from conftest import brute_force_fds, random_instance
+from conftest import brute_force_afds, brute_force_fds, model_implies, random_instance
 
 
 def test_holds_is_vacuous_on_tiny_instances():
@@ -47,13 +52,71 @@ def test_proof_table_exact_set():
 
 
 def test_matches_brute_force_enumeration():
+    # widths up to 7 reach levels where partitions refine cached parents
     rng = random.Random(21)
-    for _ in range(40):
+    for i in range(60):
         inst = random_instance(
-            rng, n_attrs=rng.randint(2, 5), n_rows=rng.randint(2, 30)
+            rng,
+            n_attrs=2 + i % 6,
+            n_rows=rng.randint(2, 30),
+            null_share=rng.choice([0.0, 0.25]),
         )
         exact, _ = discover_fds(inst)
         assert exact == brute_force_fds(inst)
+
+
+def test_new_fds_complete_and_minimal_against_brute_force():
+    rng = random.Random(27)
+    for _ in range(60):
+        inst = random_instance(
+            rng,
+            n_attrs=rng.randint(2, 6),
+            n_rows=rng.randint(2, 20),
+            null_share=rng.choice([0.0, 0.25]),
+        )
+        names = inst.attr_names
+        truth = list(brute_force_fds(inst))
+        # known: some true dependencies, a few widened by one attribute
+        known = FdSet()
+        for d in rng.sample(truth, rng.randint(0, len(truth))):
+            extra = [a for a in names if a != d.rhs and a not in d.lhs]
+            if extra and rng.random() < 0.3:
+                d = fd(d.lhs | {rng.choice(extra)}, d.rhs)
+            known.add(d)
+        new = discover_new_fds(inst, known)
+        base = list(known) + list(new)
+        for d in truth:
+            assert model_implies(base, d, names)
+        for d in new:
+            assert holds(inst, d)
+            assert not model_implies(list(known), d, names)
+            for a in d.lhs:
+                assert not holds(inst, fd(d.lhs - {a}, d.rhs))
+
+
+def test_new_fds_skip_what_the_same_level_found_implies():
+    # c -> b holds, but known c -> a and the a -> b found just before it
+    # imply it
+    inst = loads_csv("a,b,c\n1,x,p\n1,x,q\n2,y,r")
+    new = discover_new_fds(inst, FdSet([fd(["c"], "a")]))
+    assert new == {fd(["a"], "b"), fd(["b"], "a")}
+
+
+def test_afds_match_brute_force_budget_definition():
+    rng = random.Random(28)
+    for _ in range(150):
+        inst = random_instance(
+            rng,
+            n_attrs=rng.randint(2, 5),
+            n_rows=rng.randint(1, 20),
+            null_share=rng.choice([0.0, 0.0, 0.3]),
+        )
+        epsilon = rng.choice([0.1, 0.2, 0.3, 0.5])
+        _, afds = discover_fds(inst, epsilon)
+        got = {a.fd: a.degree for a in afds}
+        assert got == brute_force_afds(inst, epsilon)
+        for a in afds:
+            assert a.error == a.degree / inst.row_count
 
 
 def test_soundness_and_minimality():

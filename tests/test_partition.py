@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from joinfd.errors import SchemaError
 from joinfd.fds import fd
 from joinfd.discovery import holds
 from joinfd.partition import (
     build_partition,
     g3_error,
-    partition_product,
+    refine,
     violating_tuples,
 )
 from joinfd.relation import loads_csv, take_rows
@@ -36,42 +35,46 @@ def test_empty_attr_set_is_one_big_class():
     assert build_partition(inst, []).classes == ((0, 1, 2),)
 
 
-def test_product_idempotent():
+def _grouping(inst, attrs):
+    """Classes of size >= 2 under `attrs`, by grouping decoded rows directly."""
+    idx = [inst.attr_names.index(a) for a in attrs]
+    groups = {}
+    for r, row in enumerate(inst.raw_rows()):
+        groups.setdefault(tuple(row[i] for i in idx), []).append(r)
+    return tuple(
+        tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]) if len(g) >= 2
+    )
+
+
+def test_refine_idempotent():
     inst = loads_csv("a,b\nx,1\nx,2\ny,1\ny,2\nx,1")
     p = build_partition(inst, ["a"])
-    assert partition_product(p, p).classes == p.classes
+    assert refine(p, inst, "a").classes == p.classes
 
 
-def test_product_with_all_singletons_is_all_singletons():
+def test_refine_to_all_singletons_is_empty():
     inst = loads_csv("a,b\nx,1\nx,2\ny,3")
     p = build_partition(inst, ["a"])
-    q = build_partition(inst, ["b"])
-    assert partition_product(p, q).classes == ()
+    assert refine(p, inst, "b").classes == ()
 
 
-def test_product_mismatched_sources_rejected():
-    a = build_partition(loads_csv("a\n1\n1"), ["a"])
-    b = build_partition(loads_csv("a\n1\n1\n1"), ["a"])
-    with pytest.raises(SchemaError):
-        partition_product(a, b)
-
-
-def test_product_equals_direct_partition_on_proof_table():
+def test_refine_equals_grouping_on_proof_table():
     right = loads_csv("Y,B,C\n0,0,0\n1,0,0\n1,1,1\n2,1,0")
-    p = build_partition(right, ["Y"])
-    q = build_partition(right, ["B"])
-    assert partition_product(p, q).classes == build_partition(right, ["Y", "B"]).classes
+    refined = refine(build_partition(right, ["B"]), right, "C")
+    assert refined.classes == _grouping(right, ["B", "C"]) == ((0, 1),)
+    assert refined.attrs == {"B", "C"}
 
 
-def test_product_matches_direct_partition_randomized():
+def test_refine_matches_grouping_randomized():
     rng = random.Random(7)
     for _ in range(1000):
-        inst = random_instance(rng, n_attrs=3, n_rows=rng.randint(2, 8))
+        inst = random_instance(
+            rng, n_attrs=3, n_rows=rng.randint(2, 8), null_share=rng.choice([0, 0.3])
+        )
         p = build_partition(inst, ["c0"])
-        q = build_partition(inst, ["c1"])
-        assert (
-            partition_product(p, q).classes
-            == build_partition(inst, ["c0", "c1"]).classes
+        assert refine(p, inst, "c1").classes == _grouping(inst, ["c0", "c1"])
+        assert refine(refine(p, inst, "c2"), inst, "c1").classes == _grouping(
+            inst, ["c0", "c1", "c2"]
         )
 
 
