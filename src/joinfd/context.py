@@ -2,19 +2,22 @@
 
 The context owns the value-level join profile, name mapping between side
 attributes and join-result attributes, the per-side sub-instances (the join's
-row set restricted to one side's columns), a cache of partial joins keyed
-by kept attribute sets, and the streaming validator's layout: each
-participating join-value group's columns as integer code slabs, built once
-on first use. Counters record how much was materialized, which is the
-frugality evidence the report exposes.
+row set restricted to one side's columns, with one padding row per dangling
+join value of the other side under outer padding), a cache of partial joins
+keyed by kept attribute sets, and the validator's caches: each sub-instance
+row's join-value group, per-side stripped partitions refined from cached
+parents, and per-row (lhs part, rhs) code pairs, each built on first use and
+reused by every later candidate. Counters record how much was materialized,
+which is the frugality evidence the report exposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
+from typing import Sequence
 
-from .discovery import holds
+from .discovery import _PartitionCache, holds
 from .errors import InternalInvariantError, JoinSpecError
 from .fds import FunctionalDependency
 from .joins import (
@@ -30,7 +33,7 @@ from .joins import (
     partial_join,
     right_name_map,
 )
-from .relation import NULL_CODE, Instance, append_padding, take_rows
+from .relation import Instance, append_padding, take_rows
 
 
 @dataclass
@@ -64,16 +67,27 @@ class JoinContext:
         self.profile: JoinProfile = join_profile(left, right, spec)
         self.lmap = left_name_map(left, right, spec)
         self.rmap = right_name_map(left, right, spec)
-        # join name -> (side, base name); left wins merged natural columns
+        # join name -> (side, base name); left wins merged natural columns,
+        # and a semi-join's names are its kept side's
         self.owner: dict[str, tuple[str, str]] = {}
-        for base, qual in self.rmap.items():
-            self.owner[qual] = ("right", base)
-        for base, qual in self.lmap.items():
-            self.owner[qual] = ("left", base)
+        if spec.kind is not JoinKind.LEFT_SEMI:
+            for base, qual in self.rmap.items():
+                self.owner[qual] = ("right", base)
+        if spec.kind is not JoinKind.RIGHT_SEMI:
+            for base, qual in self.lmap.items():
+                self.owner[qual] = ("left", base)
+        # merged natural key column -> its position in a join value
+        self._merged: dict[str, int] = {}
+        if spec.natural and spec.kind not in SEMI_KINDS:
+            self._merged = {self.lmap[a]: p for p, a in enumerate(spec.left_on)}
         self._partials: dict[tuple[frozenset, frozenset], Instance] = {}
         self._directions: tuple[bool, bool] | None = None
         self._sides: dict[str, Instance | None] = {}
-        self._layout: tuple[list[tuple], dict[str, tuple[int, int]]] | None = None
+        # validator caches, see check_fd
+        self._groups: dict[str, tuple[list[int], list[list[int]]]] = {}
+        self._partitions: dict[str, _PartitionCache] = {}
+        self._spans: dict[tuple[str, frozenset[str]], list[Sequence[int]]] = {}
+        self._pairs: dict[tuple[str, frozenset[str], str], list[tuple] | None] = {}
 
     # -- schema ------------------------------------------------------------
 
@@ -116,50 +130,55 @@ class JoinContext:
 
         For the dropped side of a semi-join there is no such thing (its
         attributes are absent from the result), hence None. Outer padding
-        is modelled by appended padding rows; row multiplicity never affects
-        dependency validity, so one row stands for all padding rows that
-        agree. Under an equi-join that is a single all-null row. Under a
-        natural join the merged key columns of a padding row carry the
-        other side's join value, so there is one padding row per dangling
-        join value of the other side, null outside the key columns.
+        is modelled by appended padding rows, one per dangling join value
+        of the other side, so every row belongs to exactly one join-value
+        group. Under an equi-join a padding row is all null; under a
+        natural join its merged key columns carry the other side's join
+        value and the rest is null. Row multiplicity never affects
+        dependency validity, so one row stands for all padding rows of its
+        group.
         """
-        if side in self._sides:
-            return self._sides[side]
-        kind = self.spec.kind
+        if side not in self._sides:
+            layout = self._side_rows(side)
+            sub = None
+            if layout is not None:
+                rows, pads = layout
+                inst = self.left if side == "left" else self.right
+                sub = inst if len(rows) == inst.row_count else take_rows(inst, rows)
+                if pads and self.spec.natural:
+                    on = self.spec.left_on if side == "left" else self.spec.right_on
+                    sub = append_padding(sub, [inst.ordinal(a) for a in on], pads)
+                elif pads:
+                    sub = append_padding(sub, (), [()] * len(pads))
+            self._sides[side] = sub
+        return self._sides[side]
+
+    def _side_rows(self, side: str) -> tuple[Sequence[int], list[tuple]] | None:
+        """Where the rows of `side_subinstance(side)` come from, in order.
+
+        The ascending ids of the side's rows that survive the join, and the
+        other side's dangling join values it is padded for; None for the
+        dropped side of a semi-join.
+        """
+        kind, profile = self.spec.kind, self.profile
         if side == "left":
-            inst, shared_ok, padded = (
-                self.left,
-                kind is not JoinKind.RIGHT_SEMI,
-                self.pads_left(),
-            )
+            dropped, inst, padded = JoinKind.RIGHT_SEMI, self.left, self.pads_left()
+            preserved, dangling = kind in PADS_RIGHT_ATTRS, profile.dangling_right
         elif side == "right":
-            inst, shared_ok, padded = (
-                self.right,
-                kind is not JoinKind.LEFT_SEMI,
-                self.pads_right(),
-            )
+            dropped, inst, padded = JoinKind.LEFT_SEMI, self.right, self.pads_right()
+            preserved, dangling = kind in PADS_LEFT_ATTRS, profile.dangling_left
         else:  # pragma: no cover
             raise InternalInvariantError(f"unknown side {side!r}")
-        if not shared_ok:
-            self._sides[side] = None
+        if kind is dropped:
             return None
-        if kind in PADS_RIGHT_ATTRS and side == "left":
-            sub = inst  # every left row survives a left/full outer join
-        elif kind in PADS_LEFT_ATTRS and side == "right":
-            sub = inst
+        if preserved:  # every row survives an outer join that preserves its side
+            rows: Sequence[int] = range(inst.row_count)
         else:
-            sub = take_rows(inst, self.profile.rows(side, self.profile.shared))
-        if padded and self.spec.natural:
-            if side == "left":
-                on, dangling = self.spec.left_on, self.profile.dangling_right
-            else:
-                on, dangling = self.spec.right_on, self.profile.dangling_left
-            values = sorted(dangling, key=lambda v: tuple(str(x) for x in v))
-            sub = append_padding(sub, [inst.ordinal(a) for a in on], values)
-        elif padded:
-            sub = append_padding(sub, (), [()])
-        self._sides[side] = sub
-        return sub
+            rows = profile.rows(side, profile.shared)
+        pads = []
+        if padded:
+            pads = sorted(dangling, key=lambda v: tuple(str(x) for x in v))
+        return rows, pads
 
     # -- materialization -----------------------------------------------------
     # No stage validates on partial joins any more; the benchmark's tracer
@@ -199,80 +218,131 @@ class JoinContext:
         self.counters.candidates_validated += 1
         return holds(carrier, fd)
 
-    # -- streaming validation (no materialization) ---------------------------
+    # -- validation on side partitions (no materialization) ----------------
 
     def check_fd(self, fd: FunctionalDependency) -> bool:
         """Validate a dependency on the join without materializing any rows.
 
-        Walks the participating join-value groups (the shared ones plus the
-        dangling ones an outer operator pads). In each group, the side that
-        carries the rhs is projected to its distinct (lhs part, rhs code)
-        pairs and the other side to its distinct lhs parts; crossing the
-        two gives the group's distinct join rows over the dependency's
-        columns, and one map from lhs tuples to rhs codes spans all groups.
-        Codes serve as values: within one column code equality is value
-        equality, and padding is NULL_CODE.
+        The dependency splits as X ∪ E -> b. The rhs b lives on side J, X
+        holds the lhs names of the other side I, and E the rest: side J's
+        names and the merged natural key columns, which are constant within
+        a join-value group and read off side J's key columns. A merged rhs
+        goes to the side holding fewer lhs names. In the sub-instances every
+        row lies in one participating group (a shared join value, or a
+        dangling one an outer operator pads). The dependency holds iff side
+        J's rows map E to b functionally within every group and, for every
+        class of π_X over side I's rows that spans several groups, across
+        those groups too. Side J's (E, b) pairs are cached per (J, E, b),
+        and its rows per multi-group class per (I, X), read off partitions
+        refined from cached parents.
         """
         self.counters.candidates_validated += 1
-        if self._layout is None:
-            self._layout = self._build_layout()
-        groups, source = self._layout
-        cols: tuple[list[int], list[int]] = ([], [])
+        names: dict[str, set[str]] = {"left": set(), "right": set()}
+        positions = []
         for name in fd.lhs:
-            side, column = source[name]
-            cols[side].append(column)
-        own, rhs_column = source[fd.rhs]
-        own_cols, other_cols = cols[own], cols[1 - own]
-        seen: dict[tuple, object] = {}
-        for group in groups:
-            own_slabs, other_slabs = group[own], group[1 - own]
-            parts = zip(*[own_slabs[c] for c in own_cols]) if own_cols else repeat(())
-            pairs = set(zip(parts, own_slabs[rhs_column]))
-            rests = (
-                set(zip(*[other_slabs[c] for c in other_cols])) if other_cols else {()}
-            )
-            for part, value in pairs:
-                for rest in rests:
-                    if seen.setdefault((part, rest), value) != value:
-                        return False
+            if name in self._merged:
+                positions.append(self._merged[name])
+            else:
+                side, base = self.owner[name]
+                names[side].add(base)
+        rhs_pos = self._merged.get(fd.rhs)
+        if rhs_pos is None:
+            j, b = self.owner[fd.rhs]
+        else:
+            j = "right" if len(names["left"]) >= len(names["right"]) else "left"
+        on = self.spec.left_on if j == "left" else self.spec.right_on
+        if rhs_pos is not None:
+            b = on[rhs_pos]
+        i = "right" if j == "left" else "left"
+        e = frozenset(names[j]) | {on[p] for p in positions}
+        pairs = self._eb_pairs(j, e, b)
+        if pairs is None:
+            return False
+        for rows in self._class_rows(i, frozenset(names[i])):
+            seen: dict[tuple, int] = {}
+            for r in rows:
+                e_codes, b_code = pairs[r]
+                if seen.setdefault(e_codes, b_code) != b_code:
+                    return False
         return True
 
-    def _build_layout(self) -> tuple[list[tuple], dict[str, tuple[int, int]]]:
-        """Participating groups as code slabs, and where each column lives.
+    def _row_groups(self, side: str) -> tuple[list[int], list[list[int]]]:
+        """Each row's group id in `side_subinstance(side)`, and each group's rows.
 
-        A group is a (left slabs, right slabs) pair holding one group-major
-        code tuple per column of that side; a padded side holds one all-null
-        row. Under a natural join the left slabs also carry one slab per
-        merged column, after the left's own columns: a merged column takes
-        the present side's join value on padded rows too, so it is constant
-        within a group and read off the group's join value. Each join-result
-        name maps to (side, slab index), with side 0 for left and 1 for
-        right.
+        Group ids index the participating join values, the same on both
+        sides: the shared values, then the dangling ones an outer operator
+        pads.
         """
-        profile, spec = self.profile, self.spec
-        merged = range(len(spec.left_on) if spec.natural else 0)
+        if not self._groups:
+            profile = self.profile
+            values = list(profile.shared)
+            if self.pads_right():
+                values += profile.dangling_left
+            if self.pads_left():
+                values += profile.dangling_right
+            gid = {v: g for g, v in enumerate(values)}
+            for s in ("left", "right"):
+                layout = self._side_rows(s)
+                if layout is None:  # dropped side of a semi-join
+                    continue
+                label: dict[int, int] = {}
+                for v, members in profile.groups(s).items():
+                    if v in gid:
+                        label.update(dict.fromkeys(members, gid[v]))
+                rows, pads = layout
+                labels = [label[r] for r in rows] + [gid[v] for v in pads]
+                grouped: list[list[int]] = [[] for _ in values]
+                for t, g in enumerate(labels):
+                    grouped[g].append(t)
+                self._groups[s] = (labels, grouped)
+        return self._groups[side]
 
-        def slabs(inst: Instance, rows: list[int] | None) -> list[tuple]:
-            if rows is None:
-                return [(NULL_CODE,)] * len(inst.columns)
-            return [tuple(col[r] for r in rows) for col in inst.columns]
+    def _eb_pairs(self, j: str, e: frozenset[str], b: str) -> list[tuple] | None:
+        """Per row of `side_subinstance(j)`, its (E codes, b code) pair.
 
-        def left_slabs(v: tuple, rows: list[int] | None) -> list[tuple]:
-            width = 1 if rows is None else len(rows)
-            return slabs(self.left, rows) + [(v[p],) * width for p in merged]
+        None when some group holds two rows that agree on E and differ on
+        b, which fails every dependency with this E and b.
+        """
+        key = (j, e, b)
+        if key not in self._pairs:
+            sub = self.side_subinstance(j)
+            labels, _ = self._row_groups(j)
+            cols = [sub.columns[o] for o in sub.ordinals(e)]
+            codes = list(zip(*cols)) if cols else [()] * sub.row_count
+            pairs = list(zip(codes, sub.columns[sub.ordinal(b)]))
+            if len(set(zip(labels, codes))) < len(set(zip(labels, pairs))):
+                pairs = None
+            self._pairs[key] = pairs
+        return self._pairs[key]
 
-        lg, rg = profile.left_groups, profile.right_groups
-        values = [(v, lg[v], rg[v]) for v in profile.shared]
-        if self.pads_right():
-            values += [(v, lg[v], None) for v in profile.dangling_left]
-        if self.pads_left():
-            values += [(v, None, rg[v]) for v in profile.dangling_right]
-        groups = [(left_slabs(v, lr), slabs(self.right, rr)) for v, lr, rr in values]
-        source: dict[str, tuple[int, int]] = {}
-        for base, name in self.rmap.items():
-            source[name] = (1, self.right.ordinal(base))
-        for base, name in self.lmap.items():
-            source[name] = (0, self.left.ordinal(base))
-        for p in merged:
-            source[self.lmap[spec.left_on[p]]] = (0, len(self.left.columns) + p)
-        return groups, source
+    def _class_rows(self, i: str, x: frozenset[str]) -> list[Sequence[int]]:
+        """Per class of π_X on side i spanning several groups, the other
+        side's rows in those groups, largest first.
+
+        The classes are those of the stripped partition of
+        `side_subinstance(i)`. An empty X has one class holding every
+        participating group.
+        """
+        key = (i, x)
+        if key not in self._spans:
+            j = "right" if i == "left" else "left"
+            if not x:
+                spans = [range(self.side_subinstance(j).row_count)]
+            else:
+                if i not in self._partitions:
+                    self._partitions[i] = _PartitionCache(self.side_subinstance(i))
+                labels, _ = self._row_groups(i)
+                _, grouped = self._row_groups(j)
+                found: dict[frozenset[int], None] = {}
+                for cls in self._partitions[i].get(x).classes:
+                    span = frozenset(map(labels.__getitem__, cls))
+                    if len(span) > 1:
+                        found[span] = None
+                spans = [
+                    list(chain.from_iterable(map(grouped.__getitem__, groups)))
+                    for groups in found
+                ]
+                # larger classes are likelier to witness a violation
+                spans.sort(key=len, reverse=True)
+            self._spans[key] = spans
+        return self._spans[key]

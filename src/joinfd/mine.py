@@ -4,10 +4,11 @@ An attribute b can be the rhs of a still-unknown join dependency only if the
 rhs side's join attributes (possibly together with some side-local set A')
 determine b on the join. Every anchored rhs is explored level-wise over lhs
 candidates drawn from the opposite side's non-join attributes, each candidate
-validated by the context's streaming validator (`JoinContext.check_fd`), which
-reads per-group code slabs and materializes no join rows. Candidates
-implied by previously established dependencies are skipped, and a lhs
-attribute is dropped from the alphabet once it can no longer contribute.
+validated by the context's validator (`JoinContext.check_fd`), which reads
+cached partitions of the lhs side and cached (lhs part, rhs) code pairs of
+the rhs side and materializes no join rows. Candidates implied by previously
+established dependencies are skipped, and a lhs attribute is dropped from the
+alphabet once it can no longer contribute.
 """
 
 from __future__ import annotations

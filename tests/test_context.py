@@ -3,6 +3,7 @@ from itertools import combinations
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
 from joinfd.fds import fd
+from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, join
 from joinfd.relation import loads_csv
 
@@ -49,6 +50,39 @@ def test_streaming_check_with_null_data():
     right = loads_csv("k,b\n1,p\n,q\n9,r", name="R", null_tokens=[""])
     for kind in (JoinKind.INNER, JoinKind.LEFT_OUTER, JoinKind.FULL_OUTER):
         _exhaustive_agreement(left, right, JoinSpec.equi(["k"], ["k"], kind))
+
+
+def test_streaming_check_matches_materialized_join_at_fixture_scale():
+    # classes of 24-row sides span many join-value groups, which the tiny
+    # pairs of the differential test rarely produce; odd seeds join
+    # naturally, merging the key columns
+    kinds = (JoinKind.LEFT_OUTER, JoinKind.RIGHT_OUTER, JoinKind.FULL_OUTER)
+    for seed in range(30):
+        profile = FixtureProfile(
+            left_rows=24,
+            right_rows=24,
+            left_attrs=4,
+            right_attrs=4,
+            dangling_fraction=0.3,
+            duplicate_fraction=0.3,
+            domain_low=3,
+            domain_high=12,
+            op=kinds[seed % len(kinds)],
+        )
+        left, right, spec = make_fixture(profile, seed)
+        if seed % 2:
+            spec = JoinSpec.natural_join(left, right, spec.kind)
+        _exhaustive_agreement(left, right, spec)
+
+
+def test_each_dangling_value_pads_its_own_row():
+    # two right rows dangle; one shared all-null padding row would put both
+    # in one group and hide that L.a (null on both) meets p and q
+    left = loads_csv("k,a\n9,x", name="L")
+    right = loads_csv("k,b\n1,p\n2,q", name="R")
+    ctx = JoinContext(left, right, JoinSpec.equi(["k"], ["k"], JoinKind.RIGHT_OUTER))
+    assert ctx.check_fd(fd(["L.a"], "R.b")) is False
+    assert ctx.side_subinstance("left").row_count == 2
 
 
 def test_covering_carrier_is_reused():

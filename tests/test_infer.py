@@ -131,7 +131,7 @@ def test_refine_finds_smaller_variant():
 
 def test_refine_validates_on_the_join_validator():
     # the same pair: the empty lhs, then diag and loc, each a check on the
-    # validator's code slabs, and no partial join behind any of them
+    # join validator, and no partial join behind any of them
     left = loads_csv(
         "pid,loc,diag\n1,e,d1\n2,e,d2\n3,w,d3\n3,w,d3", name="ADM"
     )
