@@ -331,10 +331,11 @@ class JoinContext:
             else:
                 if i not in self._partitions:
                     self._partitions[i] = _PartitionCache(self.side_subinstance(i))
+                cache = self._partitions[i]
                 labels, _ = self._row_groups(i)
                 _, grouped = self._row_groups(j)
                 found: dict[frozenset[int], None] = {}
-                for cls in self._partitions[i].get(x).classes:
+                for cls in cache.get(cache.mask(x)).classes:
                     span = frozenset(map(labels.__getitem__, cls))
                     if len(span) > 1:
                         found[span] = None

@@ -3,12 +3,17 @@
 For each right-hand attribute the search walks lhs candidates bottom-up,
 starting from the empty set (constant columns), pruning every branch below an
 exact hit: a next-level candidate is kept only if every one-smaller lhs subset
-was tested and failed, so `discover_fds` needs no implication check. Each
-partition is refined from its cached parent, and a candidate is tested
-exactly by scanning lhs classes until one disagrees on the rhs. With a nonzero
-error budget the search also counts g3 violations and reports approximate
-dependencies that are minimal under the budget; it keeps expanding below them
-because exact dependencies may still appear there.
+was tested and failed, so `discover_fds` needs no implication check. The walk
+runs on integer bitmasks (`lattice_bits`): the first name in sorted order
+takes the highest bit, so a mask's lowest bit is its largest name, the parent
+of a set is the mask minus its lowest bit, and within one level descending
+masks come out in lexicographic order of sorted names. Names are built only
+for results and implication checks. Each partition is refined from its
+cached parent, and a candidate is tested exactly by scanning lhs classes
+until one disagrees on the rhs. With a nonzero error budget the search also
+counts g3 violations and reports approximate dependencies that are minimal
+under the budget; it keeps expanding below them because exact dependencies
+may still appear there.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Collection, Iterable
 
-from .fds import Afd, FdSet, FunctionalDependency, implies
+from .fds import Afd, FdSet, FunctionalDependency, implies, mask_bits
 from .partition import StrippedPartition, _class_violations, build_partition, refine
 from .relation import Instance
 
@@ -64,29 +69,46 @@ def minimal_variants(
     return [fd]
 
 
-class _PartitionCache:
-    """Stripped partitions of one instance, each refined from its parent.
+def lattice_bits(names: Iterable[str]) -> dict[str, int]:
+    """A bit per name; the first name in sorted order takes the highest bit."""
+    ordered = sorted(set(names))
+    return {a: 1 << (len(ordered) - 1 - i) for i, a in enumerate(ordered)}
 
-    The parent of an attribute set is the set without its largest name. The
-    level-wise searches evaluated that set one level earlier, so a new
-    partition usually costs one `refine` pass over a cached one.
+
+class _PartitionCache:
+    """Stripped partitions of one instance, keyed by `lattice_bits` mask.
+
+    The parent of an attribute set is the mask minus its lowest bit, that
+    is the set without its largest name. The level-wise searches evaluated
+    that set one level earlier, so a new partition usually costs one
+    `refine` pass over a cached one.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._cache: dict[frozenset[str], StrippedPartition] = {
-            frozenset(): build_partition(instance, ())
-        }
+        self.bits = lattice_bits(instance.attr_names)
+        self._name = {bit: a for a, bit in self.bits.items()}
+        self._cache: dict[int, StrippedPartition] = {0: build_partition(instance, ())}
 
-    def get(self, attrs: frozenset[str]) -> StrippedPartition:
-        part = self._cache.get(attrs)
+    def mask(self, names: Iterable[str]) -> int:
+        bits = self.bits
+        out = 0
+        for a in names:
+            out |= bits[a]
+        return out
+
+    def names(self, mask: int) -> frozenset[str]:
+        return frozenset(map(self._name.__getitem__, mask_bits(mask)))
+
+    def get(self, mask: int) -> StrippedPartition:
+        part = self._cache.get(mask)
         if part is None:
-            last = max(attrs)
-            part = refine(self.get(attrs - {last}), self.instance, last)
-            self._cache[attrs] = part
+            last = mask & -mask
+            part = refine(self.get(mask ^ last), self.instance, self._name[last])
+            self._cache[mask] = part
         return part
 
-    def holds(self, lhs: frozenset[str], rhs_ord: int) -> bool:
+    def holds(self, lhs: int, rhs_ord: int) -> bool:
         """Exact test: stops at the first lhs class that is not rhs-constant."""
         rhs_col = self.instance.columns[rhs_ord]
         for cls in self.get(lhs).classes:
@@ -96,30 +118,46 @@ class _PartitionCache:
                     return False
         return True
 
-    def error_count(self, lhs: frozenset[str], rhs_ord: int) -> int:
+    def error_count(self, lhs: int, rhs_ord: int) -> int:
         count, _ = _class_violations(self.instance, self.get(lhs).classes, rhs_ord)
         return count
 
 
-def next_lhs_level(lhss: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    """Apriori step: unions of two same-size sets sharing all but their last."""
-    tuples = sorted({tuple(sorted(s)) for s in lhss})
-    out = set()
-    for i, a in enumerate(tuples):
-        for b in tuples[i + 1 :]:
-            if a[:-1] != b[:-1]:
-                break
-            out.add(frozenset(a) | {b[-1]})
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+def next_lhs_level(masks: Iterable[int]) -> list[int]:
+    """Apriori step: unions of two same-size masks differing only in their
+    lowest bit, in descending order."""
+    by_parent: dict[int, list[int]] = {}
+    for m in set(masks):
+        by_parent.setdefault(m & (m - 1), []).append(m)
+    out = [
+        a | b
+        for group in by_parent.values()
+        for i, a in enumerate(group)
+        for b in group[i + 1 :]
+    ]
+    out.sort(reverse=True)
+    return out
 
 
-def _next_level(kept: Collection[frozenset[str]]) -> list[frozenset[str]]:
-    """Apriori step keeping only sets whose one-smaller subsets are all kept.
+def _next_level(kept: Collection[int]) -> list[int]:
+    """Apriori step keeping only masks whose one-smaller subsets are all kept.
 
     A set with a one-smaller subset missing from `kept` contains the lhs of a
     dependency found or implied below, so it is implied too and needs no test.
+    The two subsets a candidate was joined from are kept by construction.
     """
-    return [c for c in next_lhs_level(kept) if all(c - {a} in kept for a in c)]
+    out = []
+    for c in next_lhs_level(kept):
+        rest = c & (c - 1)
+        rest &= rest - 1
+        while rest:
+            bit = rest & -rest
+            if c ^ bit not in kept:
+                break
+            rest ^= bit
+        else:
+            out.append(c)
+    return out
 
 
 def next_level_candidates(
@@ -127,14 +165,19 @@ def next_level_candidates(
     pruned: FdSet | Iterable[FunctionalDependency],
 ) -> list[FunctionalDependency]:
     """Per rhs, `_next_level` of `current`'s lhs sets, minus what `pruned` implies."""
-    pruned = list(pruned)
-    by_rhs: dict[str, set[frozenset[str]]] = {}
+    if not isinstance(pruned, FdSet):
+        pruned = FdSet(pruned)
+    by_rhs: dict[str, list[frozenset[str]]] = {}
     for d in current:
-        by_rhs.setdefault(d.rhs, set()).add(d.lhs)
+        by_rhs.setdefault(d.rhs, []).append(d.lhs)
     out = []
     for rhs in sorted(by_rhs):
-        for lhs in _next_level(by_rhs[rhs]):
-            cand = FunctionalDependency(lhs, rhs)
+        lhss = by_rhs[rhs]
+        bits = lattice_bits(a for lhs in lhss for a in lhs)
+        name = {bit: a for a, bit in bits.items()}
+        kept = {sum(map(bits.__getitem__, lhs)) for lhs in lhss}
+        for c in _next_level(kept):
+            cand = FunctionalDependency(frozenset(map(name.__getitem__, mask_bits(c))), rhs)
             if not implies(pruned, cand):
                 out.append(cand)
     out.sort(key=FunctionalDependency.sort_key)
@@ -154,33 +197,31 @@ def discover_fds(
     exact = FdSet()
     afds: list[Afd] = []
 
-    def within_budget(lhs: frozenset[str], rhs: str, rhs_ord: int) -> bool:
+    def within_budget(lhs: int, rhs: str, rhs_ord: int) -> bool:
         count = cache.error_count(lhs, rhs_ord)
         if count > epsilon * n:
             return False
-        afds.append(Afd(FunctionalDependency(lhs, rhs), count / n, count))
+        afds.append(Afd(FunctionalDependency(cache.names(lhs), rhs), count / n, count))
         return True
 
-    names = list(instance.attr_names)
-    for rhs in names:
+    for rhs in instance.attr_names:
         rhs_ord = instance.ordinal(rhs)
         # level 0: constant column (vacuously constant when there are no rows)
-        if cache.holds(frozenset(), rhs_ord):
+        if cache.holds(0, rhs_ord):
             exact.add(FunctionalDependency(frozenset(), rhs))
             continue
         # each non-dependency lhs of the level below -> whether some subset
         # of it, itself included, is within the error budget
-        empty = frozenset()
-        below = {empty: epsilon > 0 and within_budget(empty, rhs, rhs_ord)}
-        level = [frozenset([a]) for a in sorted(names) if a != rhs]
+        below = {0: epsilon > 0 and within_budget(0, rhs, rhs_ord)}
+        level = [bit for a, bit in cache.bits.items() if a != rhs]
         while level:
-            kept: dict[frozenset[str], bool] = {}
+            kept: dict[int, bool] = {}
             for lhs in level:
                 if cache.holds(lhs, rhs_ord):
-                    exact.add(FunctionalDependency(lhs, rhs))
+                    exact.add(FunctionalDependency(cache.names(lhs), rhs))
                     continue
                 kept[lhs] = epsilon > 0 and (
-                    any(below[lhs - {a}] for a in lhs)
+                    any(below[lhs ^ bit] for bit in mask_bits(lhs))
                     or within_budget(lhs, rhs, rhs_ord)
                 )
             below = kept
@@ -202,18 +243,15 @@ def discover_new_fds(
     cache = _PartitionCache(instance)
     known = FdSet(known)
     out = FdSet()
-    names = list(instance.attr_names)
-    for rhs in names:
+    for rhs in instance.attr_names:
         rhs_ord = instance.ordinal(rhs)
         pruning = FdSet(known.as_set())
         base = FunctionalDependency(frozenset(), rhs)
-        if not implies(pruning, base) and cache.holds(frozenset(), rhs_ord):
+        if not implies(pruning, base) and cache.holds(0, rhs_ord):
             out.add(base)
             continue
         level = [
-            FunctionalDependency(frozenset([a]), rhs)
-            for a in sorted(names)
-            if a != rhs
+            FunctionalDependency(frozenset([a]), rhs) for a in cache.bits if a != rhs
         ]
         level = [d for d in level if not implies(pruning, d)]
         while level:
@@ -224,7 +262,7 @@ def discover_new_fds(
             for cand in level:
                 if grown and implies(pruning, cand):
                     continue
-                if cache.holds(cand.lhs, rhs_ord):
+                if cache.holds(cache.mask(cand.lhs), rhs_ord):
                     out.add(cand)
                     pruning.add(cand)
                     grown = True

@@ -1,10 +1,15 @@
 """Functional dependencies as values, plus the logic toolbox.
 
 Dependencies are canonical: a single right-hand attribute, never contained in
-the left-hand side. An empty lhs means "rhs is constant". Implication runs
-through the usual attribute-closure fixpoint, and minimal cover first reduces
-each lhs then drops members implied by the rest, in a fixed canonical order
-so outputs are reproducible.
+the left-hand side. An empty lhs means "rhs is constant". Dependencies carry
+attribute names; the logic runs on integer bitmasks. A set of dependencies
+is compiled to `Rules` (a bit per name, and per lhs mask the union of its rhs
+bits), and implication is an attribute-closure fixpoint on masks that stops
+as soon as it reaches the goal bit. An `FdSet` compiles itself once and
+extends the compiled rules on `add`; `remove_implied` and `minimal_cover`
+compile their input once per call. Minimal cover first reduces each lhs then
+drops members implied by the rest, in a fixed canonical order so outputs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ class FdSet:
     def __init__(self, fds: Iterable[FunctionalDependency] = ()):
         self._fds: set[FunctionalDependency] = set(fds)
         self.origins: dict[FunctionalDependency, str] = {}
+        self._rules: Rules | None = None  # compiled on first use, see compile_rules
 
     def __contains__(self, item: FunctionalDependency) -> bool:
         return item in self._fds
@@ -102,7 +108,10 @@ class FdSet:
         return "FdSet({" + ", ".join(str(d) for d in self) + "})"
 
     def add(self, item: FunctionalDependency, origin: str | None = None) -> None:
-        self._fds.add(item)
+        if item not in self._fds:
+            self._fds.add(item)
+            if self._rules is not None:
+                self._rules.add(item)
         if origin is not None:
             self.origins.setdefault(item, origin)
 
@@ -124,32 +133,104 @@ class FdSet:
         return [d.to_json(origin=self.origins.get(d)) for d in self]
 
 
+def mask_bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+class Rules:
+    """Dependencies compiled to attribute bitmasks.
+
+    Every name gets the next free bit the first time it is seen, and `rules`
+    maps each lhs mask to the union of the rhs bits of its dependencies.
+    """
+
+    __slots__ = ("bits", "order", "rules")
+
+    def __init__(self, fds: Iterable[FunctionalDependency] = ()):
+        self.bits: dict[str, int] = {}
+        self.order: list[str] = []  # names by bit position
+        self.rules: dict[int, int] = {}
+        for d in fds:
+            self.add(d)
+
+    def mask(self, names: Iterable[str]) -> int:
+        bits = self.bits
+        out = 0
+        for a in names:
+            bit = bits.get(a)
+            if bit is None:
+                bit = bits[a] = 1 << len(self.order)
+                self.order.append(a)
+            out |= bit
+        return out
+
+    def names(self, mask: int) -> frozenset[str]:
+        return frozenset(self.order[b.bit_length() - 1] for b in mask_bits(mask))
+
+    def add(self, d: FunctionalDependency) -> None:
+        self.put(self.mask(d.lhs), self.mask((d.rhs,)))
+
+    def put(self, lhs: int, rhs: int) -> None:
+        self.rules[lhs] = self.rules.get(lhs, 0) | rhs
+
+    def drop(self, lhs: int, rhs: int) -> None:
+        rest = self.rules[lhs] & ~rhs
+        if rest:
+            self.rules[lhs] = rest
+        else:
+            del self.rules[lhs]
+
+    def closure(self, mask: int, goal: int = 0) -> int:
+        """Fixpoint of `mask` (empty-lhs rules always fire).
+
+        Returns as soon as a rule adds a bit of `goal`, so the result is
+        the full closure only when it holds no goal bit.
+        """
+        items = self.rules.items()
+        missing = ~mask
+        grown = True
+        while grown:
+            grown = False
+            for lhs, rhs in items:
+                if not lhs & missing and rhs & missing:
+                    mask |= rhs
+                    if mask & goal:
+                        return mask
+                    missing = ~mask
+                    grown = True
+        return mask
+
+
+def compile_rules(fds: "FdSet | Iterable[FunctionalDependency]") -> Rules:
+    """`fds` as `Rules`: an FdSet's own, compiled once, else a new table."""
+    if isinstance(fds, FdSet):
+        if fds._rules is None:
+            fds._rules = Rules(fds._fds)
+        return fds._rules
+    return Rules(fds)
+
+
 def attribute_closure(
-    attrs: Iterable[str], fds: Iterable[FunctionalDependency]
+    attrs: Iterable[str], fds: "FdSet | Iterable[FunctionalDependency]"
 ) -> frozenset[str]:
     """Fixpoint of `attrs` under the dependencies (empty-lhs rules always fire)."""
-    closure = set(attrs)
-    pending = list(fds)
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for d in pending:
-            if d.lhs <= closure:
-                if d.rhs not in closure:
-                    closure.add(d.rhs)
-                    changed = True
-            else:
-                remaining.append(d)
-        pending = remaining
-    return frozenset(closure)
+    rules = compile_rules(fds)
+    return rules.names(rules.closure(rules.mask(attrs)))
 
 
 def implies(
     base: "FdSet | Iterable[FunctionalDependency]", candidate: FunctionalDependency
 ) -> bool:
     """True iff `base` logically implies `candidate`."""
-    return candidate.rhs in attribute_closure(candidate.lhs, base)
+    rules = compile_rules(base)
+    goal = rules.bits.get(candidate.rhs)
+    if goal is None:  # no rule derives the rhs
+        return False
+    return bool(rules.closure(rules.mask(candidate.lhs), goal) & goal)
 
 
 def remove_implied(fds: "FdSet | Iterable[FunctionalDependency]") -> FdSet:
@@ -158,11 +239,15 @@ def remove_implied(fds: "FdSet | Iterable[FunctionalDependency]") -> FdSet:
     Larger dependencies are considered for removal first so that the
     irredundant core of small rules survives.
     """
-    pool = sorted(set(fds), key=FunctionalDependency.sort_key)
+    pool = set(fds)
+    rules = Rules(pool)
     for d in sorted(pool, key=lambda x: (-len(x.lhs),) + x.sort_key()):
-        rest = [e for e in pool if e != d]
-        if implies(rest, d):
-            pool = rest
+        lhs, goal = rules.mask(d.lhs), rules.bits[d.rhs]
+        rules.drop(lhs, goal)
+        if rules.closure(lhs, goal) & goal:
+            pool.discard(d)
+        else:
+            rules.put(lhs, goal)
     return FdSet(pool)
 
 
@@ -172,14 +257,20 @@ def minimal_cover(fds: "FdSet | Iterable[FunctionalDependency]") -> FdSet:
     The result implies every input member, no member is implied by the
     others, and no lhs can be shrunk without losing the closure.
     """
-    original = sorted(set(fds), key=FunctionalDependency.sort_key)
+    original = set(fds)
+    rules = Rules(original)
     reduced: set[FunctionalDependency] = set()
     for d in original:
-        lhs = set(d.lhs)
+        lhs, goal = rules.mask(d.lhs), rules.bits[d.rhs]
+        dropped = []
         for attr in sorted(d.lhs):
-            if d.rhs in attribute_closure(lhs - {attr}, original):
-                lhs.discard(attr)
-        reduced.add(FunctionalDependency(frozenset(lhs), d.rhs))
+            bit = rules.bits[attr]
+            if rules.closure(lhs ^ bit, goal) & goal:
+                lhs ^= bit
+                dropped.append(attr)
+        reduced.add(
+            FunctionalDependency(d.lhs.difference(dropped), d.rhs) if dropped else d
+        )
     return remove_implied(reduced)
 
 
@@ -188,5 +279,6 @@ def closure_equal(
     b: "FdSet | Iterable[FunctionalDependency]",
 ) -> bool:
     """Do the two sets imply each other?"""
-    a, b = list(a), list(b)
+    a = a if isinstance(a, FdSet) else FdSet(a)
+    b = b if isinstance(b, FdSet) else FdSet(b)
     return all(implies(b, d) for d in a) and all(implies(a, d) for d in b)

@@ -19,7 +19,13 @@ from typing import Iterable, Sequence
 
 from .context import JoinContext
 from .discovery import minimal_variants
-from .fds import FdSet, FunctionalDependency, attribute_closure, remove_implied
+from .fds import (
+    FdSet,
+    FunctionalDependency,
+    attribute_closure,
+    compile_rules,
+    remove_implied,
+)
 from .joins import SEMI_KINDS
 
 
@@ -33,17 +39,20 @@ def _minimal_determiners(
     target: frozenset[str], fds: FdSet | Iterable[FunctionalDependency]
 ) -> list[frozenset[str]]:
     """Subset-minimal attribute sets whose closure covers `target`."""
-    rules = list(fds)
-    universe = sorted({a for d in rules for a in d.lhs} | set(target))
-    found: list[frozenset[str]] = []
+    rules = compile_rules(fds)
+    universe = sorted({a for lhs in rules.rules for a in rules.names(lhs)} | target)
+    goal = rules.mask(target)
+    found: list[int] = []
+    out: list[frozenset[str]] = []
     for size in range(len(universe) + 1):
         for combo in combinations(universe, size):
-            cand = frozenset(combo)
-            if any(small <= cand for small in found):
+            cand = rules.mask(combo)
+            if any(not small & ~cand for small in found):
                 continue
-            if target <= attribute_closure(cand, rules):
+            if rules.closure(cand) & goal == goal:
                 found.append(cand)
-    return found
+                out.append(frozenset(combo))
+    return out
 
 
 def infer(

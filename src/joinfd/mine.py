@@ -17,12 +17,13 @@ from itertools import combinations
 from typing import Sequence
 
 from .context import JoinContext
-from .discovery import next_lhs_level
+from .discovery import lattice_bits, next_lhs_level
 from .fds import (
     FdSet,
     FunctionalDependency,
-    attribute_closure,
+    compile_rules,
     implies,
+    mask_bits,
     remove_implied,
 )
 from .joins import SEMI_KINDS
@@ -39,30 +40,34 @@ def _anchors(
 
     A pure anchor needs the join attributes alone to determine b; a mixed
     anchor needs Y together with A', where A' alone must not determine b.
-    Read through the closure of the side's dependency set.
+    Read through the closure of the side's dependency set, on its compiled
+    bitmask rules.
 
     With `assume_all_anchored` the Y-determination requirement is waived:
     when a null join value matches outer padding, a dependency can hold
     without its anchor, so every extension must stay on the table.
     """
-    y_set = frozenset(y_attrs)
-    rules = list(sigma_j)  # iterating an FdSet sorts it; do that once
+    rules = compile_rules(sigma_j)
+    y_mask = rules.mask(y_attrs)
+
+    def determines(mask: int, goal: int) -> bool:
+        return bool(rules.closure(mask, goal) & goal)
+
     out: list[tuple[str, frozenset[str]]] = []
     for b in j_attrs:  # join attributes are themselves trivially anchored
-        if assume_all_anchored or b in attribute_closure(y_set, rules):
+        goal = rules.mask((b,))
+        if assume_all_anchored or y_mask & goal or determines(y_mask, goal):
             out.append((b, frozenset()))
         # the extension may include join attributes: under outer padding an
         # lhs carrying them is not equivalent to its rewritten form
         others = [a for a in j_attrs if a != b]
         for size in range(1, len(others) + 1):
             for combo in combinations(others, size):
-                ext = frozenset(combo)
-                if b in attribute_closure(ext, rules):
+                ext = rules.mask(combo)
+                if determines(ext, goal):
                     continue  # the extension alone already determines b
-                if assume_all_anchored or b in attribute_closure(
-                    y_set | ext, rules
-                ):
-                    out.append((b, ext))
+                if assume_all_anchored or determines(y_mask | ext, goal):
+                    out.append((b, frozenset(combo)))
     out.sort(key=lambda t: (t[0], len(t[1]), tuple(sorted(t[1]))))
     return out
 
@@ -99,8 +104,15 @@ def discover(
     y_attrs = context.spec.right_on if i_is_left else context.spec.left_on
     i_map = context.lmap if i_is_left else context.rmap
     j_map = context.rmap if i_is_left else context.lmap
+    # side I's lattice on bitmasks; each bit maps to its join-result name
+    bits = lattice_bits(instance_i.attr_names)
+    joined_name = {bit: i_map[a] for a, bit in bits.items()}
+    everything = sum(bits.values())
+    plausible = everything
+    if i_plausible_rhs is not None:
+        plausible = sum(bit for a, bit in bits.items() if a in i_plausible_rhs)
     out = FdSet()
-    pool = list(sigma_prior)  # the prior set plus every accepted candidate
+    pool = FdSet(sigma_prior.as_set())  # the prior set plus every accepted candidate
     anchors = _anchors(
         instance_j.attr_names,
         y_attrs,
@@ -110,40 +122,31 @@ def discover(
     for b, ext in anchors:
         rhs = j_map[b]
         ext_mapped = frozenset(j_map[a] for a in ext)
+        # a natural join maps both sides' key to one name, so the mapped lhs
+        # can contain the rhs: such a candidate is trivial
+        trivial = sum(bit for bit, name in joined_name.items() if name == rhs)
         # own join attributes stay in the alphabet: with outer padding a
         # dependency on them is not interchangeable with the other side's
-        alphabet = list(instance_i.attr_names)
-        level = [frozenset([a]) for a in alphabet]
+        alphabet = everything
+        level = [bits[a] for a in instance_i.attr_names]
         while level:
             survivors = []
-            blocked = {a: True for a in alphabet}
+            unblocked = 0
             for lhs_i in level:
-                if not set(lhs_i) <= set(alphabet):
+                if lhs_i & trivial:
                     continue
-                # a natural join maps both sides' key to one name, so the
-                # mapped lhs can contain the rhs: such a candidate is trivial
-                lhs = frozenset(i_map[a] for a in lhs_i) | ext_mapped
-                if rhs in lhs:
-                    continue
-                cand = FunctionalDependency(lhs, rhs)
+                lhs = frozenset(map(joined_name.__getitem__, mask_bits(lhs_i)))
+                cand = FunctionalDependency(lhs | ext_mapped, rhs)
                 if implies(pool, cand):
                     continue
                 if context.check_fd(cand):
                     out.add(cand, "mined")
-                    pool.append(cand)
+                    pool.add(cand)
                 else:
                     survivors.append(lhs_i)
-                    for a in lhs_i:
-                        blocked[a] = False
-            if i_plausible_rhs is not None:
-                alphabet = [
-                    a
-                    for a in alphabet
-                    if a in i_plausible_rhs or not blocked.get(a, False)
-                ]
-            level = [
-                s for s in next_lhs_level(survivors) if set(s) <= set(alphabet)
-            ]
+                    unblocked |= lhs_i
+            alphabet &= plausible | unblocked
+            level = [c for c in next_lhs_level(survivors) if not c & ~alphabet]
     return out
 
 

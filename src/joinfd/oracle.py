@@ -13,7 +13,7 @@ import os
 from .context import JoinContext
 from .discovery import discover_fds
 from .errors import GuardError, InputError
-from .fds import FdSet, minimal_cover
+from .fds import FdSet, remove_implied
 from .joins import JoinSpec, join
 from .relation import Instance
 
@@ -38,7 +38,11 @@ def oracle_join_fds(
     limit: int | None = None,
     context: JoinContext | None = None,
 ) -> FdSet:
-    """Minimal cover of all dependencies on the materialized join."""
+    """Minimal cover of all dependencies on the materialized join.
+
+    Every lhs `discover_fds` returns is already minimal on the join, so
+    dropping the implied members is all a minimal cover has left to do.
+    """
     if context is None:
         context = JoinContext(left, right, spec)
     if limit is None:
@@ -58,4 +62,4 @@ def oracle_join_fds(
     if joined.row_count == 0:
         return FdSet()  # vacuous: callers flag this instead of emitting everything
     exact, _ = discover_fds(joined)
-    return minimal_cover(exact)
+    return remove_implied(exact)

@@ -21,7 +21,7 @@ from typing import Sequence
 from .context import JoinContext
 from .discovery import discover_fds
 from .errors import InputError
-from .fds import FdSet, minimal_cover
+from .fds import FdSet, remove_implied
 from .joins import PADS_LEFT_ATTRS, PADS_RIGHT_ATTRS, join
 from .relation import Instance, take_rows
 
@@ -141,7 +141,7 @@ def micro_join_batch(
     micro = join(li, ri, spec)
     context.counters.sample_join_rows += micro.row_count
     fds, _ = discover_fds(micro)
-    return micro, minimal_cover(fds)
+    return micro, remove_implied(fds)
 
 
 def discover_sampled(context: JoinContext, cfg: SampleConfig) -> FdSet:
