@@ -68,10 +68,14 @@ def generate_ids_set(
     """Join values selected by the attribute tree of one side.
 
     `groups` maps each candidate join value to the ids of the rows carrying
-    it; the tree walks only those rows.
+    it; the tree walks only those rows. A side with no non-join attribute
+    has no tree: it selects every candidate value, so that the other side's
+    selection decides.
     """
     on_set = set(on)
     nonjoin = [a for a in instance.attr_names if a not in on_set]
+    if not nonjoin:
+        return set(groups)
     rows = [r for group in groups.values() for r in group]
 
     def distinct(attr: str) -> int:
@@ -120,15 +124,12 @@ def micro_join_batch(
 
     The selected rows of both sides are joined with the real operator.
     Rows an outer operator keeps dangling are part of that operator's
-    semantics, not of the shared value space, so they always participate;
-    the micro-join is therefore a sub-multiset of the full join result.
-    Returns the micro-join (None when nothing was selected) and the minimal
-    cover of its dependencies.
+    semantics, not of the shared value space, so they always participate,
+    even when no shared value was selected; the micro-join is therefore a
+    sub-multiset of the full join result. Returns the micro-join (None when
+    it is empty) and the minimal cover of its dependencies.
     """
     ids = selective_sampling(context, cfg)
-    if not ids:
-        context.warnings.append("sample selection is empty; no dependencies mined")
-        return None, FdSet()
     spec, profile = context.spec, context.profile
     left_values = set(ids)
     right_values = set(ids)
@@ -140,7 +141,12 @@ def micro_join_batch(
     ri = take_rows(context.right, profile.rows("right", right_values))
     micro = join(li, ri, spec)
     context.counters.sample_join_rows += micro.row_count
+    if micro.row_count == 0:
+        context.warnings.append("sample micro-join is empty; no dependencies mined")
+        return None, FdSet()
     fds, _ = discover_fds(micro)
+    # every lhs is minimal on the micro-join: dropping implied members
+    # leaves its minimal cover
     return micro, remove_implied(fds)
 
 

@@ -7,7 +7,8 @@ because natural outer padding breaks dependencies even then. Each pair is
 checked twice: the selective pipeline's output must be closure-equal to
 the oracle's, and, on every non-semi pair, the streaming validator must
 agree with the materialized join on every candidate dependency over the
-join schema.
+join schema. The sampling pipeline's output must imply the oracle's set on
+every pair.
 """
 
 import random
@@ -15,7 +16,7 @@ from itertools import combinations
 
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
-from joinfd.fds import closure_equal, fd
+from joinfd.fds import closure_equal, fd, implies
 from joinfd.joins import SEMI_KINDS, JoinKind, JoinSpec, join
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
@@ -59,6 +60,16 @@ def test_selective_matches_oracle_on_tiny_random_pairs():
         if not closure_equal(rep.fds, oracle_join_fds(left, right, spec)):
             wrong.append((i, spec))
     assert not wrong
+
+
+def test_sampling_implies_oracle_on_tiny_random_pairs():
+    missed = []
+    for i, (left, right, spec) in enumerate(_pairs()):
+        rep = run_pipeline(left, right, spec, strategy="sampling")
+        truth = oracle_join_fds(left, right, spec)
+        if not all(implies(rep.fds, d) for d in truth):
+            missed.append((i, spec))
+    assert not missed
 
 
 def test_streaming_validator_matches_materialized_join_on_tiny_random_pairs():

@@ -212,10 +212,36 @@ def test_tiny_sample_may_overclaim_but_is_recorded():
 
 
 def test_empty_selection_warns_and_returns_nothing():
+    # an inner join of two sides sharing no value has an empty micro-join
+    left = loads_csv("k,a\n1,x", name="L")
+    right = loads_csv("k,b\n2,p", name="R")
+    spec = JoinSpec.equi(["k"], ["k"], JoinKind.INNER)
+    context = JoinContext(left, right, spec)
+    micro, cover = micro_join_batch(context, SampleConfig())
+    assert micro is None and len(cover) == 0
+    assert any("empty" in w for w in context.warnings)
+
+
+def test_empty_selection_still_joins_dangling_rows():
+    # a full outer join of two dangling rows has two rows, whose
+    # dependencies the sample must carry
     left = loads_csv("k,a\n1,x", name="L")
     right = loads_csv("k,b\n2,p", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.FULL_OUTER)
     context = JoinContext(left, right, spec)
     micro, cover = micro_join_batch(context, SampleConfig())
-    assert micro is None and len(cover) == 0
-    assert any("empty" in w for w in context.warnings)
+    assert micro is not None and micro.row_count == 2
+    assert cover == oracle_join_fds(left, right, spec)
+    assert not context.warnings
+
+
+def test_key_only_side_selects_every_shared_value():
+    left = loads_csv("k\n1\n2\n3", name="L")
+    right = loads_csv("k,b\n1,p\n2,p\n2,q\n4,q", name="R")
+    spec = JoinSpec.equi(["k"], ["k"], JoinKind.INNER)
+    context = JoinContext(left, right, spec)
+    picked_right = generate_ids_set(
+        right, ["k"], {v: context.profile.right_groups[v] for v in context.profile.shared},
+        SampleConfig(),
+    )
+    assert selective_sampling(context, SampleConfig()) == picked_right != set()
