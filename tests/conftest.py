@@ -1,8 +1,10 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, independent brute-force oracles and frozenset references.
 
 The oracles here deliberately avoid the library's partition/lattice
 machinery: they enumerate subsets and scan decoded rows with dictionaries,
-so they can serve as ground truth for it.
+so they can serve as ground truth for it. The references are the plain
+frozenset forms of the library's bitmask algorithms (closure, redundancy
+removal, the apriori step); the library must return exactly what they do.
 """
 
 from itertools import combinations
@@ -115,6 +117,52 @@ def brute_force_min_removals(instance: Instance, lhs, rhs) -> int:
             if ok(kept):
                 return k
     return n
+
+
+def reference_closure(attrs, fds) -> frozenset:
+    """Attribute closure on name sets, rescanning every rule each pass."""
+    closure = set(attrs)
+    pending = list(fds)
+    changed = True
+    while changed:
+        changed = False
+        remaining = []
+        for d in pending:
+            if d.lhs <= closure:
+                if d.rhs not in closure:
+                    closure.add(d.rhs)
+                    changed = True
+            else:
+                remaining.append(d)
+        pending = remaining
+    return frozenset(closure)
+
+
+def reference_remove_implied(fds) -> set:
+    """Drop members implied by the rest, largest lhs first, on name sets."""
+    pool = sorted(set(fds), key=FunctionalDependency.sort_key)
+    for d in sorted(pool, key=lambda x: (-len(x.lhs),) + x.sort_key()):
+        rest = [e for e in pool if e != d]
+        if d.rhs in reference_closure(d.lhs, rest):
+            pool = rest
+    return set(pool)
+
+
+def reference_next_lhs_level(lhss) -> list[frozenset]:
+    """Apriori step: unions of two same-size sets sharing all but their last."""
+    tuples = sorted({tuple(sorted(s)) for s in lhss})
+    out = set()
+    for i, a in enumerate(tuples):
+        for b in tuples[i + 1 :]:
+            if a[:-1] != b[:-1]:
+                break
+            out.add(frozenset(a) | {b[-1]})
+    return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def reference_next_level(kept) -> list[frozenset]:
+    """Apriori step keeping only sets whose one-smaller subsets are all kept."""
+    return [c for c in reference_next_lhs_level(kept) if all(c - {a} in kept for a in c)]
 
 
 def model_implies(base, candidate, universe) -> bool:

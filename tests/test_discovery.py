@@ -1,15 +1,29 @@
 import random
 
+from itertools import combinations
+
+from joinfd import discovery
 from joinfd.discovery import (
+    _next_level,
+    _PartitionCache,
     discover_fds,
     discover_new_fds,
     holds,
+    lattice_bits,
     next_level_candidates,
+    next_lhs_level,
 )
 from joinfd.fds import FdSet, fd
 from joinfd.relation import loads_csv, take_rows
 
-from conftest import brute_force_afds, brute_force_fds, model_implies, random_instance
+from conftest import (
+    brute_force_afds,
+    brute_force_fds,
+    model_implies,
+    random_instance,
+    reference_next_level,
+    reference_next_lhs_level,
+)
 
 
 def test_holds_is_vacuous_on_tiny_instances():
@@ -174,6 +188,50 @@ def test_next_level_respects_pruning():
     pruned = FdSet([fd(["A"], "c")])
     got = next_level_candidates([fd(["A"], "c"), fd(["B"], "c")], pruned)
     assert got == []
+
+
+def _random_families(rng, count):
+    """Random same-size families of name sets, with their bit tables."""
+    for _ in range(count):
+        names = [f"n{i}" for i in rng.sample(range(12), rng.randint(2, 7))]
+        size = rng.randint(1, len(names) - 1)
+        subsets = [frozenset(c) for c in combinations(names, size)]
+        family = {s for s in subsets if rng.random() < rng.choice([0.3, 0.7, 0.95])}
+        yield family, lattice_bits(names)
+
+
+def _as_names(masks, bits):
+    name = {bit: a for a, bit in bits.items()}
+    return [frozenset(a for b, a in name.items() if m & b) for m in masks]
+
+
+def test_mask_apriori_steps_match_frozenset_references_in_order():
+    rng = random.Random(27)
+    for family, bits in _random_families(rng, 300):
+        masks = {sum(bits[a] for a in s) for s in family}
+        assert _as_names(next_lhs_level(masks), bits) == reference_next_lhs_level(family)
+        assert _as_names(_next_level(masks), bits) == reference_next_level(family)
+
+
+def test_partitions_refine_the_parent_without_the_largest_name(monkeypatch):
+    inst = random_instance(random.Random(28), n_attrs=5, n_rows=30)
+    refined = []
+    original = discovery.refine
+
+    def spy(part, instance, attr):
+        refined.append((part.attrs, attr))
+        return original(part, instance, attr)
+
+    monkeypatch.setattr(discovery, "refine", spy)
+    cache = _PartitionCache(inst)
+    names = sorted(inst.attr_names)
+    for size in range(1, len(names) + 1):
+        for combo in combinations(names, size):
+            part = cache.get(cache.mask(combo))
+            assert part.attrs == frozenset(combo)
+    assert len(refined) == 2 ** len(names) - 1
+    for parent, attr in refined:
+        assert all(a < attr for a in parent)
 
 
 def test_vacuous_instance_reports_constants():

@@ -15,7 +15,7 @@ from joinfd.fds import (
     remove_implied,
 )
 
-from conftest import model_implies
+from conftest import model_implies, reference_closure, reference_remove_implied
 
 
 def test_trivial_dependency_rejected():
@@ -108,6 +108,28 @@ def test_remove_implied_keeps_closure():
     for _ in range(100):
         fds = _random_fd_set(rng, attrs)
         assert closure_equal(remove_implied(fds), fds)
+
+
+def test_remove_implied_returns_exactly_the_reference_set():
+    rng = random.Random(11)
+    attrs = ["A", "B", "C", "D", "E"]
+    for _ in range(300):
+        fds = _random_fd_set(rng, attrs) + _random_fd_set(rng, attrs)
+        assert remove_implied(fds) == reference_remove_implied(fds)
+
+
+def test_closure_matches_reference_and_grows_with_add():
+    rng = random.Random(12)
+    attrs = ["A", "B", "C", "D", "E"]
+    for _ in range(200):
+        fds = _random_fd_set(rng, attrs)
+        start = [a for a in attrs if rng.random() < 0.3]
+        pool = FdSet(fds[:1])
+        assert attribute_closure(start, pool) == reference_closure(start, fds[:1])
+        for d in fds[1:]:
+            pool.add(d)  # extends the rules compiled above
+        assert attribute_closure(start, pool) == reference_closure(start, fds)
+        assert attribute_closure(start, fds) == reference_closure(start, fds)
 
 
 def test_fdset_iteration_is_canonical():
