@@ -4,12 +4,13 @@ Representative join values are picked per side by walking the non-join
 attributes in ascending distinct-value order (skipping the most diverse ones)
 and keeping, for every attribute value, either the single join value behind
 it or a seeded choice of a few. The two sides' selections are intersected,
-the selected rows joined, and exact dependencies mined from that micro-join.
-On single-key, null-free inputs the dependencies discovered this way imply
-the true join dependencies (composite or null-bearing keys under outer
-operators can break that); they are only exact themselves when the sample
-happened to contain a counterexample pair for everything false, so precision
-is measured, never assumed.
+the selected rows joined, together with every row an outer operator keeps
+dangling, and exact dependencies mined from that micro-join. The
+dependencies discovered this way imply the true join dependencies (tested
+with composite and null-bearing keys, natural joins and all six
+operators); they are only exact themselves when the sample happened to
+contain a counterexample pair for everything false, so precision is
+measured, never assumed.
 """
 
 from __future__ import annotations
