@@ -36,14 +36,12 @@ def evaluate(discovered: FdSet, truth: FdSet) -> EvalMetrics:
         precision = 1.0
         flags.append("empty-discovered")
     else:
-        truth_pool = list(truth)
-        correct = sum(1 for d in discovered if implies(truth_pool, d))
+        correct = sum(1 for d in discovered if implies(truth, d))
         precision = correct / len(discovered)
     if len(truth) == 0:
         recall = 1.0
         flags.append("empty-truth")
     else:
-        found_pool = list(discovered)
-        found = sum(1 for t in truth if implies(found_pool, t))
+        found = sum(1 for t in truth if implies(discovered, t))
         recall = found / len(truth)
     return EvalMetrics(precision, recall, tuple(flags))
