@@ -91,11 +91,7 @@ class _PartitionCache:
         self._cache: dict[int, StrippedPartition] = {0: build_partition(instance, ())}
 
     def mask(self, names: Iterable[str]) -> int:
-        bits = self.bits
-        out = 0
-        for a in names:
-            out |= bits[a]
-        return out
+        return sum(map(self.bits.__getitem__, names))
 
     def names(self, mask: int) -> frozenset[str]:
         return frozenset(map(self._name.__getitem__, mask_bits(mask)))
@@ -177,7 +173,8 @@ def next_level_candidates(
         name = {bit: a for a, bit in bits.items()}
         kept = {sum(map(bits.__getitem__, lhs)) for lhs in lhss}
         for c in _next_level(kept):
-            cand = FunctionalDependency(frozenset(map(name.__getitem__, mask_bits(c))), rhs)
+            lhs = frozenset(map(name.__getitem__, mask_bits(c)))
+            cand = FunctionalDependency(lhs, rhs)
             if not implies(pruned, cand):
                 out.append(cand)
     out.sort(key=FunctionalDependency.sort_key)

@@ -162,7 +162,9 @@ def reference_next_lhs_level(lhss) -> list[frozenset]:
 
 def reference_next_level(kept) -> list[frozenset]:
     """Apriori step keeping only sets whose one-smaller subsets are all kept."""
-    return [c for c in reference_next_lhs_level(kept) if all(c - {a} in kept for a in c)]
+    return [
+        c for c in reference_next_lhs_level(kept) if all(c - {a} in kept for a in c)
+    ]
 
 
 def model_implies(base, candidate, universe) -> bool:

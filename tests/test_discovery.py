@@ -209,7 +209,8 @@ def test_mask_apriori_steps_match_frozenset_references_in_order():
     rng = random.Random(27)
     for family, bits in _random_families(rng, 300):
         masks = {sum(bits[a] for a in s) for s in family}
-        assert _as_names(next_lhs_level(masks), bits) == reference_next_lhs_level(family)
+        got = _as_names(next_lhs_level(masks), bits)
+        assert got == reference_next_lhs_level(family)
         assert _as_names(_next_level(masks), bits) == reference_next_level(family)
 
 

@@ -240,8 +240,6 @@ def test_key_only_side_selects_every_shared_value():
     right = loads_csv("k,b\n1,p\n2,p\n2,q\n4,q", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.INNER)
     context = JoinContext(left, right, spec)
-    picked_right = generate_ids_set(
-        right, ["k"], {v: context.profile.right_groups[v] for v in context.profile.shared},
-        SampleConfig(),
-    )
+    groups = {v: context.profile.right_groups[v] for v in context.profile.shared}
+    picked_right = generate_ids_set(right, ["k"], groups, SampleConfig())
     assert selective_sampling(context, SampleConfig()) == picked_right != set()
