@@ -6,9 +6,16 @@ row set restricted to one side's columns, with one padding row per dangling
 join value of the other side under outer padding), a cache of partial joins
 keyed by kept attribute sets, and the validator's caches: each sub-instance
 row's join-value group, per-side stripped partitions refined from cached
-parents, and per-row (lhs part, rhs) code pairs, each built on first use and
-reused by every later candidate. Counters record how much was materialized,
-which is the frugality evidence the report exposes.
+parents (shared with upstaging through `side_partitions`), and per-row (lhs
+part, rhs) code pairs, each built on first use and reused by every later
+candidate. Every rejected candidate leaves a counterexample: the agree set of
+the two join rows that violate it, a bitmask over `join_bits`. It refutes
+every dependency whose lhs lies inside it and whose rhs lies outside, so it
+is filed under each join name outside it, and per name only the maximal
+agree sets are kept (`agree_sets`). `refutes` reads them, so the miner can
+drop a candidate that fits inside one without validating it. Counters record
+how much was materialized, which is the frugality evidence the report
+exposes.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .discovery import _PartitionCache, holds
+from .discovery import _PartitionCache, holds, lattice_bits
 from .errors import InternalInvariantError, JoinSpecError
 from .fds import FunctionalDependency
 from .joins import (
@@ -86,8 +93,12 @@ class JoinContext:
         # validator caches, see check_fd
         self._groups: dict[str, tuple[list[int], list[list[int]]]] = {}
         self._partitions: dict[str, _PartitionCache] = {}
-        self._spans: dict[tuple[str, frozenset[str]], list[Sequence[int]]] = {}
-        self._pairs: dict[tuple[str, frozenset[str], str], list[tuple] | None] = {}
+        self._spans: dict[tuple[str, frozenset[str]], list[tuple]] = {}
+        self._pairs: dict[tuple[str, frozenset[str], str], tuple] = {}
+        # counterexamples, see check_fd and refutes
+        self.join_bits: dict[str, int] = lattice_bits(self.owner)
+        self.agree_sets: dict[str, list[int]] = {}
+        self._agree_columns: list[tuple[int, str, Sequence[int]]] = []
 
     # -- schema ------------------------------------------------------------
 
@@ -235,6 +246,12 @@ class JoinContext:
         those groups too. Side J's (E, b) pairs are cached per (J, E, b),
         and its rows per multi-group class per (I, X), read off partitions
         refined from cached parents.
+
+        A rejection records its witness, two side-J rows r1 and r2 that
+        agree on E and differ on b, joined with side-I rows l1 and l2 of
+        their groups: within one group both meet the same side-I row, across
+        groups l1 and l2 come from the spanning π_X class (any rows of the
+        two groups when X is empty). See `_witness`.
         """
         self.counters.candidates_validated += 1
         names: dict[str, set[str]] = {"left": set(), "right": set()}
@@ -255,31 +272,95 @@ class JoinContext:
             b = on[rhs_pos]
         i = "right" if j == "left" else "left"
         e = frozenset(names[j]) | {on[p] for p in positions}
-        pairs = self._eb_pairs(j, e, b)
-        if pairs is None:
+        pairs, clash = self._eb_pairs(j, e, b)
+        if clash is not None:
+            self._witness(fd.rhs, i, None, *clash)
             return False
-        for rows in self._class_rows(i, frozenset(names[i])):
+        for rows, cls in self._class_rows(i, frozenset(names[i])):
             seen: dict[tuple, int] = {}
             for r in rows:
                 e_codes, b_code = pairs[r]
                 if seen.setdefault(e_codes, b_code) != b_code:
+                    first = next(t for t in rows if pairs[t][0] == e_codes)
+                    self._witness(fd.rhs, i, cls, first, r)
                     return False
         return True
+
+    def refutes(self, mask: int, rhs: str) -> bool:
+        """Is `mask` (over `join_bits`) -> rhs false on the join by a
+        recorded counterexample, that is, inside an agree set filed under
+        rhs?"""
+        for agree in self.agree_sets.get(rhs, ()):
+            if not mask & ~agree:
+                return True
+        return False
+
+    def _witness(
+        self, rhs: str, i: str, cls: Sequence[int] | None, r1: int, r2: int
+    ) -> None:
+        """Keep the agree set of the join rows (l1, r1) and (l2, r2).
+
+        r1 and r2 are rows of side J's sub-instance that violate a candidate
+        with this rhs; l1 and l2 are rows of side I's from their groups,
+        taken from `cls` when given, else the first of each group. Both join
+        rows exist, since a participating group joins every side-I row with
+        every side-J row. A join name agrees when its owning side's codes
+        agree; a merged natural key column is owned by the left side, whose
+        key columns carry every row's join value, padding rows included.
+        The agree set is filed under every join name outside it, rhs among
+        them, unless one filed there already contains it; it displaces the
+        ones it contains.
+        """
+        if self.spec.kind in SEMI_KINDS:  # nothing mines a semi-join
+            return
+        j = "right" if i == "left" else "left"
+        labels_j, _ = self._row_groups(j)
+        labels_i, grouped_i = self._row_groups(i)
+        g1, g2 = labels_j[r1], labels_j[r2]
+        if cls is None:
+            l1, l2 = grouped_i[g1][0], grouped_i[g2][0]
+        else:
+            l1 = next(t for t in cls if labels_i[t] == g1)
+            l2 = next(t for t in cls if labels_i[t] == g2)
+        if not self._agree_columns:
+            for name, bit in self.join_bits.items():
+                side, base = self.owner[name]
+                sub = self.side_subinstance(side)
+                self._agree_columns.append((bit, side, sub.columns[sub.ordinal(base)]))
+        rows = {i: (l1, l2), j: (r1, r2)}
+        mask = 0
+        for bit, side, col in self._agree_columns:
+            t1, t2 = rows[side]
+            if col[t1] == col[t2]:
+                mask |= bit
+        for name, bit in self.join_bits.items():
+            if bit & mask:
+                continue
+            kept = self.agree_sets.setdefault(name, [])
+            if any(not mask & ~agree for agree in kept):
+                continue
+            kept[:] = [agree for agree in kept if agree & ~mask]
+            kept.append(mask)
 
     def _row_groups(self, side: str) -> tuple[list[int], list[list[int]]]:
         """Each row's group id in `side_subinstance(side)`, and each group's rows.
 
         Group ids index the participating join values, the same on both
         sides: the shared values, then the dangling ones an outer operator
-        pads.
+        pads, each by the first row carrying it, so that the witnesses
+        `check_fd` records do not depend on set iteration order.
         """
         if not self._groups:
             profile = self.profile
-            values = list(profile.shared)
+
+            def by_first_row(values: frozenset, side: str) -> list[tuple]:
+                return sorted(values, key=lambda v: profile.groups(side)[v][0])
+
+            values = by_first_row(profile.shared, "left")
             if self.pads_right():
-                values += profile.dangling_left
+                values += by_first_row(profile.dangling_left, "left")
             if self.pads_left():
-                values += profile.dangling_right
+                values += by_first_row(profile.dangling_right, "right")
             gid = {v: g for g, v in enumerate(values)}
             for s in ("left", "right"):
                 layout = self._side_rows(s)
@@ -297,11 +378,14 @@ class JoinContext:
                 self._groups[s] = (labels, grouped)
         return self._groups[side]
 
-    def _eb_pairs(self, j: str, e: frozenset[str], b: str) -> list[tuple] | None:
+    def _eb_pairs(
+        self, j: str, e: frozenset[str], b: str
+    ) -> tuple[list[tuple] | None, tuple[int, int] | None]:
         """Per row of `side_subinstance(j)`, its (E codes, b code) pair.
 
-        None when some group holds two rows that agree on E and differ on
-        b, which fails every dependency with this E and b.
+        Or, when some group holds two rows that agree on E and differ on b,
+        which fails every dependency with this E and b, None and the first
+        such two rows.
         """
         key = (j, e, b)
         if key not in self._pairs:
@@ -310,40 +394,53 @@ class JoinContext:
             cols = [sub.columns[o] for o in sub.ordinals(e)]
             codes = list(zip(*cols)) if cols else [()] * sub.row_count
             pairs = list(zip(codes, sub.columns[sub.ordinal(b)]))
+            found: tuple[list[tuple] | None, tuple[int, int] | None] = (pairs, None)
             if len(set(zip(labels, codes))) < len(set(zip(labels, pairs))):
-                pairs = None
-            self._pairs[key] = pairs
+                first: dict[tuple, int] = {}
+                for r, (g, (e_codes, b_code)) in enumerate(zip(labels, pairs)):
+                    t = first.setdefault((g, e_codes), r)
+                    if pairs[t][1] != b_code:
+                        found = (None, (t, r))
+                        break
+            self._pairs[key] = found
         return self._pairs[key]
 
-    def _class_rows(self, i: str, x: frozenset[str]) -> list[Sequence[int]]:
+    def _class_rows(
+        self, i: str, x: frozenset[str]
+    ) -> list[tuple[Sequence[int], Sequence[int] | None]]:
         """Per class of π_X on side i spanning several groups, the other
-        side's rows in those groups, largest first.
+        side's rows in those groups, largest first, with the class.
 
         The classes are those of the stripped partition of
-        `side_subinstance(i)`. An empty X has one class holding every
-        participating group.
+        `side_subinstance(i)`, one per set of spanned groups. An empty X
+        has one class holding every participating group, given as None.
         """
         key = (i, x)
         if key not in self._spans:
             j = "right" if i == "left" else "left"
             if not x:
-                spans = [range(self.side_subinstance(j).row_count)]
+                spans: list[tuple] = [(range(self.side_subinstance(j).row_count), None)]
             else:
-                if i not in self._partitions:
-                    self._partitions[i] = _PartitionCache(self.side_subinstance(i))
-                cache = self._partitions[i]
+                cache = self.side_partitions(i)
                 labels, _ = self._row_groups(i)
                 _, grouped = self._row_groups(j)
-                found: dict[frozenset[int], None] = {}
+                found: dict[frozenset[int], Sequence[int]] = {}
                 for cls in cache.get(cache.mask(x)).classes:
                     span = frozenset(map(labels.__getitem__, cls))
                     if len(span) > 1:
-                        found[span] = None
+                        found.setdefault(span, cls)
                 spans = [
-                    list(chain.from_iterable(map(grouped.__getitem__, groups)))
-                    for groups in found
+                    (list(chain.from_iterable(map(grouped.__getitem__, groups))), cls)
+                    for groups, cls in found.items()
                 ]
                 # larger classes are likelier to witness a violation
-                spans.sort(key=len, reverse=True)
+                spans.sort(key=lambda span: len(span[0]), reverse=True)
             self._spans[key] = spans
         return self._spans[key]
+
+    def side_partitions(self, side: str) -> _PartitionCache:
+        """Stripped partitions of `side_subinstance(side)`, shared by every
+        stage that reads that sub-instance's partitions."""
+        if side not in self._partitions:
+            self._partitions[side] = _PartitionCache(self.side_subinstance(side))
+        return self._partitions[side]

@@ -230,14 +230,17 @@ def discover_fds(
 def discover_new_fds(
     instance: Instance,
     known: FdSet | Iterable[FunctionalDependency],
+    cache: _PartitionCache | None = None,
 ) -> FdSet:
     """Minimal dependencies of `instance` not implied by `known`.
 
     The search prunes candidates implied by `known` or by output found so
     far, so the union of `known` and the result implies every dependency
-    holding on the instance.
+    holding on the instance. `cache` holds partitions of `instance` that
+    other readers share; by default the search builds its own.
     """
-    cache = _PartitionCache(instance)
+    if cache is None:
+        cache = _PartitionCache(instance)
     known = FdSet(known)
     out = FdSet()
     for rhs in instance.attr_names:

@@ -6,9 +6,14 @@ determine b on the join. Every anchored rhs is explored level-wise over lhs
 candidates drawn from the opposite side's non-join attributes, each candidate
 validated by the context's validator (`JoinContext.check_fd`), which reads
 cached partitions of the lhs side and cached (lhs part, rhs) code pairs of
-the rhs side and materializes no join rows. Candidates implied by previously
-established dependencies are skipped, and a lhs attribute is dropped from the
-alphabet once it can no longer contribute.
+the rhs side and materializes no join rows. Each rejection leaves the agree
+set of two violating join rows in the context, and a later candidate whose
+lhs fits inside an agree set filed under its rhs is false on the join: it is
+refuted without an implication check or a validation, and stays a survivor
+exactly as a failed validation does. Candidates implied by previously
+established dependencies are skipped; the implication pool holds only true
+dependencies, so it never implies a refuted one. A lhs attribute is dropped
+from the alphabet once it can no longer contribute.
 """
 
 from __future__ import annotations
@@ -89,19 +94,18 @@ def _padding_shadows_anchors(context: JoinContext, j_is_left: bool) -> bool:
 def discover(
     context: JoinContext,
     i_is_left: bool,
-    sigma_j: FdSet,
+    anchors: list[tuple[str, frozenset[str]]],
     sigma_prior: FdSet,
     i_plausible_rhs: frozenset[str] | None = None,
 ) -> FdSet:
     """Mine dependencies with lhs from side I and anchored rhs from side J.
 
     Side I is the join's left input when `i_is_left`, else its right one.
-    `sigma_j` holds on side J's join row set, in side-local names;
-    `sigma_prior` is everything already established, in join-result names.
+    `anchors` are side J's (rhs, extension) pairs from `_anchors`, in
+    side-local names; `sigma_prior` is everything already established, in
+    join-result names.
     """
     instance_i = context.left if i_is_left else context.right
-    instance_j = context.right if i_is_left else context.left
-    y_attrs = context.spec.right_on if i_is_left else context.spec.left_on
     i_map = context.lmap if i_is_left else context.rmap
     j_map = context.rmap if i_is_left else context.lmap
     # side I's lattice on bitmasks; each bit maps to its join-result name
@@ -111,17 +115,16 @@ def discover(
     plausible = everything
     if i_plausible_rhs is not None:
         plausible = sum(bit for a, bit in bits.items() if a in i_plausible_rhs)
+    # the same candidate as a mask over the context's join names
+    join_bits = context.join_bits
+    join_bit = {bit: join_bits[name] for bit, name in joined_name.items()}
+    join_masks: dict[int, int] = {}
     out = FdSet()
     pool = FdSet(sigma_prior.as_set())  # the prior set plus every accepted candidate
-    anchors = _anchors(
-        instance_j.attr_names,
-        y_attrs,
-        sigma_j,
-        assume_all_anchored=_padding_shadows_anchors(context, j_is_left=not i_is_left),
-    )
     for b, ext in anchors:
         rhs = j_map[b]
         ext_mapped = frozenset(j_map[a] for a in ext)
+        ext_mask = sum(join_bits[a] for a in ext_mapped)
         # a natural join maps both sides' key to one name, so the mapped lhs
         # can contain the rhs: such a candidate is trivial
         trivial = sum(bit for bit, name in joined_name.items() if name == rhs)
@@ -135,16 +138,24 @@ def discover(
             for lhs_i in level:
                 if lhs_i & trivial:
                     continue
-                lhs = frozenset(map(joined_name.__getitem__, mask_bits(lhs_i)))
-                cand = FunctionalDependency(lhs | ext_mapped, rhs)
-                if implies(pool, cand):
-                    continue
-                if context.check_fd(cand):
-                    out.add(cand, "mined")
-                    pool.add(cand)
-                else:
-                    survivors.append(lhs_i)
-                    unblocked |= lhs_i
+                joined = join_masks.get(lhs_i)
+                if joined is None:
+                    joined = join_masks[lhs_i] = sum(
+                        map(join_bit.__getitem__, mask_bits(lhs_i))
+                    )
+                # a counterexample refutes it, so the pool of true
+                # dependencies cannot imply it and validation would fail
+                if not context.refutes(joined | ext_mask, rhs):
+                    lhs = frozenset(map(joined_name.__getitem__, mask_bits(lhs_i)))
+                    cand = FunctionalDependency(lhs | ext_mapped, rhs)
+                    if implies(pool, cand):
+                        continue
+                    if context.check_fd(cand):
+                        out.add(cand, "mined")
+                        pool.add(cand)
+                        continue
+                survivors.append(lhs_i)
+                unblocked |= lhs_i
             alphabet &= plausible | unblocked
             level = [c for c in next_lhs_level(survivors) if not c & ~alphabet]
     return out
@@ -160,24 +171,32 @@ def discover_selective(
 
     `sigma_left` / `sigma_right` are each side's join-level dependency sets
     in side-local names; `sigma_prior` is the established set in join names.
+    Each side's anchors are computed once: their rhs names bound the other
+    direction's alphabet, and they license this side's rhs candidates
+    unless padding waives anchoring there.
     """
     spec = context.spec
     if spec.kind in SEMI_KINDS:
         return FdSet()
-    plausible_left = frozenset(
-        b for b, _ in _anchors(context.left.attr_names, spec.left_on, sigma_left)
-    )
-    plausible_right = frozenset(
-        b for b, _ in _anchors(context.right.attr_names, spec.right_on, sigma_right)
-    )
+    plausible: dict[str, frozenset[str]] = {}
+    licensed: dict[str, list[tuple[str, frozenset[str]]]] = {}
+    for side, inst, on, sigma in (
+        ("left", context.left, spec.left_on, sigma_left),
+        ("right", context.right, spec.right_on, sigma_right),
+    ):
+        found = _anchors(inst.attr_names, on, sigma)
+        plausible[side] = frozenset(b for b, _ in found)
+        if _padding_shadows_anchors(context, j_is_left=side == "left"):
+            found = _anchors(inst.attr_names, on, sigma, assume_all_anchored=True)
+        licensed[side] = found
     first = discover(
-        context, i_is_left=True, sigma_j=sigma_right, sigma_prior=sigma_prior,
-        i_plausible_rhs=plausible_left,
+        context, i_is_left=True, anchors=licensed["right"], sigma_prior=sigma_prior,
+        i_plausible_rhs=plausible["left"],
     )
     prior_plus = sigma_prior.union(first)
     second = discover(
-        context, i_is_left=False, sigma_j=sigma_left, sigma_prior=prior_plus,
-        i_plausible_rhs=plausible_right,
+        context, i_is_left=False, anchors=licensed["left"], sigma_prior=prior_plus,
+        i_plausible_rhs=plausible["right"],
     )
     mined = FdSet()
     kept = remove_implied(sigma_prior.union(first, second))

@@ -19,7 +19,7 @@ from typing import Sequence
 from .context import JoinContext
 from .discovery import discover_fds, discover_new_fds, holds, minimal_variants
 from .errors import InputError
-from .fds import Afd, FdSet, remove_implied
+from .fds import Afd, FdSet, FunctionalDependency, remove_implied
 from .joins import JoinKind
 from .partition import violating_tuples
 from .relation import Instance
@@ -128,9 +128,13 @@ def upstage(
             preserved[side] = FdSet()
             continue
         padded = context.pads_left() if side == "left" else context.pads_right()
-        survivors = (
-            FdSet(d for d in fds if holds(sub, d)) if padded else FdSet(fds.as_set())
-        )
+        # the validator reads the same sub-instance's partitions
+        partitions = context.side_partitions(side)
+
+        def valid(d: FunctionalDependency) -> bool:
+            return partitions.holds(partitions.mask(d.lhs), sub.ordinal(d.rhs))
+
+        survivors = FdSet(d for d in fds if valid(d)) if padded else FdSet(fds.as_set())
         stats.preserved_dropped += len(fds) - len(survivors)
         preserved[side] = survivors
         if not padded and sub.row_count == inst.row_count:
@@ -145,12 +149,12 @@ def upstage(
             stats.afds_checked += len(afds)
             stats.afds_promoted += len(promoted)
             for d in promoted:
-                if holds(sub, d):  # padding may break a promotion
-                    for minimal in minimal_variants(d, lambda c: holds(sub, c)):
+                if valid(d):  # padding may break a promotion
+                    for minimal in minimal_variants(d, valid):
                         new.add(minimal)
         if run_discovery_path:
             known = survivors.union(new)
-            for d in discover_new_fds(sub, known):
+            for d in discover_new_fds(sub, known, partitions):
                 new.add(d)
         out[side] = remove_implied(new)
     left_up, right_up = FdSet(), FdSet()

@@ -5,14 +5,19 @@ machinery: they enumerate subsets and scan decoded rows with dictionaries,
 so they can serve as ground truth for it. The references are the plain
 frozenset forms of the library's bitmask algorithms (closure, redundancy
 removal, the apriori step); the library must return exactly what they do.
+`recorded_contexts` and `counterexamples_refuted_on_join` check the
+validator's counterexamples against the materialized join.
 """
 
 from itertools import combinations
 
 import pytest
 
+from joinfd import pipeline
+from joinfd.context import JoinContext
+from joinfd.discovery import holds
 from joinfd.fds import FdSet, FunctionalDependency
-from joinfd.joins import JoinSpec
+from joinfd.joins import JoinSpec, join
 from joinfd.relation import Instance, loads_csv
 
 
@@ -27,6 +32,54 @@ def pair_with_join_only_fd():
     left = loads_csv("X,A\n0,0\n1,0\n1,1\n2,2", name="L")
     right = loads_csv("Y,B,C\n0,0,0\n1,0,0\n1,1,1\n2,1,0", name="R")
     return left, right, JoinSpec.equi(["X"], ["Y"])
+
+
+@pytest.fixture
+def recorded_contexts(monkeypatch):
+    """Every JoinContext `run_pipeline` makes, each keeping in `refuted`
+    the (join-name mask, rhs) candidates it refuted."""
+    made: list[JoinContext] = []
+
+    class Recording(JoinContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.refuted: list[tuple[int, str]] = []
+            made.append(self)
+
+        def refutes(self, mask: int, rhs: str) -> bool:
+            hit = super().refutes(mask, rhs)
+            if hit:
+                self.refuted.append((mask, rhs))
+            return hit
+
+    monkeypatch.setattr(pipeline, "JoinContext", Recording)
+    return made
+
+
+def counterexamples_refuted_on_join(context) -> tuple[int, int]:
+    """Check a context's counterexamples on its materialized join.
+
+    Every agree set kept for rhs b must exclude b, and names(mask) -> b must
+    fail on the join; so must every candidate the context refuted (see
+    `recorded_contexts`). Returns how many agree sets and refutations
+    were checked.
+    """
+    joined = join(context.left, context.right, context.spec)
+    name = {bit: a for a, bit in context.join_bits.items()}
+
+    def false_on_join(mask: int, rhs: str) -> bool:
+        lhs = frozenset(a for bit, a in name.items() if bit & mask)
+        return not holds(joined, FunctionalDependency(lhs, rhs))
+
+    agree_sets = 0
+    for rhs, masks in context.agree_sets.items():
+        for mask in masks:
+            assert not mask & context.join_bits[rhs], (context.spec, rhs)
+            assert false_on_join(mask, rhs), (context.spec, mask, rhs)
+            agree_sets += 1
+    for mask, rhs in context.refuted:
+        assert false_on_join(mask, rhs), (context.spec, mask, rhs)
+    return agree_sets, len(context.refuted)
 
 
 def brute_force_fds(instance: Instance) -> FdSet:

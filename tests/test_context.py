@@ -1,10 +1,12 @@
 from itertools import combinations
 
+from conftest import counterexamples_refuted_on_join
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
 from joinfd.fds import fd
 from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, join
+from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 
 
@@ -17,7 +19,11 @@ def _exhaustive_agreement(left, right, spec):
         for size in range(len(others) + 1):
             for combo in combinations(others, size):
                 cand = fd(combo, rhs)
-                assert ctx.check_fd(cand) == holds(joined, cand), cand
+                valid = ctx.check_fd(cand)
+                assert valid == holds(joined, cand), cand
+                # a rejection keeps a counterexample that refutes it
+                mask = sum(ctx.join_bits[a] for a in combo)
+                assert ctx.refutes(mask, rhs) is not valid, cand
     assert ctx.counters.partial_join_rows == 0  # streaming stores nothing
 
 
@@ -52,7 +58,7 @@ def test_streaming_check_with_null_data():
         _exhaustive_agreement(left, right, JoinSpec.equi(["k"], ["k"], kind))
 
 
-def test_streaming_check_matches_materialized_join_at_fixture_scale():
+def _outer_fixture_pairs():
     # classes of 24-row sides span many join-value groups, which the tiny
     # pairs of the differential test rarely produce; odd seeds join
     # naturally, merging the key columns
@@ -72,7 +78,24 @@ def test_streaming_check_matches_materialized_join_at_fixture_scale():
         left, right, spec = make_fixture(profile, seed)
         if seed % 2:
             spec = JoinSpec.natural_join(left, right, spec.kind)
+        yield left, right, spec
+
+
+def test_streaming_check_matches_materialized_join_at_fixture_scale():
+    for left, right, spec in _outer_fixture_pairs():
         _exhaustive_agreement(left, right, spec)
+
+
+def test_counterexamples_are_false_on_outer_fixture_joins(recorded_contexts):
+    agree_sets = refuted = 0
+    for left, right, spec in _outer_fixture_pairs():
+        run_pipeline(left, right, spec, strategy="selective")
+    for context in recorded_contexts:
+        kept, hits = counterexamples_refuted_on_join(context)
+        agree_sets += kept
+        refuted += hits
+    assert len(recorded_contexts) == 30
+    assert agree_sets > 0 and refuted > 0
 
 
 def test_each_dangling_value_pads_its_own_row():

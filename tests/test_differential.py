@@ -7,13 +7,17 @@ because natural outer padding breaks dependencies even then. Each pair is
 checked twice: the selective pipeline's output must be closure-equal to
 the oracle's, and, on every non-semi pair, the streaming validator must
 agree with the materialized join on every candidate dependency over the
-join schema. The sampling pipeline's output must imply the oracle's set on
-every pair.
+join schema, each rejection keeping a counterexample that refutes it. The
+sampling pipeline's output must imply the oracle's set on every pair.
+After each selective run, every counterexample the validator kept, and
+every mining candidate it refuted with one, must be false on the
+materialized join.
 """
 
 import random
 from itertools import combinations
 
+from conftest import counterexamples_refuted_on_join
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
 from joinfd.fds import closure_equal, fd, implies
@@ -86,7 +90,22 @@ def test_streaming_validator_matches_materialized_join_on_tiny_random_pairs():
             for size in range(len(others) + 1):
                 for combo in combinations(others, size):
                     cand = fd(combo, rhs)
-                    assert context.check_fd(cand) == holds(joined, cand), (spec, cand)
+                    valid = context.check_fd(cand)
+                    assert valid == holds(joined, cand), (spec, cand)
+                    mask = sum(context.join_bits[a] for a in combo)
+                    assert context.refutes(mask, rhs) is not valid, (spec, cand)
                     checked += 1
         assert context.counters.candidates_validated == checked - before
     assert checked > 0
+
+
+def test_counterexamples_are_false_on_tiny_random_pairs(recorded_contexts):
+    agree_sets = refuted = 0
+    for left, right, spec in _pairs():
+        run_pipeline(left, right, spec, strategy="selective")
+    for context in recorded_contexts:
+        kept, hits = counterexamples_refuted_on_join(context)
+        agree_sets += kept
+        refuted += hits
+    assert len(recorded_contexts) == PAIRS
+    assert agree_sets > 0 and refuted > 0

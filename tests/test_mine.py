@@ -6,7 +6,7 @@ from joinfd.fds import FdSet, fd, implies, minimal_cover, closure_equal
 from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.infer import infer_join_fds
 from joinfd.joins import JoinKind, JoinSpec, join
-from joinfd.mine import discover, discover_selective
+from joinfd.mine import _anchors, discover, discover_selective
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
@@ -34,7 +34,8 @@ def test_no_anchor_no_output_for_data_attributes():
     left = loads_csv("k,a\n1,x\n2,y\n1,y", name="L")
     right = loads_csv("k,b\n1,p\n1,q\n2,p\n2,q", name="R")
     context = JoinContext(left, right, JoinSpec.equi(["k"], ["k"]))
-    got = discover(context, True, FdSet(), FdSet())
+    anchors = _anchors(right.attr_names, ["k"], FdSet())
+    got = discover(context, True, anchors, FdSet())
     assert all(d.rhs == "R.k" for d in got)
 
 
@@ -49,7 +50,8 @@ def test_candidates_with_known_subsets_are_skipped(pair_with_join_only_fd):
     left, right, spec = pair_with_join_only_fd
     context, sigma_l, sigma_r, _ = _stage12(left, right, spec)
     prior = FdSet([fd(["L.A"], "R.C")])  # pretend a smaller rule is known
-    got = discover(context, True, sigma_r, prior)
+    anchors = _anchors(right.attr_names, spec.right_on, sigma_r)
+    got = discover(context, True, anchors, prior)
     assert fd(["L.A", "R.B"], "R.C") not in got
 
 
@@ -60,8 +62,6 @@ def test_mixed_anchor_skipped_when_extension_alone_works():
     spec = JoinSpec.equi(["X"], ["Y"])
     sigma_r, _ = discover_fds(right)
     assert implies(sigma_r, fd(["B"], "C"))
-    from joinfd.mine import _anchors
-
     anchors = _anchors(right.attr_names, ["Y"], sigma_r)
     assert ("C", frozenset(["B"])) not in anchors
 
