@@ -8,12 +8,16 @@ runs on integer bitmasks (`lattice_bits`): the first name in sorted order
 takes the highest bit, so a mask's lowest bit is its largest name, the parent
 of a set is the mask minus its lowest bit, and within one level descending
 masks come out in lexicographic order of sorted names. Names are built only
-for results and implication checks. Each partition is refined from its
-cached parent, and a candidate is tested exactly by scanning lhs classes
-until one disagrees on the rhs. With a nonzero error budget the search also
-counts g3 violations and reports approximate dependencies that are minimal
-under the budget; it keeps expanding below them because exact dependencies
-may still appear there.
+for results. Each partition is refined from its cached parent, and a
+candidate is tested exactly by scanning lhs classes until one disagrees on
+the rhs. With a nonzero error budget the search also counts g3 violations
+and reports approximate dependencies that are minimal under the budget; it
+keeps expanding below them because exact dependencies may still appear there.
+
+`discover_new_fds` walks the same masks with the same level step, and also
+skips every candidate that the known dependencies, plus what it has found
+for that rhs, imply; the known set is compiled onto the lattice's bits, so
+the implication check is a mask closure as well.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Collection, Iterable
 
-from .fds import Afd, FdSet, FunctionalDependency, implies, mask_bits
+from .fds import Afd, FdSet, FunctionalDependency, Rules, mask_bits
 from .partition import StrippedPartition, _class_violations, build_partition, refine
 from .relation import Instance
 
@@ -156,31 +160,6 @@ def _next_level(kept: Collection[int]) -> list[int]:
     return out
 
 
-def next_level_candidates(
-    current: Iterable[FunctionalDependency],
-    pruned: FdSet | Iterable[FunctionalDependency],
-) -> list[FunctionalDependency]:
-    """Per rhs, `_next_level` of `current`'s lhs sets, minus what `pruned` implies."""
-    if not isinstance(pruned, FdSet):
-        pruned = FdSet(pruned)
-    by_rhs: dict[str, list[frozenset[str]]] = {}
-    for d in current:
-        by_rhs.setdefault(d.rhs, []).append(d.lhs)
-    out = []
-    for rhs in sorted(by_rhs):
-        lhss = by_rhs[rhs]
-        bits = lattice_bits(a for lhs in lhss for a in lhs)
-        name = {bit: a for a, bit in bits.items()}
-        kept = {sum(map(bits.__getitem__, lhs)) for lhs in lhss}
-        for c in _next_level(kept):
-            lhs = frozenset(map(name.__getitem__, mask_bits(c)))
-            cand = FunctionalDependency(lhs, rhs)
-            if not implies(pruned, cand):
-                out.append(cand)
-    out.sort(key=FunctionalDependency.sort_key)
-    return out
-
-
 def discover_fds(
     instance: Instance, epsilon: float = 0.0
 ) -> tuple[FdSet, list[Afd]]:
@@ -234,39 +213,48 @@ def discover_new_fds(
 ) -> FdSet:
     """Minimal dependencies of `instance` not implied by `known`.
 
-    The search prunes candidates implied by `known` or by output found so
-    far, so the union of `known` and the result implies every dependency
-    holding on the instance. `cache` holds partitions of `instance` that
-    other readers share; by default the search builds its own.
+    The walk is `discover_fds`'s, on the same masks, except that it skips a
+    candidate implied by `known` plus the output found so far for its rhs,
+    so the union of `known` and the result implies every dependency holding
+    on the instance. `cache` holds partitions of `instance` that other
+    readers share; by default the search builds its own.
     """
     if cache is None:
         cache = _PartitionCache(instance)
-    known = FdSet(known)
+    # `Rules` gives names bits from the lowest up as it first sees them, so
+    # seeding them in ascending bit order gives each its lattice bit
+    rules = Rules()
+    rules.mask(sorted(cache.bits, reverse=True))
+    for d in known:
+        rules.add(d)
     out = FdSet()
     for rhs in instance.attr_names:
         rhs_ord = instance.ordinal(rhs)
-        pruning = FdSet(known.as_set())
-        base = FunctionalDependency(frozenset(), rhs)
-        if not implies(pruning, base) and cache.holds(0, rhs_ord):
-            out.add(base)
+        goal = cache.bits[rhs]
+        found: list[int] = []
+
+        def implied(lhs: int) -> bool:
+            # a rule X -> rhs found here fires only once X is within the
+            # closure of lhs under `known`, and then reaches the goal
+            reach = rules.closure(lhs, goal)
+            return bool(reach & goal) or any(not x & ~reach for x in found)
+
+        if not implied(0) and cache.holds(0, rhs_ord):
+            out.add(FunctionalDependency(frozenset(), rhs))
             continue
-        level = [
-            FunctionalDependency(frozenset([a]), rhs) for a in cache.bits if a != rhs
-        ]
-        level = [d for d in level if not implies(pruning, d)]
+        level = [bit for bit in cache.bits.values() if bit != goal and not implied(bit)]
         while level:
-            kept = []
-            # a level arrives filtered by `pruning`; only what this level adds
-            # to it can prune the rest
-            grown = False
-            for cand in level:
-                if grown and implies(pruning, cand):
+            kept: set[int] = set()
+            # a level arrives filtered by `implied`; only what this level
+            # finds can prune the rest
+            before = len(found)
+            for lhs in level:
+                if len(found) > before and implied(lhs):
                     continue
-                if cache.holds(cache.mask(cand.lhs), rhs_ord):
-                    out.add(cand)
-                    pruning.add(cand)
-                    grown = True
+                if cache.holds(lhs, rhs_ord):
+                    out.add(FunctionalDependency(cache.names(lhs), rhs))
+                    found.append(lhs)
                 else:
-                    kept.append(cand)
-            level = next_level_candidates(kept, pruning)
+                    kept.add(lhs)
+            level = [c for c in _next_level(kept) if not implied(c)]
     return out

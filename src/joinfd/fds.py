@@ -19,18 +19,6 @@ from typing import Iterable, Iterator
 
 from .errors import InternalInvariantError
 
-ORIGIN_TAGS = (
-    "preserved-left",
-    "preserved-right",
-    "upstaged-left",
-    "upstaged-right",
-    "inferred",
-    "refined",
-    "mined",
-    "sampled",
-)
-
-
 @dataclass(frozen=True)
 class FunctionalDependency:
     lhs: frozenset[str]
@@ -119,11 +107,12 @@ class FdSet:
         merged = FdSet(self._fds)
         merged.origins.update(self.origins)
         for other in others:
-            for d in other:
-                merged.add(d)
             if isinstance(other, FdSet):
                 for d, tag in other.origins.items():
                     merged.origins.setdefault(d, tag)
+                # iterating an FdSet sorts it; a union needs no order
+                other = other._fds
+            merged._fds.update(other)
         return merged
 
     def as_set(self) -> frozenset[FunctionalDependency]:

@@ -23,14 +23,7 @@ from typing import Sequence
 
 from .context import JoinContext
 from .discovery import lattice_bits, next_lhs_level
-from .fds import (
-    FdSet,
-    FunctionalDependency,
-    compile_rules,
-    implies,
-    mask_bits,
-    remove_implied,
-)
+from .fds import FdSet, FunctionalDependency, compile_rules, implies, mask_bits
 from .joins import SEMI_KINDS
 from .relation import has_nulls
 
@@ -167,13 +160,16 @@ def discover_selective(
     sigma_right: FdSet,
     sigma_prior: FdSet,
 ) -> FdSet:
-    """Mine both directions; returns only the newly mined dependencies.
+    """Mine both directions; returns the newly mined dependencies, tagged.
 
     `sigma_left` / `sigma_right` are each side's join-level dependency sets
     in side-local names; `sigma_prior` is the established set in join names.
     Each side's anchors are computed once: their rhs names bound the other
     direction's alphabet, and they license this side's rhs candidates
-    unless padding waives anchoring there.
+    unless padding waives anchoring there. Neither direction adds what the
+    prior set and the accepted candidates imply, but a later acceptance
+    can make an earlier one redundant: the caller reduces the union of the
+    prior set and this output once.
     """
     spec = context.spec
     if spec.kind in SEMI_KINDS:
@@ -198,9 +194,4 @@ def discover_selective(
         context, i_is_left=False, anchors=licensed["left"], sigma_prior=prior_plus,
         i_plausible_rhs=plausible["right"],
     )
-    mined = FdSet()
-    kept = remove_implied(sigma_prior.union(first, second))
-    for d in first.union(second):
-        if d in kept:
-            mined.add(d, "mined")
-    return mined
+    return first.union(second)

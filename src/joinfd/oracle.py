@@ -38,7 +38,8 @@ def oracle_join_fds(
     limit: int | None = None,
     context: JoinContext | None = None,
 ) -> FdSet:
-    """Minimal cover of all dependencies on the materialized join.
+    """Minimal cover of all dependencies on the materialized join, tagged
+    `mined`.
 
     Every lhs `discover_fds` returns is already minimal on the join, so
     dropping the implied members is all a minimal cover has left to do.
@@ -62,4 +63,6 @@ def oracle_join_fds(
     if joined.row_count == 0:
         return FdSet()  # vacuous: callers flag this instead of emitting everything
     exact, _ = discover_fds(joined)
-    return remove_implied(exact)
+    cover = remove_implied(exact)
+    cover.origins = dict.fromkeys(cover.as_set(), "mined")
+    return cover

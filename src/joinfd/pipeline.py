@@ -15,16 +15,16 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .context import Counters, JoinContext
-from .discovery import discover_fds
+from .discovery import discover_fds, holds
 from .errors import InputError, InternalInvariantError
-from .fds import ORIGIN_TAGS, Afd, FdSet, FunctionalDependency, remove_implied
+from .fds import Afd, FdSet, FunctionalDependency, remove_implied
 from .infer import infer_join_fds
 from .joins import CoverageReport, JoinKind, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
 from .oracle import oracle_join_fds
 from .relation import Instance, has_nulls
 from .sample import SampleConfig, discover_sampled
-from .upstage import upstage, validate_exact
+from .upstage import upstage
 
 STRATEGIES = ("selective", "sampling", "oracle")
 
@@ -80,41 +80,27 @@ class DiscoveryReport:
         return doc
 
 
-def classify_origins(
-    final: FdSet,
-    preserved_left: FdSet,
-    preserved_right: FdSet,
-    stage_outputs: dict[str, FdSet],
-) -> FdSet:
-    """Tag every final dependency with the first stage that produced it.
-
-    Stage priority: preserved, then upstaged, then inferred/refined, then
-    mined/sampled. Every member must come from somewhere; anything else is
-    an internal error.
-    """
-    sources: dict[str, FdSet] = {
-        "preserved-left": preserved_left,
-        "preserved-right": preserved_right,
-    }
-    sources.update(stage_outputs)
+def _tag_from(final: FdSet, sources: FdSet) -> FdSet:
+    """`final` with each member tagged as in `sources`, the union of the
+    stage outputs in priority order, whose first tag per member stands."""
     tagged = FdSet()
-    for d in final:
-        for tag in ORIGIN_TAGS:
-            pool = sources.get(tag)
-            if pool is not None and d in pool:
-                tagged.add(d, tag)
-                break
-        else:
+    for d in final.as_set():
+        tag = sources.origins.get(d)
+        if tag is None:
             raise InternalInvariantError(
                 f"dependency {d} in the final set has no producing stage"
             )
+        tagged.add(d, tag)
     return tagged
 
 
-def _map_fdset(fds: FdSet, mapping: dict[str, str]) -> FdSet:
+def _map_fdset(
+    fds: FdSet, mapping: dict[str, str], origin: str | None = None
+) -> FdSet:
+    """`fds` in join names, tagged `origin` or else as they were."""
     out = FdSet()
     for d in fds:
-        out.add(d.rename(mapping), fds.origins.get(d))
+        out.add(d.rename(mapping), origin or fds.origins.get(d))
     return out
 
 
@@ -135,11 +121,16 @@ def run_pipeline(
     right_fds: FdSet | None = None,
     left_afds: list[Afd] | None = None,
     right_afds: list[Afd] | None = None,
-    oracle_limit: int | None = None,
 ) -> DiscoveryReport:
     """Discover the dependencies of join(left, right, spec) per `strategy`."""
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    for instance, given in ((left, left_fds), (right, right_fds)):
+        for d in given or ():
+            if not holds(instance, d):
+                raise InputError(
+                    f"provided dependency {d} does not hold on {instance.name!r}"
+                )
     context = JoinContext(left, right, spec)
     timings: dict[str, float] = {}
     started = time.perf_counter()
@@ -160,20 +151,14 @@ def run_pipeline(
 
     if strategy == "oracle":
         t0 = time.perf_counter()
-        final = oracle_join_fds(left, right, spec, limit=oracle_limit, context=context)
+        final = oracle_join_fds(left, right, spec, context=context)
         timings["oracle"] = time.perf_counter() - t0
         sigma_l = left_fds if left_fds is not None else discover_fds(left)[0]
         sigma_r = right_fds if right_fds is not None else discover_fds(right)[0]
-        mapped_l = _map_fdset(sigma_l, context.lmap)
-        mapped_r = _map_fdset(sigma_r, context.rmap)
-        tagged = FdSet()
-        for d in final:
-            if d in mapped_l:
-                tagged.add(d, "preserved-left")
-            elif d in mapped_r:
-                tagged.add(d, "preserved-right")
-            else:
-                tagged.add(d, "mined")
+        sources = _map_fdset(sigma_l, context.lmap, "preserved-left").union(
+            _map_fdset(sigma_r, context.rmap, "preserved-right"), final
+        )
+        tagged = _tag_from(final, sources)
         timings["total"] = time.perf_counter() - started
         return DiscoveryReport(
             strategy=strategy,
@@ -184,20 +169,16 @@ def run_pipeline(
             timings=timings,
         )
 
-    # stage 0: single-table dependency sets; only a caller's need checking
+    # stage 0: single-table dependency sets a caller did not give
     t0 = time.perf_counter()
     if left_fds is None:
         left_fds, found_afds = discover_fds(left, epsilon)
         if epsilon > 0 and left_afds is None:
             left_afds = found_afds
-    else:
-        validate_exact(left, left_fds)
     if right_fds is None:
         right_fds, found_afds = discover_fds(right, epsilon)
         if epsilon > 0 and right_afds is None:
             right_afds = found_afds
-    else:
-        validate_exact(right, right_fds)
     timings["single_tables"] = time.perf_counter() - t0
 
     # stage 1: preserved and upstaged dependencies per side
@@ -208,7 +189,6 @@ def run_pipeline(
         right_fds=right_fds,
         left_afds=left_afds,
         right_afds=right_afds,
-        validate=False,
     )
     timings["upstage"] = time.perf_counter() - t0
     warnings: list[str] = []
@@ -242,17 +222,11 @@ def run_pipeline(
 
     eff_left = up.left_preserved.union(up.left_upstaged)
     eff_right = up.right_preserved.union(up.right_upstaged)
-    preserved_left_join = _map_fdset(up.left_preserved, context.lmap)
-    preserved_right_join = _map_fdset(up.right_preserved, context.rmap)
-    upstaged_left_join = _map_fdset(up.left_upstaged, context.lmap)
-    upstaged_right_join = _map_fdset(up.right_upstaged, context.rmap)
-
-    stage_outputs: dict[str, FdSet] = {
-        "upstaged-left": upstaged_left_join,
-        "upstaged-right": upstaged_right_join,
-    }
-    prior = preserved_left_join.union(
-        preserved_right_join, upstaged_left_join, upstaged_right_join
+    # stage outputs in priority order: a member keeps its first tag
+    prior = _map_fdset(up.left_preserved, context.lmap, "preserved-left").union(
+        _map_fdset(up.right_preserved, context.rmap, "preserved-right"),
+        _map_fdset(up.left_upstaged, context.lmap),
+        _map_fdset(up.right_upstaged, context.rmap),
     )
     provenance: dict[FunctionalDependency, tuple[str, str]] = {}
 
@@ -261,33 +235,19 @@ def run_pipeline(
         t0 = time.perf_counter()
         inferred = infer_join_fds(context, eff_left, eff_right)
         timings["infer"] = time.perf_counter() - t0
-        stage_outputs["inferred"] = FdSet(
-            d for d in inferred.fds if inferred.fds.origins.get(d) == "inferred"
-        )
-        stage_outputs["refined"] = FdSet(
-            d for d in inferred.fds if inferred.fds.origins.get(d) == "refined"
-        )
         provenance = inferred.provenance
         prior = prior.union(inferred.fds)
 
         # stage 3: remaining dependencies
         t0 = time.perf_counter()
         if strategy == "selective":
-            mined = discover_selective(context, eff_left, eff_right, prior)
-            stage_outputs["mined"] = mined
+            prior = prior.union(discover_selective(context, eff_left, eff_right, prior))
             timings["mine"] = time.perf_counter() - t0
         else:
-            cfg = sample_cfg or SampleConfig()
-            sampled = discover_sampled(context, cfg)
-            stage_outputs["sampled"] = sampled
+            prior = prior.union(discover_sampled(context, sample_cfg or SampleConfig()))
             timings["sample"] = time.perf_counter() - t0
-        prior = prior.union(stage_outputs.get("mined", FdSet()))
-        prior = prior.union(stage_outputs.get("sampled", FdSet()))
 
-    final = remove_implied(prior)
-    tagged = classify_origins(
-        final, preserved_left_join, preserved_right_join, stage_outputs
-    )
+    tagged = _tag_from(remove_implied(prior), prior)
     if context.counters.full_join_rows:
         raise InternalInvariantError(
             "a frugal strategy materialized the full join; refusing to report"
@@ -341,7 +301,6 @@ def run_left_deep(
     earlier steps accumulates into the final report, and every intermediate
     join counts as a full join: a chain is not frugal.
     """
-    from .discovery import holds
     from .joins import join
 
     if len(tables) < 2 or len(specs) != len(tables) - 1:

@@ -17,40 +17,16 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .context import JoinContext
-from .discovery import discover_fds, discover_new_fds, holds, minimal_variants
+from .discovery import discover_fds, discover_new_fds, minimal_variants
 from .errors import InputError
 from .fds import Afd, FdSet, FunctionalDependency, remove_implied
-from .joins import JoinKind
 from .partition import violating_tuples
 from .relation import Instance
-
-_FILTERED_SIDES = {
-    JoinKind.INNER: ("left", "right"),
-    JoinKind.LEFT_SEMI: ("left",),
-    JoinKind.RIGHT_SEMI: ("right",),
-    JoinKind.LEFT_OUTER: ("right",),
-    JoinKind.RIGHT_OUTER: ("left",),
-    JoinKind.FULL_OUTER: (),
-}
-
-
-@dataclass
-class UpstageStats:
-    rows_filtered_left: int = 0
-    rows_filtered_right: int = 0
-    afds_checked: int = 0
-    afds_promoted: int = 0
-    preserved_dropped: int = 0
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class UpstageResult:
     left_upstaged: FdSet
     right_upstaged: FdSet
-    stats: UpstageStats
     # dependencies of each input table still holding on the join, in side-
     # local names; the effective base the later stages reason from
     left_preserved: FdSet = field(default_factory=FdSet)
@@ -77,22 +53,12 @@ def upstaged_afds(
     return remove_implied(promoted)
 
 
-def validate_exact(instance: Instance, fds: FdSet) -> None:
-    """Raise InputError unless every dependency a caller gave holds."""
-    for d in fds:
-        if not holds(instance, d):
-            raise InputError(
-                f"provided dependency {d} does not hold on {instance.name!r}"
-            )
-
-
 def upstage(
     context: JoinContext,
     left_fds: FdSet | None = None,
     right_fds: FdSet | None = None,
     left_afds: Sequence[Afd] | None = None,
     right_afds: Sequence[Afd] | None = None,
-    validate: bool = True,
 ) -> UpstageResult:
     """Run the upstaging stage on both sides of the join.
 
@@ -100,17 +66,10 @@ def upstage(
     inputs (provided or computed) the discovery path runs; with both, the
     promotion path runs first and the discovery path prunes with the union.
     Promoted dependencies are lhs-minimized against the surviving rows so
-    every emitted dependency is minimal on the join. With `validate`, given
-    exact sets are checked first; a caller that checked them already, or
-    computed them, passes False.
+    every emitted dependency is minimal on the join. Given exact sets are
+    trusted: `run_pipeline` checks a caller's sets before any stage runs.
     """
     profile = context.profile
-    filtered = _FILTERED_SIDES[context.spec.kind]
-    stats = UpstageStats()
-    if "left" in filtered:
-        stats.rows_filtered_left = profile.count("left", profile.dangling_left)
-    if "right" in filtered:
-        stats.rows_filtered_right = profile.count("right", profile.dangling_right)
     out: dict[str, FdSet] = {}
     preserved: dict[str, FdSet] = {}
     for side, inst, afds, fds in (
@@ -120,8 +79,6 @@ def upstage(
         run_discovery_path = not afds or fds is not None
         if fds is None:
             fds, _ = discover_fds(inst)
-        elif validate:
-            validate_exact(inst, fds)
         sub = context.side_subinstance(side)
         if sub is None:  # dropped side of a semi-join
             out[side] = FdSet()
@@ -135,7 +92,6 @@ def upstage(
             return partitions.holds(partitions.mask(d.lhs), sub.ordinal(d.rhs))
 
         survivors = FdSet(d for d in fds if valid(d)) if padded else FdSet(fds.as_set())
-        stats.preserved_dropped += len(fds) - len(survivors)
         preserved[side] = survivors
         if not padded and sub.row_count == inst.row_count:
             out[side] = FdSet()  # join value sets preserved: nothing to upstage
@@ -146,8 +102,6 @@ def upstage(
                 profile.dangling_left if side == "left" else profile.dangling_right
             )
             promoted = upstaged_afds(inst, set(profile.rows(side, dangling)), afds)
-            stats.afds_checked += len(afds)
-            stats.afds_promoted += len(promoted)
             for d in promoted:
                 if valid(d):  # padding may break a promotion
                     for minimal in minimal_variants(d, valid):
@@ -165,7 +119,6 @@ def upstage(
     return UpstageResult(
         left_upstaged=left_up,
         right_upstaged=right_up,
-        stats=stats,
         left_preserved=preserved["left"],
         right_preserved=preserved["right"],
     )

@@ -201,7 +201,7 @@ def test_null_token_flag(tmp_path, capsys):
     assert doc["rows"] == 2
 
 
-@pytest.mark.parametrize("strategy", ["selective", "sampling"])
+@pytest.mark.parametrize("strategy", ["selective", "sampling", "oracle"])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_fd_file_dependency_that_does_not_hold_exits_2(
     tables, tmp_path, capsys, strategy, side

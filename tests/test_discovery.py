@@ -10,7 +10,6 @@ from joinfd.discovery import (
     discover_new_fds,
     holds,
     lattice_bits,
-    next_level_candidates,
     next_lhs_level,
 )
 from joinfd.fds import FdSet, fd
@@ -173,21 +172,6 @@ def test_exact_results_unaffected_by_epsilon():
         with_eps, _ = discover_fds(inst, epsilon=0.25)
         without, _ = discover_fds(inst, epsilon=0.0)
         assert with_eps == without
-
-
-def test_next_level_of_nothing_is_nothing():
-    assert next_level_candidates([], FdSet()) == []
-
-
-def test_next_level_joins_singletons():
-    got = next_level_candidates([fd(["A"], "c"), fd(["B"], "c")], FdSet())
-    assert got == [fd(["A", "B"], "c")]
-
-
-def test_next_level_respects_pruning():
-    pruned = FdSet([fd(["A"], "c")])
-    got = next_level_candidates([fd(["A"], "c"), fd(["B"], "c")], pruned)
-    assert got == []
 
 
 def _random_families(rng, count):

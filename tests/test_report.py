@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from joinfd import pipeline
 from joinfd.errors import GuardError, InputError, InternalInvariantError
 from joinfd.fds import FdSet, fd, minimal_cover
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
 from joinfd.joins import JoinKind, JoinSpec, coverage
 from joinfd.metrics import evaluate
 from joinfd.oracle import oracle_join_fds
-from joinfd.pipeline import classify_origins, run_left_deep, run_pipeline
+from joinfd.pipeline import run_left_deep, run_pipeline
 from joinfd.relation import loads_csv
 
 from conftest import brute_force_fds
@@ -79,10 +80,15 @@ def test_preserved_tags_take_priority(pair_with_join_only_fd):
     assert rep.fds.origins[fd(["L.A", "R.B"], "R.C")] == "mined"
 
 
-def test_classify_rejects_unsourced_members():
-    final = FdSet([fd(["A"], "B")])
-    with pytest.raises(InternalInvariantError):
-        classify_origins(final, FdSet(), FdSet(), {})
+def test_untagged_stage_output_is_an_internal_error(
+    pair_with_join_only_fd, monkeypatch
+):
+    # a stage whose output carries no tag leaves a final member without origin
+    left, right, spec = pair_with_join_only_fd
+    untagged = FdSet([fd(["L.A"], "unreachable")])
+    monkeypatch.setattr(pipeline, "discover_selective", lambda *args: untagged)
+    with pytest.raises(InternalInvariantError, match="no producing stage"):
+        run_pipeline(left, right, spec)
 
 
 def test_evaluate_identity_is_perfect():
