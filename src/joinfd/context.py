@@ -188,7 +188,11 @@ class JoinContext:
             rows = profile.rows(side, profile.shared)
         pads = []
         if padded:
-            pads = sorted(dangling, key=lambda v: tuple(str(x) for x in v))
+            # a null and the text "None" print alike: the null goes last
+            pads = sorted(
+                dangling,
+                key=lambda v: (tuple(str(x) for x in v), tuple(x is None for x in v)),
+            )
         return rows, pads
 
     # -- materialization -----------------------------------------------------

@@ -228,7 +228,7 @@ def remove_implied(fds: "FdSet | Iterable[FunctionalDependency]") -> FdSet:
     Larger dependencies are considered for removal first so that the
     irredundant core of small rules survives.
     """
-    pool = set(fds)
+    pool = set(fds._fds if isinstance(fds, FdSet) else fds)
     rules = Rules(pool)
     for d in sorted(pool, key=lambda x: (-len(x.lhs),) + x.sort_key()):
         lhs, goal = rules.mask(d.lhs), rules.bits[d.rhs]

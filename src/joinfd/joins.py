@@ -1,9 +1,13 @@
 """Join operators over instances, partial joins, and join coverage.
 
 Join keys are compared by decoded raw value, never by code, since codes are
-per-instance. Null join values match null join values, consistent with the
-single-null-constant semantics. Outer operators pad the missing side with
-nulls; for natural joins the merged column takes whichever side is present.
+per-instance: each side's rows are grouped by their key code tuple, and each
+distinct tuple is decoded once. Null join values match null join values,
+consistent with the single-null-constant semantics. Outer operators pad the
+missing side with nulls; for natural joins the merged column takes whichever
+side is present. A join result is assembled from its inputs' code columns
+and keeps their dictionaries; only a natural merged column's dictionary can
+grow, by the right join values that pad it.
 
 Result attributes are qualified as "table.attr" using the instance names, and
 natural-join merged columns keep the left qualifier. Semi-joins return the
@@ -15,10 +19,19 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import JoinSpecError
-from .relation import AttrRef, Instance, project, take_rows
+from .relation import (
+    NULL_CODE,
+    AttrRef,
+    AttributeId,
+    Instance,
+    append_padding,
+    project,
+    take_rows,
+)
 
 
 class JoinKind(enum.Enum):
@@ -128,24 +141,36 @@ def right_name_map(left: Instance, right: Instance, spec: JoinSpec) -> dict[str,
     return mapping
 
 
-def _key_index(keys: list[tuple]) -> dict[tuple, list[int]]:
-    index: dict[tuple, list[int]] = {}
-    for i, k in enumerate(keys):
-        index.setdefault(k, []).append(i)
-    return index
+def _value_groups(instance: Instance, attrs: Sequence[str]) -> dict[tuple, list[int]]:
+    """Decoded join-value tuple over `attrs` -> ascending ids of its rows.
+
+    Rows are grouped by their code tuple and each distinct tuple is decoded
+    once; values come in order of their first row.
+    """
+    ords = [instance.ordinal(a) for a in attrs]
+    by_codes: dict[tuple, list[int]] = {}
+    for r, codes in enumerate(zip(*(instance.columns[o] for o in ords))):
+        rows = by_codes.get(codes)
+        if rows is None:
+            by_codes[codes] = [r]
+        else:
+            rows.append(r)
+    # NULL_CODE is -1, so it selects the None appended to each dictionary
+    words = [instance.dictionaries[o] + (None,) for o in ords]
+    return {
+        tuple(map(tuple.__getitem__, words, codes)): rows
+        for codes, rows in by_codes.items()
+    }
 
 
-def _semi(side: Instance, keys: list[tuple], partner_keys: set[tuple]) -> Instance:
-    seen: set[tuple[int, ...]] = set()
-    kept = []
-    for r, k in enumerate(keys):
-        if k not in partner_keys:
-            continue
-        content = tuple(col[r] for col in side.columns)
-        if content not in seen:
-            seen.add(content)
-            kept.append(r)
-    return take_rows(side, kept)
+def _semi(side: Instance, groups: dict, partner_groups: dict) -> Instance:
+    """The rows of `side` with a partner, duplicates dropped, in row order."""
+    rows = sorted(r for v, rs in groups.items() if v in partner_groups for r in rs)
+    contents = list(zip(*side.columns))
+    first: dict[tuple, int] = {}
+    for r in rows:
+        first.setdefault(contents[r], r)
+    return take_rows(side, list(first.values()))
 
 
 def join(left: Instance, right: Instance, spec: JoinSpec) -> Instance:
@@ -153,60 +178,61 @@ def join(left: Instance, right: Instance, spec: JoinSpec) -> Instance:
 
     Inner and outer results row order: left rows in order, each followed by
     its matches in right order; dangling left rows sit in place, dangling
-    right rows are appended at the end.
+    right rows are appended at the end. Result columns keep their input's
+    codes and dictionaries. A natural merged column is the left one, whose
+    dictionary grows by the right join values it lacks on the padding rows
+    of dangling right rows.
     """
     spec.validate(left, right)
-    lords = [left.ordinal(a) for a in spec.left_on]
-    rords = [right.ordinal(a) for a in spec.right_on]
-    lkeys = left.key_column(lords)
-    rkeys = right.key_column(rords)
-
+    lgroups = _value_groups(left, spec.left_on)
+    rgroups = _value_groups(right, spec.right_on)
     if spec.kind is JoinKind.LEFT_SEMI:
-        return _semi(left, lkeys, set(rkeys))
+        return _semi(left, lgroups, rgroups)
     if spec.kind is JoinKind.RIGHT_SEMI:
-        return _semi(right, rkeys, set(lkeys))
-
-    rindex = _key_index(rkeys)
-    pairs: list[tuple[int | None, int | None]] = []
-    matched_right: set[int] = set()
-    for i, k in enumerate(lkeys):
-        hits = rindex.get(k)
-        if hits:
-            for j in hits:
-                pairs.append((i, j))
-            if spec.kind in PADS_LEFT_ATTRS:
-                matched_right.update(hits)
-        elif spec.kind in PADS_RIGHT_ATTRS:
-            pairs.append((i, None))
-    if spec.kind in PADS_LEFT_ATTRS:
-        for j in range(right.row_count):
-            if j not in matched_right:
-                pairs.append((None, j))
+        return _semi(right, rgroups, lgroups)
 
     names = result_schema(left, right, spec)
-    nl = len(left.schema)
-    right_keep = [
-        o
-        for o in range(len(right.schema))
-        if not (spec.natural and right.schema[o].name in set(spec.right_on))
-    ]
-    lo_positions = list(zip(lords, rords))
-    rows: list[list[str | None]] = []
-    for i, j in pairs:
-        if i is not None:
-            lpart = list(left.raw_row(i))
+    hits_of: list[list[int] | None] = [None] * left.row_count
+    for v, rows in lgroups.items():
+        hits = rgroups.get(v)
+        if hits is not None:
+            for i in rows:
+                hits_of[i] = hits
+    # the result's source rows per side; -1 selects a padding null
+    lrows: list[int] = []
+    rrows: list[int] = []
+    pads_right = spec.kind in PADS_RIGHT_ATTRS
+    for i, hits in enumerate(hits_of):
+        if hits is not None:
+            lrows.extend([i] * len(hits))
+            rrows.extend(hits)
+        elif pads_right:
+            lrows.append(i)
+            rrows.append(-1)
+    lpart = take_rows(left, lrows)
+    if spec.kind in PADS_LEFT_ATTRS:
+        dangling = sorted(
+            (j, v) for v, rows in rgroups.items() if v not in lgroups for j in rows
+        )
+        rrows.extend(j for j, _ in dangling)
+        if spec.natural:
+            on = [left.ordinal(a) for a in spec.left_on]
+            lpart = append_padding(lpart, on, [v for _, v in dangling])
         else:
-            lpart = [None] * nl
-            if spec.natural and j is not None:
-                for lo, ro in lo_positions:
-                    lpart[lo] = right.decode(ro, right.columns[ro][j])
-        if j is not None:
-            rpart = [right.decode(o, right.columns[o][j]) for o in right_keep]
-        else:
-            rpart = [None] * len(right_keep)
-        rows.append(lpart + rpart)
+            lpart = append_padding(lpart, (), [()] * len(dangling))
+    dropped = set(spec.right_on) if spec.natural else set()
+    keep = [a.ordinal for a in right.schema if a.name not in dropped]
+    rcols = tuple(
+        tuple(map((right.columns[o] + (NULL_CODE,)).__getitem__, rrows)) for o in keep
+    )
     result_name = f"({left.name}*{right.name})" if (left.name or right.name) else ""
-    return Instance.from_rows(names, rows, name=result_name)
+    return Instance(
+        name=result_name,
+        schema=tuple(AttributeId(p, n) for p, n in enumerate(names)),
+        columns=lpart.columns + rcols,
+        dictionaries=lpart.dictionaries + tuple(right.dictionaries[o] for o in keep),
+        row_count=len(rrows),
+    )
 
 
 def partial_join(
@@ -268,8 +294,7 @@ class JoinProfile:
 
     def rows(self, side: str, values: Iterable[tuple]) -> list[int]:
         """Ascending ids of one side's rows carrying any of `values`."""
-        groups = self.groups(side)
-        return sorted(r for v in values for r in groups[v])
+        return sorted(chain.from_iterable(map(self.groups(side).__getitem__, values)))
 
     def rows_for(self, kind: JoinKind) -> int:
         if kind is JoinKind.INNER:
@@ -288,8 +313,8 @@ class JoinProfile:
 
 
 def join_profile(left: Instance, right: Instance, spec: JoinSpec) -> JoinProfile:
-    lg = _key_index(left.key_column([left.ordinal(a) for a in spec.left_on]))
-    rg = _key_index(right.key_column([right.ordinal(a) for a in spec.right_on]))
+    lg = _value_groups(left, spec.left_on)
+    rg = _value_groups(right, spec.right_on)
     shared = frozenset(lg) & frozenset(rg)
     return JoinProfile(
         left_groups=lg,
@@ -334,11 +359,26 @@ def join_attr_directions(
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """Coverage of a join, per side and overall (see `coverage`).
+
+    The three scores are exact fractions computed up front. The per-value
+    entries of each side (its join values in order of their text, with row
+    counts and ratios) are rendered from the profile only when read, which
+    `to_json` does.
+    """
+
     cov_left: Fraction
     cov_right: Fraction
     coverage: Fraction
-    per_value_left: tuple[dict, ...]
-    per_value_right: tuple[dict, ...]
+    profile: JoinProfile
+
+    @property
+    def per_value_left(self) -> tuple[dict, ...]:
+        return _per_value(self.profile.left_groups, self.profile.right_groups)
+
+    @property
+    def per_value_right(self) -> tuple[dict, ...]:
+        return _per_value(self.profile.right_groups, self.profile.left_groups)
 
     def to_json(self) -> dict:
         def side(cov: Fraction, entries) -> dict:
@@ -356,16 +396,12 @@ class CoverageReport:
         }
 
 
-def _side_coverage(own: dict, other: dict) -> tuple[Fraction, tuple[dict, ...]]:
-    if not own:
-        return Fraction(0), ()
-    entries = []
+def _per_value(own: dict, other: dict) -> tuple[dict, ...]:
     # each value's ratio join_rows / side_rows is its partner count
-    total = 0
+    entries = []
     for value in sorted(own, key=lambda v: tuple(str(x) for x in v)):
         side_rows = len(own[value])
         partners = len(other.get(value, ()))
-        total += partners
         entries.append(
             {
                 "value": ["" if x is None else x for x in value],
@@ -374,20 +410,29 @@ def _side_coverage(own: dict, other: dict) -> tuple[Fraction, tuple[dict, ...]]:
                 "ratio": float(partners),
             }
         )
-    return Fraction(total, len(own)), tuple(entries)
+    return tuple(entries)
 
 
 def profile_coverage(profile: JoinProfile) -> CoverageReport:
-    """Coverage of the join a profile describes; see `coverage`."""
-    lg, rg = profile.left_groups, profile.right_groups
-    cov_left, per_left = _side_coverage(lg, rg)
-    cov_right, per_right = _side_coverage(rg, lg)
+    """Coverage of the join a profile describes; see `coverage`.
+
+    A side's score sums its values' partner counts, which is the other
+    side's row count over the shared values, and divides by its number of
+    distinct values.
+    """
+
+    def score(own: dict, other: str) -> Fraction:
+        if not own:
+            return Fraction(0)
+        return Fraction(profile.count(other, profile.shared), len(own))
+
+    cov_left = score(profile.left_groups, "right")
+    cov_right = score(profile.right_groups, "left")
     return CoverageReport(
         cov_left=cov_left,
         cov_right=cov_right,
         coverage=(cov_left + cov_right) / 2,
-        per_value_left=per_left,
-        per_value_right=per_right,
+        profile=profile,
     )
 
 

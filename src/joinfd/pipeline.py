@@ -99,7 +99,7 @@ def _map_fdset(
 ) -> FdSet:
     """`fds` in join names, tagged `origin` or else as they were."""
     out = FdSet()
-    for d in fds:
+    for d in fds.as_set():
         out.add(d.rename(mapping), origin or fds.origins.get(d))
     return out
 

@@ -1,11 +1,15 @@
 """Immutable dictionary-encoded columnar tables.
 
-An Instance stores one value code per cell. Codes are per-column, assigned in
-first-occurrence order, so loading the same data twice yields identical
-instances. A single reserved code (NULL_CODE) represents the null value; all
-nulls compare equal, which is exactly the "nulls are one constant" semantics
-the rest of the package relies on. Cell equality is code equality, nothing
-else -- no numeric coercion, no trimming.
+An Instance stores one value code per cell. Codes are per-column. A loaded
+instance (`from_rows` and the CSV readers) assigns them in first-occurrence
+order, so loading the same data twice yields identical instances. Derived
+instances (row selections, projections, padding and join results) reuse
+their inputs' codes and dictionaries, so their dictionaries may hold words
+no row uses; each word still has a single code. A single reserved code
+(NULL_CODE) represents the null value; all nulls compare equal, which is
+exactly the "nulls are one constant" semantics the rest of the package
+relies on. Cell equality is code equality, nothing else -- no numeric
+coercion, no trimming.
 """
 
 from __future__ import annotations
@@ -118,24 +122,10 @@ class Instance:
     def raw_rows(self) -> list[tuple[str | None, ...]]:
         return [self.raw_row(r) for r in range(self.row_count)]
 
-    def key_column(self, ordinals: Sequence[int]) -> list[tuple[str | None, ...]]:
-        """Per-row decoded tuples over `ordinals`; basis for cross-table joins."""
-        cols = [self.columns[o] for o in ordinals]
-        dec = [self.dictionaries[o] for o in ordinals]
-        out = []
-        for r in range(self.row_count):
-            out.append(
-                tuple(
-                    None if col[r] == NULL_CODE else d[col[r]]
-                    for col, d in zip(cols, dec)
-                )
-            )
-        return out
-
 
 def take_rows(instance: Instance, row_ids: Sequence[int]) -> Instance:
     """New instance keeping `row_ids` in the given order; codes are reused."""
-    cols = tuple(tuple(col[r] for r in row_ids) for col in instance.columns)
+    cols = tuple(tuple(map(col.__getitem__, row_ids)) for col in instance.columns)
     return Instance(
         name=instance.name,
         schema=instance.schema,

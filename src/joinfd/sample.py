@@ -15,6 +15,7 @@ measured, never assumed.
 
 from __future__ import annotations
 
+import heapq
 import zlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,33 +70,38 @@ def generate_ids_set(
     """Join values selected by the attribute tree of one side.
 
     `groups` maps each candidate join value to the ids of the rows carrying
-    it; the tree walks only those rows. A side with no non-join attribute
-    has no tree: it selects every candidate value, so that the other side's
-    selection decides.
+    it; the tree walks only those rows. Each candidate is ranked once
+    (`_rank`), and a branch of more than `n_b` values keeps its `n_b`
+    lowest ranked. A side with no non-join attribute has no tree: it
+    selects every candidate value, so that the other side's selection
+    decides.
     """
     on_set = set(on)
     nonjoin = [a for a in instance.attr_names if a not in on_set]
     if not nonjoin:
         return set(groups)
-    rows = [r for group in groups.values() for r in group]
+    rows: list[int] = []
+    labels: list[tuple] = []  # each row's join value
+    for value, group in groups.items():
+        rows += group
+        labels += [value] * len(group)
 
     def distinct(attr: str) -> int:
         col = instance.columns[instance.ordinal(attr)]
-        return len({col[r] for r in rows})
+        return len(set(map(col.__getitem__, rows)))
 
     ranked = sorted(nonjoin, key=lambda a: (distinct(a), a))
     retained = ranked[: max(0, len(ranked) - cfg.n_v)]
+    rank = {v: _rank(cfg.seed, v) for v in groups}
     out: set[tuple] = set()
     for attr in retained:
         col = instance.columns[instance.ordinal(attr)]
-        by_value: dict[int, set[tuple]] = {}
-        for value, group in groups.items():
-            for r in group:
-                by_value.setdefault(col[r], set()).add(value)
-        for code in sorted(by_value):
-            branch = sorted(by_value[code], key=_value_sort_key)
-            if len(branch) > 1:
-                branch = sorted(branch, key=lambda v: _rank(cfg.seed, v))[: cfg.n_b]
+        by_value: dict[int, list[tuple]] = {}
+        for code, value in set(zip(map(col.__getitem__, rows), labels)):
+            by_value.setdefault(code, []).append(value)
+        for branch in by_value.values():
+            if len(branch) > cfg.n_b:
+                branch = heapq.nsmallest(cfg.n_b, branch, key=rank.__getitem__)
             out.update(branch)
     return out
 

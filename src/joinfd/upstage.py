@@ -91,7 +91,8 @@ def upstage(
         def valid(d: FunctionalDependency) -> bool:
             return partitions.holds(partitions.mask(d.lhs), sub.ordinal(d.rhs))
 
-        survivors = FdSet(d for d in fds if valid(d)) if padded else FdSet(fds.as_set())
+        members = fds.as_set()
+        survivors = FdSet(filter(valid, members)) if padded else FdSet(members)
         preserved[side] = survivors
         if not padded and sub.row_count == inst.row_count:
             out[side] = FdSet()  # join value sets preserved: nothing to upstage

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's partition/lattice
 machinery: they enumerate subsets and scan decoded rows with dictionaries,
 so they can serve as ground truth for it. The references are the plain
 frozenset forms of the library's bitmask algorithms (closure, redundancy
-removal, the apriori step); the library must return exactly what they do.
+removal, the apriori step), a join that decodes every cell and encodes the
+result again, and the selection tree that ranks and sorts every branch
+whole; the library must return exactly what they do.
 `recorded_contexts` and `counterexamples_refuted_on_join` check the
 validator's counterexamples against the materialized join.
 """
@@ -17,8 +19,16 @@ from joinfd import pipeline
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
 from joinfd.fds import FdSet, FunctionalDependency
-from joinfd.joins import JoinSpec, join
+from joinfd.joins import (
+    PADS_LEFT_ATTRS,
+    PADS_RIGHT_ATTRS,
+    JoinKind,
+    JoinSpec,
+    join,
+    result_schema,
+)
 from joinfd.relation import Instance, loads_csv
+from joinfd.sample import _rank, _value_sort_key
 
 
 @pytest.fixture
@@ -253,3 +263,90 @@ def random_instance(
         for _ in range(n_rows)
     ]
     return Instance.from_rows(names, rows, name=name)
+
+
+def reference_join(left: Instance, right: Instance, spec: JoinSpec) -> Instance:
+    """The join operators on decoded rows, re-encoded by `from_rows`.
+
+    Same row order as `join`: left rows in order, each followed by its
+    matches in right order, dangling right rows at the end; a semi-join
+    keeps the first of each distinct matched row.
+    """
+    spec.validate(left, right)
+    lords = [left.ordinal(a) for a in spec.left_on]
+    rords = [right.ordinal(a) for a in spec.right_on]
+    lkeys = [tuple(row[o] for o in lords) for row in left.raw_rows()]
+    rkeys = [tuple(row[o] for o in rords) for row in right.raw_rows()]
+
+    def semi(side: Instance, keys: list, partner_keys: set) -> Instance:
+        kept = [
+            row for row, k in zip(side.raw_rows(), keys) if k in partner_keys
+        ]
+        return Instance.from_rows(
+            side.attr_names, list(dict.fromkeys(kept)), name=side.name
+        )
+
+    if spec.kind is JoinKind.LEFT_SEMI:
+        return semi(left, lkeys, set(rkeys))
+    if spec.kind is JoinKind.RIGHT_SEMI:
+        return semi(right, rkeys, set(lkeys))
+    rindex: dict[tuple, list[int]] = {}
+    for j, k in enumerate(rkeys):
+        rindex.setdefault(k, []).append(j)
+    pairs: list[tuple] = []
+    matched_right: set[int] = set()
+    for i, k in enumerate(lkeys):
+        hits = rindex.get(k)
+        if hits:
+            pairs += [(i, j) for j in hits]
+            matched_right.update(hits)
+        elif spec.kind in PADS_RIGHT_ATTRS:
+            pairs.append((i, None))
+    if spec.kind in PADS_LEFT_ATTRS:
+        pairs += [(None, j) for j in range(right.row_count) if j not in matched_right]
+    right_keep = [
+        o
+        for o, a in enumerate(right.attr_names)
+        if not (spec.natural and a in spec.right_on)
+    ]
+    rows = []
+    for i, j in pairs:
+        rrow = right.raw_row(j) if j is not None else None
+        if i is not None:
+            lpart = list(left.raw_row(i))
+        else:
+            lpart = [None] * len(left.schema)
+            if spec.natural:
+                for lo, ro in zip(lords, rords):
+                    lpart[lo] = rrow[ro]
+        rpart = [None if rrow is None else rrow[o] for o in right_keep]
+        rows.append(lpart + rpart)
+    name = f"({left.name}*{right.name})" if (left.name or right.name) else ""
+    return Instance.from_rows(result_schema(left, right, spec), rows, name=name)
+
+
+def reference_ids_set(instance: Instance, on, groups: dict, cfg) -> set:
+    """The selection tree sorting each branch by value, then by rank."""
+    nonjoin = [a for a in instance.attr_names if a not in set(on)]
+    if not nonjoin:
+        return set(groups)
+    rows = [r for group in groups.values() for r in group]
+
+    def distinct(attr: str) -> int:
+        col = instance.columns[instance.ordinal(attr)]
+        return len({col[r] for r in rows})
+
+    ranked = sorted(nonjoin, key=lambda a: (distinct(a), a))
+    out: set = set()
+    for attr in ranked[: max(0, len(ranked) - cfg.n_v)]:
+        col = instance.columns[instance.ordinal(attr)]
+        by_value: dict[int, set] = {}
+        for value, group in groups.items():
+            for r in group:
+                by_value.setdefault(col[r], set()).add(value)
+        for code in sorted(by_value):
+            branch = sorted(by_value[code], key=_value_sort_key)
+            if len(branch) > 1:
+                branch = sorted(branch, key=lambda v: _rank(cfg.seed, v))[: cfg.n_b]
+            out.update(branch)
+    return out

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from conftest import counterexamples_refuted_on_join
 from joinfd.context import JoinContext
@@ -8,6 +13,31 @@ from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, join
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
+
+# a natural full outer join pads the right side for the dangling left key
+# values null and "None", whose text is the same
+PADDING_PROBE = """
+import json
+from joinfd.context import JoinContext
+from joinfd.joins import JoinKind, JoinSpec
+from joinfd.pipeline import run_pipeline
+from joinfd.relation import Instance
+
+left = Instance.from_rows(
+    ["k", "a", "c"],
+    [[None, "x", "1"], ["None", "y", "1"], ["1", "z", "2"], ["2", "x", "2"]],
+    name="L",
+)
+right = Instance.from_rows(["k", "b"], [["1", "p"], ["2", "p"], ["3", "q"]], name="R")
+spec = JoinSpec(JoinKind.FULL_OUTER, ("k",), ("k",), natural=True)
+context = JoinContext(left, right, spec)
+report = run_pipeline(left, right, spec)
+print(json.dumps([
+    context._side_rows("right")[1],
+    report.counters.candidates_validated,
+    report.to_json()["fds"],
+]))
+"""
 
 
 def _exhaustive_agreement(left, right, spec):
@@ -144,3 +174,18 @@ def test_natural_padding_rows_carry_the_dangling_join_values():
     assert sub.columns[1] == right.columns[1] + (-1, -1)  # existing codes kept
     lsub = ctx.side_subinstance("left")
     assert lsub.raw_rows()[-1] == ("8", None)
+
+
+def test_padding_order_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", PADDING_PROBE],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        runs.append(json.loads(done.stdout))
+    assert runs[0][0] == [["None"], [None]]
+    assert runs[0] == runs[1] == runs[2]

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, coverage, join
+from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 
 from conftest import random_instance
@@ -112,3 +114,27 @@ def test_outer_operator_uses_inner_semantics():
     inner = coverage(left, right, JoinSpec.equi(["k"], ["k"], JoinKind.INNER))
     outer = coverage(left, right, JoinSpec.equi(["k"], ["k"], JoinKind.FULL_OUTER))
     assert inner.coverage == outer.coverage
+
+
+def test_pipeline_report_renders_the_coverage_of_its_join():
+    pairs = [
+        make_fixture(
+            FixtureProfile(
+                left_rows=12, right_rows=10, dangling_fraction=0.3,
+                duplicate_fraction=0.3, op=list(JoinKind)[seed % 6],
+            ),
+            seed=seed,
+        )
+        for seed in range(12)
+    ]
+    # an empty join takes the vacuous return
+    pairs.append(
+        (loads_csv("k,a\n1,x", name="L"), loads_csv("k,b\n2,p", name="R"),
+         JoinSpec.equi(["k"], ["k"]))
+    )
+    for strategy in ("selective", "sampling", "oracle"):
+        for left, right, spec in pairs:
+            got = run_pipeline(left, right, spec, strategy=strategy).coverage
+            want = coverage(left, right, spec).to_json()
+            assert got.to_json() == want
+            assert want["left"]["per_value"] and want["right"]["per_value"]

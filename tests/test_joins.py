@@ -15,9 +15,12 @@ from joinfd.joins import (
     partial_join,
     right_name_map,
 )
-from joinfd.relation import loads_csv, project
+from joinfd.fds import closure_equal
+from joinfd.oracle import oracle_join_fds
+from joinfd.pipeline import run_left_deep
+from joinfd.relation import Instance, loads_csv, project, take_rows
 
-from conftest import random_instance
+from conftest import random_instance, reference_join
 
 
 def _pair(rng, dangling=True):
@@ -222,3 +225,59 @@ def test_join_attr_directions_on_outer_ops():
     x_to_y, y_to_x = join_attr_directions(left, right, lo)
     assert x_to_y  # every left key maps to one right key or the null
     assert not y_to_x  # two dangling left keys share the null right key
+
+
+def _tiny_side(rng, name, keys, prefix):
+    """0-9 rows over `keys` and up to two more attributes; values include
+    the null and the text "None". Half the time the side keeps at most 6 of
+    its rows as a row selection, whose dictionaries keep unused words."""
+    attrs = keys + [f"{prefix}{i}" for i in range(rng.randint(0, 2))]
+    domain = ["x", "y", "None", None]
+    rows = [[rng.choice(domain) for _ in attrs] for _ in range(rng.randint(0, 9))]
+    side = Instance.from_rows(attrs, rows, name=name)
+    if rng.random() < 0.5:
+        kept = sorted(rng.sample(range(side.row_count), min(side.row_count, 6)))
+        side = take_rows(side, kept)
+    return side
+
+
+def _tiny_pair(rng, index):
+    keys = [f"k{i}" for i in range(rng.randint(1, 2))]
+    left = _tiny_side(rng, "L", keys, "a")
+    right = _tiny_side(rng, "R", keys, "b")
+    kind = list(JoinKind)[index % 6]
+    return left, right, JoinSpec(kind, tuple(keys), tuple(keys), rng.random() < 0.5)
+
+
+def test_join_matches_the_decoding_reference_row_for_row():
+    rng = random.Random(37)
+    for index in range(360):
+        left, right, spec = _tiny_pair(rng, index)
+        got, want = join(left, right, spec), reference_join(left, right, spec)
+        assert got.attr_names == want.attr_names, spec
+        assert got.name == want.name
+        assert got.raw_rows() == want.raw_rows(), spec
+
+
+def test_left_deep_chain_over_a_code_level_intermediate():
+    rng = random.Random(38)
+    for index in range(60):
+        a, b, first = _tiny_pair(rng, index)
+        # the third table joins the intermediate's first key column, whose
+        # natural merged dictionary may have grown on padding rows
+        key = "L." + first.left_on[0]
+        rows = [[rng.choice(["x", "None", None]), rng.choice("pq")] for _ in range(4)]
+        c = Instance.from_rows([key, "c0"], rows, name="T")
+        if first.kind in (JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI):
+            continue
+        kind = list(JoinKind)[rng.randrange(6)]
+        second = JoinSpec(kind, (key,), (key,), rng.random() < 0.5)
+        middle, want_middle = join(a, b, first), reference_join(a, b, first)
+        assert middle.raw_rows() == want_middle.raw_rows()
+        got = join(middle, c, second)
+        assert got.raw_rows() == reference_join(want_middle, c, second).raw_rows()
+        if kind in (JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI):
+            continue
+        report = run_left_deep([a, b, c], [first, second], strategy="selective")
+        want = oracle_join_fds(want_middle, c, second)
+        assert closure_equal(report.fds, want), (first, second)

@@ -10,13 +10,15 @@ from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, join
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
-from joinfd.relation import loads_csv
+from joinfd.relation import Instance, loads_csv
 from joinfd.sample import (
     SampleConfig,
     generate_ids_set,
     micro_join_batch,
     selective_sampling,
 )
+
+from conftest import reference_ids_set
 
 
 def _k_equi(left, right):
@@ -243,3 +245,31 @@ def test_key_only_side_selects_every_shared_value():
     groups = {v: context.profile.right_groups[v] for v in context.profile.shared}
     picked_right = generate_ids_set(right, ["k"], groups, SampleConfig())
     assert selective_sampling(context, SampleConfig()) == picked_right != set()
+
+
+@pytest.mark.parametrize("n_v", [0, 1])
+@pytest.mark.parametrize("n_b", [1, 2, 3])
+def test_selection_matches_the_two_sort_reference(n_b, n_v):
+    rng = random.Random(85 + 10 * n_b + n_v)
+    for seed in range(12):
+        prof = FixtureProfile(
+            left_rows=rng.randint(20, 60), right_rows=rng.randint(20, 60),
+            left_attrs=rng.randint(2, 4), right_attrs=rng.randint(2, 4),
+            dangling_fraction=0.2, duplicate_fraction=0.3,
+        )
+        left, right, spec = make_fixture(prof, seed=seed)
+        # composite keys holding nulls and the text "None"
+        domain = ["x", "y", "None", None]
+        composite = Instance.from_rows(
+            ["k0", "k1", "a", "b"],
+            [[rng.choice(domain) for _ in range(2)] + [str(rng.randrange(3)), "c"]
+             for _ in range(30)],
+        )
+        cfg = SampleConfig(n_b=n_b, n_v=n_v, seed=seed)
+        for inst, on in ((left, ["k"]), (right, ["k"]), (composite, ["k0", "k1"])):
+            groups = {}
+            for r, row in enumerate(inst.raw_rows()):
+                key = tuple(row[inst.ordinal(a)] for a in on)
+                groups.setdefault(key, []).append(r)
+            got = generate_ids_set(inst, on, groups, cfg)
+            assert got == reference_ids_set(inst, on, groups, cfg), (seed, on)
