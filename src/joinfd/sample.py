@@ -72,13 +72,13 @@ def generate_ids_set(
     `groups` maps each candidate join value to the ids of the rows carrying
     it; the tree walks only those rows. Each candidate is ranked once
     (`_rank`), and a branch of more than `n_b` values keeps its `n_b`
-    lowest ranked. A side with no non-join attribute has no tree: it
-    selects every candidate value, so that the other side's selection
-    decides.
+    lowest ranked. A side whose tree would be empty, because it has no
+    non-join attribute or `n_v` leaves out every one, selects every
+    candidate value, so that the other side's selection decides.
     """
     on_set = set(on)
     nonjoin = [a for a in instance.attr_names if a not in on_set]
-    if not nonjoin:
+    if len(nonjoin) <= cfg.n_v:
         return set(groups)
     rows: list[int] = []
     labels: list[tuple] = []  # each row's join value
@@ -91,7 +91,7 @@ def generate_ids_set(
         return len(set(map(col.__getitem__, rows)))
 
     ranked = sorted(nonjoin, key=lambda a: (distinct(a), a))
-    retained = ranked[: max(0, len(ranked) - cfg.n_v)]
+    retained = ranked[: len(ranked) - cfg.n_v]
     rank = {v: _rank(cfg.seed, v) for v in groups}
     out: set[tuple] = set()
     for attr in retained:

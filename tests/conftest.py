@@ -326,9 +326,10 @@ def reference_join(left: Instance, right: Instance, spec: JoinSpec) -> Instance:
 
 
 def reference_ids_set(instance: Instance, on, groups: dict, cfg) -> set:
-    """The selection tree sorting each branch by value, then by rank."""
+    """The selection tree sorting each branch by value, then by rank; a side
+    whose tree would be empty selects every candidate."""
     nonjoin = [a for a in instance.attr_names if a not in set(on)]
-    if not nonjoin:
+    if len(nonjoin) <= cfg.n_v:
         return set(groups)
     rows = [r for group in groups.values() for r in group]
 
@@ -338,7 +339,7 @@ def reference_ids_set(instance: Instance, on, groups: dict, cfg) -> set:
 
     ranked = sorted(nonjoin, key=lambda a: (distinct(a), a))
     out: set = set()
-    for attr in ranked[: max(0, len(ranked) - cfg.n_v)]:
+    for attr in ranked[: len(ranked) - cfg.n_v]:
         col = instance.columns[instance.ordinal(attr)]
         by_value: dict[int, set] = {}
         for value, group in groups.items():

@@ -1,14 +1,16 @@
 """Differential property test: selective discovery against the oracle.
 
 Seeded tiny random pairs cover what `make_fixture` never makes: composite
-keys, natural joins, nulls in every column (join keys included), empty
-sides and all six operators. A quarter of the pairs hold no null at all,
-because natural outer padding breaks dependencies even then. Each pair is
+keys, natural joins, equi-joins on differently named keys, nulls in every
+column (join keys included), empty sides and all six operators. A quarter
+of the pairs hold no null at all, because natural outer padding breaks
+dependencies even then. Each pair is
 checked twice: the selective pipeline's output must be closure-equal to
 the oracle's, and, on every non-semi pair, the streaming validator must
 agree with the materialized join on every candidate dependency over the
 join schema, each rejection keeping a counterexample that refutes it. The
-sampling pipeline's output must imply the oracle's set on every pair.
+sampling pipeline's output must imply the oracle's set on every pair,
+under a selection tree drawn per pair (`n_b`, `n_v` and seed).
 After each selective run, every counterexample the validator kept, and
 every mining candidate it refuted with one, must be false on the
 materialized join.
@@ -25,6 +27,7 @@ from joinfd.joins import SEMI_KINDS, JoinKind, JoinSpec, join
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import Instance
+from joinfd.sample import SampleConfig
 
 PAIRS = 600
 VALUES = ("x", "y", "z")
@@ -45,11 +48,16 @@ def _side(
 def _pair(rng: random.Random, index: int) -> tuple[Instance, Instance, JoinSpec]:
     keys = [f"k{i}" for i in range(rng.randint(1, 2))]
     natural = rng.random() < 0.5
+    # about half of the equi-joins match keys named apart
+    right_keys = keys
+    if not natural and rng.random() < 0.5:
+        right_keys = [f"j{i}" for i in range(len(keys))]
     nulls = [None] if rng.random() < 0.75 else []
     left = _side(rng, "L", keys, "a", nulls)
-    right = _side(rng, "R", keys, "b", nulls)
+    right = _side(rng, "R", right_keys, "b", nulls)
     kind = list(JoinKind)[index % len(JoinKind)]
-    return left, right, JoinSpec(kind, tuple(keys), tuple(keys), natural=natural)
+    spec = JoinSpec(kind, tuple(keys), tuple(right_keys), natural=natural)
+    return left, right, spec
 
 
 def _pairs():
@@ -68,11 +76,15 @@ def test_selective_matches_oracle_on_tiny_random_pairs():
 
 def test_sampling_implies_oracle_on_tiny_random_pairs():
     missed = []
+    rng = random.Random(20261019)
     for i, (left, right, spec) in enumerate(_pairs()):
-        rep = run_pipeline(left, right, spec, strategy="sampling")
+        cfg = SampleConfig(
+            n_b=rng.randint(1, 3), n_v=rng.randint(0, 2), seed=rng.randrange(1 << 16)
+        )
+        rep = run_pipeline(left, right, spec, strategy="sampling", sample_cfg=cfg)
         truth = oracle_join_fds(left, right, spec)
         if not all(implies(rep.fds, d) for d in truth):
-            missed.append((i, spec))
+            missed.append((i, spec, cfg))
     assert not missed
 
 

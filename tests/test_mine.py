@@ -35,7 +35,7 @@ def test_no_anchor_no_output_for_data_attributes():
     right = loads_csv("k,b\n1,p\n1,q\n2,p\n2,q", name="R")
     context = JoinContext(left, right, JoinSpec.equi(["k"], ["k"]))
     anchors = _anchors(right.attr_names, ["k"], FdSet())
-    got = discover(context, True, anchors, FdSet())
+    got = discover(context, True, anchors, pool=FdSet())
     assert all(d.rhs == "R.k" for d in got)
 
 
@@ -49,10 +49,24 @@ def test_proof_tables_mixed_dependency_is_mined(pair_with_join_only_fd):
 def test_candidates_with_known_subsets_are_skipped(pair_with_join_only_fd):
     left, right, spec = pair_with_join_only_fd
     context, sigma_l, sigma_r, _ = _stage12(left, right, spec)
-    prior = FdSet([fd(["L.A"], "R.C")])  # pretend a smaller rule is known
+    pool = FdSet([fd(["L.A"], "R.C")])  # pretend a smaller rule is known
     anchors = _anchors(right.attr_names, spec.right_on, sigma_r)
-    got = discover(context, True, anchors, prior)
+    got = discover(context, True, anchors, pool=pool)
     assert fd(["L.A", "R.B"], "R.C") not in got
+
+
+def test_accepted_candidates_join_the_pool(pair_with_join_only_fd):
+    left, right, spec = pair_with_join_only_fd
+    context, _, sigma_r, prior = _stage12(left, right, spec)
+    anchors = _anchors(right.attr_names, spec.right_on, sigma_r)
+    pool = FdSet(prior.as_set())
+    got = discover(context, True, anchors, pool=pool)
+    assert fd(["L.A", "R.B"], "R.C") in got
+    assert all(d in pool for d in got)
+    # a second walk over the same pool finds everything implied
+    validated = context.counters.candidates_validated
+    assert len(discover(context, True, anchors, pool=pool)) == 0
+    assert context.counters.candidates_validated == validated
 
 
 def test_mixed_anchor_skipped_when_extension_alone_works():
@@ -193,3 +207,17 @@ def test_natural_padding_breaks_dependencies_without_nulls_in_the_data():
             rep = run_pipeline(left, right, spec, strategy="selective")
             assert broken in rep.violated_fds, kind
             assert closure_equal(rep.fds, oracle_join_fds(left, right, spec)), kind
+
+
+def test_width_cliff_stays_exact_and_bounded():
+    # seven attributes a side on tiny domains: the lhs lattice is wide, and
+    # the walk must neither lose a dependency nor validate more than it did
+    prof = FixtureProfile(
+        left_rows=150, right_rows=150, left_attrs=7, right_attrs=7,
+        dangling_fraction=0.3, duplicate_fraction=0.3, domain_low=2, domain_high=8,
+    )
+    left, right, spec = make_fixture(prof, seed=2)
+    rep = run_pipeline(left, right, spec, strategy="selective")
+    assert closure_equal(rep.fds, oracle_join_fds(left, right, spec))
+    assert len(rep.fds) == 243
+    assert rep.counters.candidates_validated <= 747

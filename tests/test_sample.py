@@ -60,10 +60,22 @@ def test_single_constant_attribute_keeps_one_representative():
     assert len(got) == 1
 
 
-def test_skipping_every_level_selects_nothing():
+def test_leaving_out_every_attribute_selects_every_value():
+    # n_v empties the left tree: that side selects every value and the
+    # right side's tree decides, so the micro-join is not empty
     inst = loads_csv("k,a\n1,x\n2,y", name="L")
     got = generate_ids_set(inst, ["k"], _groups(inst), SampleConfig(n_b=1, n_v=1))
-    assert got == set()
+    assert got == {("1",), ("2",)}
+    left = loads_csv("k,a\n1,x\n2,y\n2,y\n3,x", name="L")
+    right = loads_csv("k,b,c\n1,p,u\n2,q,u\n3,q,v", name="R")
+    rep = run_pipeline(
+        left, right, JoinSpec.equi(["k"], ["k"]), strategy="sampling",
+        sample_cfg=SampleConfig(n_v=1),
+    )
+    assert implies(rep.fds, fd(["L.a", "R.b"], "R.k"))
+    assert implies(rep.fds, fd(["L.a", "R.c"], "R.k"))
+    assert not any("micro-join is empty" in w for w in rep.warnings)
+    assert rep.sample_rows_ratio == 0.75
 
 
 def test_branch_contribution_property():
