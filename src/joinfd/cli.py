@@ -21,7 +21,7 @@ from .fixtures import FixtureProfile, make_fixture
 from .joins import JoinKind, JoinSpec, coverage
 from .metrics import evaluate
 from .pipeline import run_pipeline
-from .relation import load_csv, to_csv
+from .relation import Instance, load_csv, to_csv
 from .sample import SampleConfig
 
 _OP_ALIASES = {
@@ -45,7 +45,14 @@ def _parse_on(text: str) -> tuple[list[str], list[str]]:
     return lx, ry
 
 
-def _load_table(path: str, args) -> "Instance":
+def _epsilon(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:  # nan too
+        raise argparse.ArgumentTypeError(f"expects a number in [0, 1], got {text!r}")
+    return value
+
+
+def _load_table(path: str, args) -> Instance:
     return load_csv(
         path,
         delimiter=args.delimiter,
@@ -236,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="mine one table")
     p.add_argument("csv")
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_epsilon, default=0.0)
     _add_csv_options(p)
     p.set_defaults(func=_cmd_discover)
 
     p = sub.add_parser("join-discover", help="mine the join of two tables")
     _add_join_options(p)
     p.add_argument("--strategy", default="selective", choices=["selective", "sampling", "oracle"])
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_epsilon, default=0.0)
     p.add_argument("--nb", type=int, default=1, help="sample tuples per branch")
     p.add_argument("--nv", type=int, default=0, help="most-distinct attributes to skip")
     p.add_argument("--seed", type=int, default=0)

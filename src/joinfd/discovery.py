@@ -1,23 +1,20 @@
-"""Single-table dependency discovery via level-wise lattice search.
+"""Single-table dependency discovery, and the package's one lattice walk.
 
-For each right-hand attribute the search walks lhs candidates bottom-up,
-starting from the empty set (constant columns), pruning every branch below an
-exact hit: a next-level candidate is kept only if every one-smaller lhs subset
-was tested and failed, so `discover_fds` needs no implication check. The walk
-runs on integer bitmasks (`lattice_bits`): the first name in sorted order
-takes the highest bit, so a mask's lowest bit is its largest name, the parent
-of a set is the mask minus its lowest bit, and within one level descending
-masks come out in lexicographic order of sorted names. Names are built only
-for results. Each partition is refined from its cached parent, and a
-candidate is tested exactly by scanning lhs classes until one disagrees on
-the rhs. With a nonzero error budget the search also counts g3 violations
-and reports approximate dependencies that are minimal under the budget; it
-keeps expanding below them because exact dependencies may still appear there.
-
-`discover_new_fds` walks the same masks with the same level step, and also
-skips every candidate that the known dependencies, plus what it has found
-for that rhs, imply; the known set is compiled onto the lattice's bits, so
-the implication check is a mask closure as well.
+`walk` is the apriori search over attribute sets as integer bitmasks that
+every search over attribute sets in the package runs on: a mask reaches the
+next level only if all its one-smaller subsets were judged False, so a hit
+prunes every superset of itself. Single-table mining is one walk per rhs
+from the empty set (constant columns) over `lattice_bits`: the first name in
+sorted order takes the highest bit, so the parent of a set, the mask minus
+its lowest bit, lacks its largest name, and within one level descending
+masks come out in lexicographic order of sorted names. Each partition is
+refined from its cached parent, and a candidate is tested exactly by
+scanning lhs classes until one disagrees on the rhs. With a nonzero error
+budget the search also reports approximate dependencies that are minimal
+under the budget (g3 counts), and keeps expanding below them because exact
+dependencies may still appear there. `discover_new_fds` also skips every
+candidate that the known dependencies, compiled onto the lattice's bits,
+plus what it has found for that rhs, imply.
 """
 
 from __future__ import annotations
@@ -123,41 +120,104 @@ class _PartitionCache:
         return count
 
 
-def next_lhs_level(masks: Iterable[int]) -> list[int]:
-    """Apriori step: unions of two same-size masks differing only in their
-    lowest bit, in descending order."""
+def _next_level(kept: Collection[int]) -> list[int]:
+    """Apriori step: in descending order, the unions of two same-size kept
+    masks differing only in their lowest bit whose one-smaller subsets are
+    all kept.
+
+    A set with a one-smaller subset missing from `kept` lies above a mask a
+    verdict settled, so it needs none of its own. The two masks joined are
+    the union without one of its two lowest bits, so only dropping a bit of
+    their intersection can give a subset that is not kept.
+    """
     by_parent: dict[int, list[int]] = {}
-    for m in set(masks):
+    for m in kept:
         by_parent.setdefault(m & (m - 1), []).append(m)
-    out = [
-        a | b
-        for group in by_parent.values()
-        for i, a in enumerate(group)
-        for b in group[i + 1 :]
-    ]
+    out = []
+    for group in by_parent.values():
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                c, rest = a | b, a & b
+                while rest:
+                    bit = rest & -rest
+                    if c ^ bit not in kept:
+                        break
+                    rest ^= bit
+                else:
+                    out.append(c)
     out.sort(reverse=True)
     return out
 
 
-def _next_level(kept: Collection[int]) -> list[int]:
-    """Apriori step keeping only masks whose one-smaller subsets are all kept.
+def walk(level: list[int], verdict: Callable[[int], bool]) -> None:
+    """Level-wise search up from `level`, the first level's masks.
 
-    A set with a one-smaller subset missing from `kept` contains the lhs of a
-    dependency found or implied below, so it is implied too and needs no test.
-    The two subsets a candidate was joined from are kept by construction.
+    `verdict(mask)` is True for a hit or a mask nothing above needs, and no
+    superset of such a mask is judged. A mask is judged once, after all its
+    one-smaller subsets were judged False; the first level in the order
+    given, each later one in descending order. A search from the empty set
+    judges it first, then walks the single bits.
     """
-    out = []
-    for c in next_lhs_level(kept):
-        rest = c & (c - 1)
-        rest &= rest - 1
-        while rest:
-            bit = rest & -rest
-            if c ^ bit not in kept:
-                break
-            rest ^= bit
-        else:
-            out.append(c)
-    return out
+    while level:
+        level = _next_level({m for m in level if not verdict(m)})
+
+
+def _search(
+    cache: _PartitionCache,
+    known: FdSet | Iterable[FunctionalDependency] = (),
+    epsilon: float = 0.0,
+) -> tuple[FdSet, list[Afd]]:
+    """Per rhs, the minimal exact dependencies not implied by `known`, and
+    with a nonzero `epsilon` the minimal approximate ones. With no known
+    rules the walk alone prunes above every hit: nothing else is implied."""
+    instance = cache.instance
+    n = instance.row_count
+    rules = Rules()
+    if known:
+        # `Rules` gives names bits from the lowest up as it first sees them,
+        # so seeding them in ascending bit order gives each its lattice bit
+        rules.mask(sorted(cache.bits, reverse=True))
+        for d in known:
+            rules.add(d)
+    check = bool(rules.rules)
+    exact = FdSet()
+    afds: list[Afd] = []
+    for rhs in instance.attr_names:
+        rhs_ord = instance.ordinal(rhs)
+        goal = cache.bits[rhs]
+        found: list[int] = []
+        # each judged non-dependency -> whether some subset of it, itself
+        # included, is within the error budget
+        budget: dict[int, bool] = {}
+
+        def verdict(lhs: int) -> bool:
+            if check:
+                # a rule X -> rhs found here fires only once X is within
+                # the closure of lhs under `known`, and then reaches the goal
+                reach = rules.closure(lhs, goal)
+                if reach & goal or any(not x & ~reach for x in found):
+                    return True
+            if cache.holds(lhs, rhs_ord):
+                exact.add(FunctionalDependency(cache.names(lhs), rhs))
+                found.append(lhs)
+                return True
+            if epsilon > 0:
+                within = any(budget[lhs ^ bit] for bit in mask_bits(lhs))
+                if not within:
+                    count = cache.error_count(lhs, rhs_ord)
+                    within = count <= epsilon * n
+                    if within:
+                        fd = FunctionalDependency(cache.names(lhs), rhs)
+                        afds.append(Afd(fd, count / n, count))
+                budget[lhs] = within
+            return False
+
+        # the empty lhs asks for a constant column (vacuously constant
+        # when there are no rows)
+        if not verdict(0):
+            walk([bit for bit in cache.bits.values() if bit != goal], verdict)
+    afds.sort(key=lambda a: a.fd.sort_key())
+    return exact, afds
 
 
 def discover_fds(
@@ -168,42 +228,7 @@ def discover_fds(
     Exact results are complete regardless of epsilon. An approximate result
     has 0 < error <= epsilon and no lhs subset within the budget.
     """
-    cache = _PartitionCache(instance)
-    n = instance.row_count
-    exact = FdSet()
-    afds: list[Afd] = []
-
-    def within_budget(lhs: int, rhs: str, rhs_ord: int) -> bool:
-        count = cache.error_count(lhs, rhs_ord)
-        if count > epsilon * n:
-            return False
-        afds.append(Afd(FunctionalDependency(cache.names(lhs), rhs), count / n, count))
-        return True
-
-    for rhs in instance.attr_names:
-        rhs_ord = instance.ordinal(rhs)
-        # level 0: constant column (vacuously constant when there are no rows)
-        if cache.holds(0, rhs_ord):
-            exact.add(FunctionalDependency(frozenset(), rhs))
-            continue
-        # each non-dependency lhs of the level below -> whether some subset
-        # of it, itself included, is within the error budget
-        below = {0: epsilon > 0 and within_budget(0, rhs, rhs_ord)}
-        level = [bit for a, bit in cache.bits.items() if a != rhs]
-        while level:
-            kept: dict[int, bool] = {}
-            for lhs in level:
-                if cache.holds(lhs, rhs_ord):
-                    exact.add(FunctionalDependency(cache.names(lhs), rhs))
-                    continue
-                kept[lhs] = epsilon > 0 and (
-                    any(below[lhs ^ bit] for bit in mask_bits(lhs))
-                    or within_budget(lhs, rhs, rhs_ord)
-                )
-            below = kept
-            level = _next_level(kept)
-    afds.sort(key=lambda a: a.fd.sort_key())
-    return exact, afds
+    return _search(_PartitionCache(instance), epsilon=epsilon)
 
 
 def discover_new_fds(
@@ -213,48 +238,10 @@ def discover_new_fds(
 ) -> FdSet:
     """Minimal dependencies of `instance` not implied by `known`.
 
-    The walk is `discover_fds`'s, on the same masks, except that it skips a
-    candidate implied by `known` plus the output found so far for its rhs,
-    so the union of `known` and the result implies every dependency holding
-    on the instance. `cache` holds partitions of `instance` that other
-    readers share; by default the search builds its own.
+    A candidate implied by `known` plus the output found so far for its rhs
+    is skipped, so the union of `known` and the result implies every
+    dependency holding on the instance. `cache` holds partitions of
+    `instance` that other readers share; by default the search builds its
+    own.
     """
-    if cache is None:
-        cache = _PartitionCache(instance)
-    # `Rules` gives names bits from the lowest up as it first sees them, so
-    # seeding them in ascending bit order gives each its lattice bit
-    rules = Rules()
-    rules.mask(sorted(cache.bits, reverse=True))
-    for d in known:
-        rules.add(d)
-    out = FdSet()
-    for rhs in instance.attr_names:
-        rhs_ord = instance.ordinal(rhs)
-        goal = cache.bits[rhs]
-        found: list[int] = []
-
-        def implied(lhs: int) -> bool:
-            # a rule X -> rhs found here fires only once X is within the
-            # closure of lhs under `known`, and then reaches the goal
-            reach = rules.closure(lhs, goal)
-            return bool(reach & goal) or any(not x & ~reach for x in found)
-
-        if not implied(0) and cache.holds(0, rhs_ord):
-            out.add(FunctionalDependency(frozenset(), rhs))
-            continue
-        level = [bit for bit in cache.bits.values() if bit != goal and not implied(bit)]
-        while level:
-            kept: set[int] = set()
-            # a level arrives filtered by `implied`; only what this level
-            # finds can prune the rest
-            before = len(found)
-            for lhs in level:
-                if len(found) > before and implied(lhs):
-                    continue
-                if cache.holds(lhs, rhs_ord):
-                    out.add(FunctionalDependency(cache.names(lhs), rhs))
-                    found.append(lhs)
-                else:
-                    kept.add(lhs)
-            level = [c for c in _next_level(kept) if not implied(c)]
-    return out
+    return _search(cache or _PartitionCache(instance), known)[0]

@@ -14,11 +14,10 @@ minimized on the join's validator, which materializes no join rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .context import JoinContext
-from .discovery import minimal_variants
+from .discovery import minimal_variants, walk
 from .fds import (
     FdSet,
     FunctionalDependency,
@@ -38,20 +37,23 @@ class InferredFdSet:
 def _minimal_determiners(
     target: frozenset[str], fds: FdSet | Iterable[FunctionalDependency]
 ) -> list[frozenset[str]]:
-    """Subset-minimal attribute sets whose closure covers `target`."""
+    """Subset-minimal attribute sets whose closure covers `target`, by size
+    and then names. Walked up from the empty set; a determiner ends its
+    branch, since every superset of it determines `target` too."""
     rules = compile_rules(fds)
     universe = sorted({a for lhs in rules.rules for a in rules.names(lhs)} | target)
     goal = rules.mask(target)
-    found: list[int] = []
     out: list[frozenset[str]] = []
-    for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            cand = rules.mask(combo)
-            if any(not small & ~cand for small in found):
-                continue
-            if rules.closure(cand) & goal == goal:
-                found.append(cand)
-                out.append(frozenset(combo))
+
+    def verdict(cand: int) -> bool:
+        if rules.closure(cand) & goal == goal:
+            out.append(rules.names(cand))
+            return True
+        return False
+
+    if not verdict(0):
+        walk([rules.mask((a,)) for a in universe], verdict)
+    out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 
 

@@ -2,29 +2,27 @@
 
 An attribute b can be the rhs of a still-unknown join dependency only if the
 rhs side's join attributes (possibly together with some side-local set A')
-determine b on the join. Every anchored rhs is explored level-wise over lhs
-candidates drawn from the opposite side's attributes, on the context's
-bitmasks over join names (`JoinContext.join_bits`), with the apriori step of
-every lattice walk here (`discovery._next_level`). Each candidate is
-validated by the context's validator (`JoinContext.check_fd`), which reads
-cached partitions of the lhs side and cached (lhs part, rhs) code pairs of
-the rhs side and materializes no join rows. Each rejection leaves the agree
-set of two violating join rows in the context, and a later candidate whose
-lhs fits inside an agree set filed under its rhs is false on the join: it is
-refuted without an implication check or a validation, and stays a survivor
-exactly as a failed validation does. Candidates implied by the pool of
-established dependencies are skipped; both directions share that pool, and
-every accepted candidate joins it. It holds only true dependencies, so it
+determine b on the join. Every anchored rhs is searched by `discovery.walk`
+over lhs candidates drawn from the opposite side's attributes, on the
+context's bitmasks over join names (`JoinContext.join_bits`). A candidate
+whose lhs fits inside an agree set that the validator recorded under its
+rhs is refuted: false on the join, it stays in the walk without an
+implication check or a validation. One implied by the pool of established
+dependencies is pruned. Any other is validated by the context's validator
+(`JoinContext.check_fd`), which reads cached partitions of the lhs side and
+cached (lhs part, rhs) code pairs of the rhs side and materializes no join
+rows: an accepted one is a hit and joins the pool, and a rejected one stays
+in the walk and leaves the agree set of two violating join rows behind.
+Both directions share the pool. It holds only true dependencies, so it
 never implies a refuted one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 from .context import JoinContext
-from .discovery import _next_level
+from .discovery import walk
 from .fds import FdSet, FunctionalDependency, compile_rules, implies, mask_bits
 from .joins import SEMI_KINDS
 from .relation import has_nulls
@@ -41,7 +39,8 @@ def _anchors(
     A pure anchor needs the join attributes alone to determine b; a mixed
     anchor needs Y together with A', where A' alone must not determine b.
     Read through the closure of the side's dependency set, on its compiled
-    bitmask rules.
+    bitmask rules. The extensions are walked up from single attributes, and
+    one that alone determines b ends its branch: so does every superset.
 
     With `assume_all_anchored` the Y-determination requirement is waived:
     when a null join value matches outer padding, a dependency can hold
@@ -58,16 +57,17 @@ def _anchors(
         goal = rules.mask((b,))
         if assume_all_anchored or y_mask & goal or determines(y_mask, goal):
             out.append((b, frozenset()))
+
+        def verdict(ext: int) -> bool:
+            if determines(ext, goal):
+                return True
+            if assume_all_anchored or determines(y_mask | ext, goal):
+                out.append((b, rules.names(ext)))
+            return False
+
         # the extension may include join attributes: under outer padding an
         # lhs carrying them is not equivalent to its rewritten form
-        others = [a for a in j_attrs if a != b]
-        for size in range(1, len(others) + 1):
-            for combo in combinations(others, size):
-                ext = rules.mask(combo)
-                if determines(ext, goal):
-                    continue  # the extension alone already determines b
-                if assume_all_anchored or determines(y_mask | ext, goal):
-                    out.append((b, frozenset(combo)))
+        walk([rules.mask((a,)) for a in j_attrs if a != b], verdict)
     out.sort(key=lambda t: (t[0], len(t[1]), tuple(sorted(t[1]))))
     return out
 
@@ -98,25 +98,25 @@ def discover(
         rhs = j_map[b]
         ext_names = frozenset(j_map[a] for a in ext)
         ext_mask = sum(map(bits.__getitem__, ext_names))
+
+        def verdict(lhs: int) -> bool:
+            # a counterexample refutes it, so the pool of true dependencies
+            # cannot imply it and validation would fail
+            if context.refutes(lhs | ext_mask, rhs):
+                return False
+            lhs_names = frozenset(map(name.__getitem__, mask_bits(lhs)))
+            cand = FunctionalDependency(lhs_names | ext_names, rhs)
+            if implies(pool, cand):
+                return True
+            if context.check_fd(cand):
+                out.add(cand, "mined")
+                pool.add(cand)
+                return True
+            return False
+
         # a natural join maps both sides' key to one name, so side I can
         # own the rhs's name: that bit is no lhs candidate
-        level = [bit for bit in singles if bit != bits[rhs]]
-        while level:
-            kept: set[int] = set()
-            for lhs in level:
-                # a counterexample refutes it, so the pool of true
-                # dependencies cannot imply it and validation would fail
-                if not context.refutes(lhs | ext_mask, rhs):
-                    lhs_names = frozenset(map(name.__getitem__, mask_bits(lhs)))
-                    cand = FunctionalDependency(lhs_names | ext_names, rhs)
-                    if implies(pool, cand):
-                        continue
-                    if context.check_fd(cand):
-                        out.add(cand, "mined")
-                        pool.add(cand)
-                        continue
-                kept.add(lhs)
-            level = _next_level(kept)
+        walk([bit for bit in singles if bit != bits[rhs]], verdict)
     return out
 
 

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's partition/lattice
 machinery: they enumerate subsets and scan decoded rows with dictionaries,
 so they can serve as ground truth for it. The references are the plain
 frozenset forms of the library's bitmask algorithms (closure, redundancy
-removal, the apriori step), a join that decodes every cell and encodes the
-result again, and the selection tree that ranks and sorts every branch
-whole; the library must return exactly what they do.
+removal, the apriori step), the mining anchors and inference determiners
+found by testing every subset instead of walking the lattice, a join that
+decodes every cell and encodes the result again, and the selection tree
+that ranks and sorts every branch whole; the library must return exactly
+what they do.
 `recorded_contexts` and `counterexamples_refuted_on_join` check the
 validator's counterexamples against the materialized join.
 """
@@ -18,7 +20,7 @@ import pytest
 from joinfd import pipeline
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
-from joinfd.fds import FdSet, FunctionalDependency
+from joinfd.fds import FdSet, FunctionalDependency, compile_rules
 from joinfd.joins import (
     PADS_LEFT_ATTRS,
     PADS_RIGHT_ATTRS,
@@ -228,6 +230,65 @@ def reference_next_level(kept) -> list[frozenset]:
     return [
         c for c in reference_next_lhs_level(kept) if all(c - {a} in kept for a in c)
     ]
+
+
+def random_rules(rng, names) -> FdSet:
+    """Up to eight random dependencies over `names`, each lhs of 0-3 other
+    names; one set in five is empty."""
+    out = FdSet()
+    if rng.random() < 0.2:
+        return out
+    for _ in range(rng.randint(1, 8)):
+        rhs = rng.choice(names)
+        others = [a for a in names if a != rhs]
+        lhs = rng.sample(others, rng.randint(0, min(3, len(others))))
+        out.add(FunctionalDependency(frozenset(lhs), rhs))
+    return out
+
+
+def reference_anchors(j_attrs, y_attrs, sigma_j, assume_all_anchored=False) -> list:
+    """`mine._anchors` testing every subset of the other attributes as an
+    extension."""
+    rules = compile_rules(sigma_j)
+    y_mask = rules.mask(y_attrs)
+
+    def determines(mask: int, goal: int) -> bool:
+        return bool(rules.closure(mask, goal) & goal)
+
+    out = []
+    for b in j_attrs:
+        goal = rules.mask((b,))
+        if assume_all_anchored or y_mask & goal or determines(y_mask, goal):
+            out.append((b, frozenset()))
+        others = [a for a in j_attrs if a != b]
+        for size in range(1, len(others) + 1):
+            for combo in combinations(others, size):
+                ext = rules.mask(combo)
+                if determines(ext, goal):
+                    continue
+                if assume_all_anchored or determines(y_mask | ext, goal):
+                    out.append((b, frozenset(combo)))
+    out.sort(key=lambda t: (t[0], len(t[1]), tuple(sorted(t[1]))))
+    return out
+
+
+def reference_minimal_determiners(target, fds) -> list[frozenset]:
+    """`infer._minimal_determiners` testing every subset of the names of
+    rule lhss and of `target`, smallest first."""
+    rules = compile_rules(fds)
+    universe = sorted({a for lhs in rules.rules for a in rules.names(lhs)} | target)
+    goal = rules.mask(target)
+    found: list[int] = []
+    out: list[frozenset] = []
+    for size in range(len(universe) + 1):
+        for combo in combinations(universe, size):
+            cand = rules.mask(combo)
+            if any(not small & ~cand for small in found):
+                continue
+            if rules.closure(cand) & goal == goal:
+                found.append(cand)
+                out.append(frozenset(combo))
+    return out
 
 
 def model_implies(base, candidate, universe) -> bool:

@@ -37,6 +37,27 @@ def test_discover_with_epsilon(tmp_path, capsys):
     assert any(a["lhs"] == ["flag"] and a["degree"] == 1 for a in doc["afds"])
 
 
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+@pytest.mark.parametrize("command", ["discover", "join-discover"])
+def test_out_of_range_epsilon_exits_2(tables, capsys, command, value):
+    left, right = tables
+    argv = [command, str(left)]
+    if command == "join-discover":
+        argv = [command, "--left", str(left), "--right", str(right), "--on", "pid=pid"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--epsilon", value])
+    assert exc.value.code == 2
+    assert "expects a number in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_epsilon_bounds_are_accepted(tables, capsys, value):
+    left, _ = tables
+    code, doc = _run(capsys, ["discover", str(left), "--epsilon", value])
+    assert code == 0
+    assert bool(doc["afds"]) == (value == "1")
+
+
 def test_join_discover_selective(tables, capsys):
     left, right = tables
     code, doc = _run(

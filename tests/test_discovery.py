@@ -10,9 +10,9 @@ from joinfd.discovery import (
     discover_new_fds,
     holds,
     lattice_bits,
-    next_lhs_level,
+    walk,
 )
-from joinfd.fds import FdSet, fd
+from joinfd.fds import FdSet, fd, mask_bits
 from joinfd.relation import loads_csv, take_rows
 
 from conftest import (
@@ -21,7 +21,6 @@ from conftest import (
     model_implies,
     random_instance,
     reference_next_level,
-    reference_next_lhs_level,
 )
 
 
@@ -193,9 +192,40 @@ def test_mask_apriori_steps_match_frozenset_references_in_order():
     rng = random.Random(27)
     for family, bits in _random_families(rng, 300):
         masks = {sum(bits[a] for a in s) for s in family}
-        got = _as_names(next_lhs_level(masks), bits)
-        assert got == reference_next_lhs_level(family)
         assert _as_names(_next_level(masks), bits) == reference_next_level(family)
+
+
+def test_walk_judges_the_border_of_an_upward_closed_family():
+    # each mask at most once, only above one-smaller subsets judged False,
+    # level by level in descending order; the hits are the minimal members
+    rng = random.Random(29)
+    for _ in range(400):
+        width = rng.randint(0, 7)
+        generators = [rng.randrange(1 << width) for _ in range(rng.randint(0, 4))]
+
+        def member(mask):
+            return any(not g & ~mask for g in generators)
+
+        judged: dict[int, bool] = {}
+        order: list[int] = []
+
+        def verdict(mask):
+            assert mask not in judged
+            assert all(judged.get(mask ^ bit) is False for bit in mask_bits(mask))
+            judged[mask] = member(mask)
+            order.append(mask)
+            return judged[mask]
+
+        if not verdict(0):
+            walk([1 << i for i in reversed(range(width))], verdict)
+        sizes = [bin(m).count("1") for m in order]
+        assert sizes == sorted(sizes)
+        for size in set(sizes):
+            level = [m for m in order if bin(m).count("1") == size]
+            assert level == sorted(level, reverse=True)
+        family = [m for m in range(1 << width) if member(m)]
+        minimal = {m for m in family if not any(member(m ^ b) for b in mask_bits(m))}
+        assert {m for m, hit in judged.items() if hit} == minimal
 
 
 def test_partitions_refine_the_parent_without_the_largest_name(monkeypatch):

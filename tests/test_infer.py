@@ -3,10 +3,12 @@ import random
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds, holds
 from joinfd.fds import FdSet, fd, implies
-from joinfd.infer import infer, infer_join_fds, refine
+from joinfd.infer import _minimal_determiners, infer, infer_join_fds, refine
 from joinfd.joins import JoinKind, JoinSpec, join
 from joinfd.relation import loads_csv
 from joinfd.upstage import upstage
+
+from conftest import random_rules, reference_minimal_determiners
 
 
 def test_single_transitivity_step():
@@ -205,3 +207,17 @@ def test_output_stable_under_input_order():
     shuffled_r = FdSet(list(sigma_r)[::-1])
     b = infer_join_fds(JoinContext(left, right, spec), shuffled_l, shuffled_r)
     assert a.fds == b.fds
+
+
+def test_minimal_determiners_match_the_subset_enumeration():
+    rng = random.Random(74)
+    seen = {"no rules": 0, "empty determiner": 0}
+    for _ in range(400):
+        names = [f"a{i}" for i in range(rng.randint(1, 7))]
+        sigma = random_rules(rng, names)
+        target = frozenset(rng.sample(names, rng.randint(1, min(3, len(names)))))
+        expected = reference_minimal_determiners(target, FdSet(sigma.as_set()))
+        assert _minimal_determiners(target, sigma) == expected
+        seen["no rules"] += not sigma.as_set()
+        seen["empty determiner"] += expected == [frozenset()]
+    assert min(seen.values()) >= 40, seen

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds, holds
@@ -11,6 +12,8 @@ from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 from joinfd.upstage import upstage
+
+from conftest import random_rules, reference_anchors
 
 
 def _stage12(left, right, spec):
@@ -78,6 +81,23 @@ def test_mixed_anchor_skipped_when_extension_alone_works():
     assert implies(sigma_r, fd(["B"], "C"))
     anchors = _anchors(right.attr_names, ["Y"], sigma_r)
     assert ("C", frozenset(["B"])) not in anchors
+
+
+def test_anchors_match_the_subset_enumeration():
+    rng = random.Random(73)
+    seen = Counter()
+    for _ in range(400):
+        names = [f"a{i}" for i in range(rng.randint(1, 6))]
+        rng.shuffle(names)
+        on = rng.sample(names, rng.randint(1, len(names)))
+        assume = rng.random() < 0.5
+        sigma = random_rules(rng, names)
+        expected = reference_anchors(names, on, FdSet(sigma.as_set()), assume)
+        assert _anchors(names, on, sigma, assume) == expected
+        seen["assumed" if assume else "licensed"] += 1
+        seen["no rules"] += not sigma.as_set()
+        seen["constant"] += any(implies(sigma, fd([], b)) for b in names)
+    assert len(seen) == 4 and min(seen.values()) >= 40, seen
 
 
 def test_mined_dependencies_hold_on_the_join():
