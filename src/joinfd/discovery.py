@@ -5,11 +5,12 @@ every search over attribute sets in the package runs on: a mask reaches the
 next level only if all its one-smaller subsets were judged False, so a hit
 prunes every superset of itself. Single-table mining is one walk per rhs
 from the empty set (constant columns) over `lattice_bits`: the first name in
-sorted order takes the highest bit, so the parent of a set, the mask minus
-its lowest bit, lacks its largest name, and within one level descending
-masks come out in lexicographic order of sorted names. Each partition is
-refined from its cached parent, and a candidate is tested exactly by
-scanning lhs classes until one disagrees on the rhs. With a nonzero error
+sorted order takes the highest bit, so a mask minus its lowest bit lacks
+its largest name, and within one level descending masks come out in
+lexicographic order of sorted names. Each partition is refined from the
+cached one-smaller subset whose classes hold the fewest rows (a walk has
+judged them all), and a candidate is tested exactly by scanning lhs
+classes until one disagrees on the rhs. With a nonzero error
 budget the search also reports approximate dependencies that are minimal
 under the budget (g3 counts), and keeps expanding below them because exact
 dependencies may still appear there. `discover_new_fds` also skips every
@@ -79,10 +80,12 @@ def lattice_bits(names: Iterable[str]) -> dict[str, int]:
 class _PartitionCache:
     """Stripped partitions of one instance, keyed by `lattice_bits` mask.
 
-    The parent of an attribute set is the mask minus its lowest bit, that
-    is the set without its largest name. The level-wise searches evaluated
-    that set one level earlier, so a new partition usually costs one
-    `refine` pass over a cached one.
+    A new partition costs one `refine` pass over its parent: of the cached
+    one-smaller subsets, the one whose classes hold the fewest rows, since
+    `refine` reads only those. The level-wise searches evaluated every such
+    subset one level earlier. When none is cached the parent is the mask
+    minus its lowest bit, the set without its largest name, built first.
+    The classes are the same whichever parent they come from.
     """
 
     def __init__(self, instance: Instance):
@@ -98,11 +101,22 @@ class _PartitionCache:
         return frozenset(map(self._name.__getitem__, mask_bits(mask)))
 
     def get(self, mask: int) -> StrippedPartition:
-        part = self._cache.get(mask)
+        cache = self._cache
+        part = cache.get(mask)
         if part is None:
-            last = mask & -mask
-            part = refine(self.get(mask ^ last), self.instance, self._name[last])
-            self._cache[mask] = part
+            parent = None
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                sub = cache.get(mask ^ bit)
+                if sub is not None and (parent is None or sub.size < parent.size):
+                    parent, added = sub, bit
+            if parent is None:
+                added = mask & -mask
+                parent = self.get(mask ^ added)
+            part = refine(parent, self.instance, self._name[added])
+            cache[mask] = part
         return part
 
     def holds(self, lhs: int, rhs_ord: int) -> bool:

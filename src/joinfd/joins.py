@@ -173,7 +173,9 @@ def _semi(side: Instance, groups: dict, partner_groups: dict) -> Instance:
     return take_rows(side, list(first.values()))
 
 
-def join(left: Instance, right: Instance, spec: JoinSpec) -> Instance:
+def join(
+    left: Instance, right: Instance, spec: JoinSpec, profile: JoinProfile | None = None
+) -> Instance:
     """Compute one of the six join operators.
 
     Inner and outer results row order: left rows in order, each followed by
@@ -181,11 +183,15 @@ def join(left: Instance, right: Instance, spec: JoinSpec) -> Instance:
     right rows are appended at the end. Result columns keep their input's
     codes and dictionaries. A natural merged column is the left one, whose
     dictionary grows by the right join values it lacks on the padding rows
-    of dangling right rows.
+    of dangling right rows. A given `profile` of the same triple supplies
+    both sides' join-value groups, which are otherwise computed here.
     """
     spec.validate(left, right)
-    lgroups = _value_groups(left, spec.left_on)
-    rgroups = _value_groups(right, spec.right_on)
+    if profile is None:
+        lgroups = _value_groups(left, spec.left_on)
+        rgroups = _value_groups(right, spec.right_on)
+    else:
+        lgroups, rgroups = profile.left_groups, profile.right_groups
     if spec.kind is JoinKind.LEFT_SEMI:
         return _semi(left, lgroups, rgroups)
     if spec.kind is JoinKind.RIGHT_SEMI:

@@ -54,7 +54,7 @@ def oracle_join_fds(
             f"join would materialize {expected} rows, over the limit of {limit}; "
             f"raise {ROW_LIMIT_ENV} to allow it"
         )
-    joined = join(left, right, spec)
+    joined = join(left, right, spec, context.profile)
     context.counters.full_join_rows += joined.row_count
     if joined.row_count > limit:
         raise GuardError(

@@ -12,6 +12,7 @@ subclass".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 from .relation import AttrRef, Instance
@@ -26,7 +27,7 @@ class StrippedPartition:
 
     attrs: frozenset[str]
     classes: tuple[tuple[int, ...], ...]
-    source_rows: int
+    size: int  # rows in `classes`, what refining this partition reads
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,20 @@ def refine(
 ) -> StrippedPartition:
     """Partition under attrs(part) | {attr}, split class by class.
 
-    Only the rows of `part`'s stripped classes are read, so the cost shrinks
-    as the attribute set grows. Classes come out in ascending row order,
-    ordered by their first row.
+    Only the `part.size` rows of `part`'s stripped classes are read, so the
+    cost shrinks as the attribute set grows. A two-row class is settled by
+    one comparison; a larger one is grouped by its codes on `attr`. Classes
+    come out in ascending row order, ordered by their first row, so the
+    result does not depend on which coarser partition it was refined from.
     """
     ordinal = instance.ordinal(attr)
     col = instance.columns[ordinal]
     out: list[tuple[int, ...]] = []
     for cls in part.classes:
+        if len(cls) == 2:
+            if col[cls[0]] == col[cls[1]]:
+                out.append(cls)
+            continue
         groups: dict[int, list[int]] = {}
         for t in cls:
             groups.setdefault(col[t], []).append(t)
@@ -57,9 +64,9 @@ def refine(
             out.append(cls)
             continue
         out.extend(tuple(g) for g in groups.values() if len(g) >= 2)
-    out.sort(key=lambda g: g[0])
+    out.sort(key=itemgetter(0))
     name = instance.schema[ordinal].name
-    return StrippedPartition(part.attrs | {name}, tuple(out), part.source_rows)
+    return StrippedPartition(part.attrs | {name}, tuple(out), sum(map(len, out)))
 
 
 def build_partition(instance: Instance, attrs: Iterable[AttrRef]) -> StrippedPartition:
@@ -70,7 +77,8 @@ def build_partition(instance: Instance, attrs: Iterable[AttrRef]) -> StrippedPar
     set refines it one attribute at a time.
     """
     n = instance.row_count
-    part = StrippedPartition(frozenset(), (tuple(range(n)),) if n >= 2 else (), n)
+    classes = (tuple(range(n)),) if n >= 2 else ()
+    part = StrippedPartition(frozenset(), classes, sum(map(len, classes)))
     for ordinal in instance.ordinals(attrs):
         part = refine(part, instance, instance.schema[ordinal])
     return part

@@ -52,13 +52,14 @@ def _value_sort_key(value: tuple) -> tuple:
     return tuple((v is None, "" if v is None else v) for v in value)
 
 
-def _rank(seed: int, value: tuple) -> tuple:
-    """Position of a join value in the seeded pseudo-random permutation.
+def _rank(seed: int, value: tuple) -> int:
+    """Position of a join value in the seeded pseudo-random permutation,
+    up to crc32 ties, which `_value_sort_key` breaks.
 
     Keyed on the value itself, so both sides of a join rank shared values
     identically and their branch representatives tend to coincide.
     """
-    return (zlib.crc32(repr((seed, value)).encode()), _value_sort_key(value))
+    return zlib.crc32(repr((seed, value)).encode())
 
 
 def generate_ids_set(
@@ -71,10 +72,12 @@ def generate_ids_set(
 
     `groups` maps each candidate join value to the ids of the rows carrying
     it; the tree walks only those rows. Each candidate is ranked once
-    (`_rank`), and a branch of more than `n_b` values keeps its `n_b`
-    lowest ranked. A side whose tree would be empty, because it has no
-    non-join attribute or `n_v` leaves out every one, selects every
-    candidate value, so that the other side's selection decides.
+    (`_rank`, with the value's own order as a tie-break only when two
+    candidates share a crc32), and a branch of more than `n_b` values
+    keeps its `n_b` lowest ranked. A side whose tree would be empty,
+    because it has no non-join attribute or `n_v` leaves out every one,
+    selects every candidate value, so that the other side's selection
+    decides.
     """
     on_set = set(on)
     nonjoin = [a for a in instance.attr_names if a not in on_set]
@@ -92,7 +95,9 @@ def generate_ids_set(
 
     ranked = sorted(nonjoin, key=lambda a: (distinct(a), a))
     retained = ranked[: len(ranked) - cfg.n_v]
-    rank = {v: _rank(cfg.seed, v) for v in groups}
+    rank: dict[tuple, int | tuple] = {v: _rank(cfg.seed, v) for v in groups}
+    if len(set(rank.values())) < len(rank):  # a crc32 collision
+        rank = {v: (r, _value_sort_key(v)) for v, r in rank.items()}
     out: set[tuple] = set()
     for attr in retained:
         col = instance.columns[instance.ordinal(attr)]

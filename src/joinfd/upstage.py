@@ -92,7 +92,13 @@ def upstage(
             return partitions.holds(partitions.mask(d.lhs), sub.ordinal(d.rhs))
 
         members = fds.as_set()
-        survivors = FdSet(filter(valid, members)) if padded else FdSet(members)
+        if padded:
+            # judged in ascending lhs mask order, so that the partitions
+            # `valid` builds, and the parents later ones are refined from,
+            # do not follow the hash seed
+            by_lhs = sorted(members, key=lambda d: partitions.mask(d.lhs))
+            members = filter(valid, by_lhs)
+        survivors = FdSet(members)
         preserved[side] = survivors
         if not padded and sub.row_count == inst.row_count:
             out[side] = FdSet()  # join value sets preserved: nothing to upstage

@@ -1,9 +1,12 @@
-"""Reports do not depend on the hash seed.
+"""Reports, and the partition work behind them, do not depend on the hash seed.
 
 The mining walk, the counterexamples the validator keeps and the sampling
 tree all iterate sets and dicts of names and join values. Each report here
 is made in a fresh interpreter under three hash seeds, and everything it
 serializes except the timings must come out the same, counters included.
+A partition is refined from the smallest cached parent, so the order in
+which partitions are first requested decides how many rows `refine` reads:
+that count must come out the same too.
 """
 
 import json
@@ -14,6 +17,7 @@ from pathlib import Path
 
 PROBE = """
 import json
+from joinfd import discovery
 from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec
 from joinfd.pipeline import run_pipeline
@@ -38,12 +42,21 @@ pairs = [
         seed=5,
     ),
 ]
+read = [0]
+refine = discovery.refine
+
+def counted(part, instance, attr):
+    read[0] += part.size
+    return refine(part, instance, attr)
+
+discovery.refine = counted
 out = []
 for pair in pairs:
     for strategy in ("selective", "sampling"):
         doc = run_pipeline(*pair, strategy=strategy).to_json()
         del doc["timings"]
         out.append(doc)
+out.append(read[0])
 print(json.dumps(out))
 """
 
@@ -60,5 +73,6 @@ def test_reports_do_not_depend_on_the_hash_seed():
         )
         runs.append(json.loads(done.stdout))
     # both pairs mine something, so the walk order is exercised
-    assert all(doc["counters"]["candidates_validated"] > 0 for doc in runs[0][::2])
+    assert all(doc["counters"]["candidates_validated"] > 0 for doc in runs[0][:-1:2])
+    assert runs[0][-1] > 0  # rows `refine` read
     assert runs[0] == runs[1] == runs[2]

@@ -22,6 +22,7 @@ from conftest import (
     random_instance,
     reference_next_level,
 )
+from test_partition import _grouping
 
 
 def test_holds_is_vacuous_on_tiny_instances():
@@ -228,25 +229,67 @@ def test_walk_judges_the_border_of_an_upward_closed_family():
         assert {m for m, hit in judged.items() if hit} == minimal
 
 
-def test_partitions_refine_the_parent_without_the_largest_name(monkeypatch):
+def test_partitions_refine_the_smallest_cached_parent(monkeypatch):
     inst = random_instance(random.Random(28), n_attrs=5, n_rows=30)
-    refined = []
+    width = len(inst.attr_names)
+    masks = list(range(1, 1 << width))
     original = discovery.refine
+    # level by level, as the walks request them, then in a shuffled order
+    # that also requests masks with no cached one-smaller subset
+    shuffled = masks[:]
+    random.Random(29).shuffle(shuffled)
+    picks = {"not the lowest bit": 0, "fallback": 0}
+    for order in (sorted(masks, key=lambda m: bin(m).count("1")), shuffled):
+        cache = _PartitionCache(inst)
+        refined = []  # (mask, parent mask) per refine
 
-    def spy(part, instance, attr):
-        refined.append((part.attrs, attr))
-        return original(part, instance, attr)
+        def spy(part, instance, attr):
+            mask = cache.mask(part.attrs | {attr})
+            parent = cache.mask(part.attrs)
+            refined.append((mask, parent))
+            cached = [mask ^ bit for bit in mask_bits(mask) if mask ^ bit in cache._cache]
+            assert parent in cached
+            assert part.size == min(cache._cache[m].size for m in cached)
+            picks["not the lowest bit"] += parent != mask ^ (mask & -mask)
+            return original(part, instance, attr)
 
-    monkeypatch.setattr(discovery, "refine", spy)
-    cache = _PartitionCache(inst)
-    names = sorted(inst.attr_names)
-    for size in range(1, len(names) + 1):
-        for combo in combinations(names, size):
-            part = cache.get(cache.mask(combo))
-            assert part.attrs == frozenset(combo)
-    assert len(refined) == 2 ** len(names) - 1
-    for parent, attr in refined:
-        assert all(a < attr for a in parent)
+        monkeypatch.setattr(discovery, "refine", spy)
+        for mask in order:
+            before = len(refined)
+            part = cache.get(mask)
+            names = sorted(cache.names(mask))
+            assert part.attrs == frozenset(names)
+            assert part.classes == _grouping(inst, names)
+            # with no one-smaller subset cached, the mask minus its lowest
+            # bit is built first, recursively
+            chain = refined[before:]
+            for child, parent in chain[1:]:
+                assert parent == child ^ (child & -child)
+            picks["fallback"] += len(chain) > 1
+        # one refine per mask, 2^k - 1 in all
+        assert sorted(m for m, _ in refined) == masks
+    assert all(picks.values()), picks
+
+
+def test_partition_classes_do_not_depend_on_request_order():
+    # the parent a partition is refined from depends on what is cached
+    rng = random.Random(30)
+    for _ in range(40):
+        inst = random_instance(
+            rng,
+            n_attrs=rng.randint(2, 5),
+            n_rows=rng.randint(2, 25),
+            null_share=rng.choice([0.0, 0.25]),
+        )
+        masks = list(range(1 << len(inst.attr_names)))
+        first = None
+        for _ in range(4):
+            rng.shuffle(masks)
+            cache = _PartitionCache(inst)
+            got = {m: cache.get(m) for m in masks}
+            got = {m: (p.attrs, p.classes, p.size) for m, p in got.items()}
+            assert first is None or got == first
+            first = got
 
 
 def test_vacuous_instance_reports_constants():

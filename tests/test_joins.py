@@ -259,6 +259,14 @@ def test_join_matches_the_decoding_reference_row_for_row():
         assert got.raw_rows() == want.raw_rows(), spec
 
 
+def test_join_reads_the_groups_of_a_given_profile():
+    rng = random.Random(38)
+    for index in range(120):
+        left, right, spec = _tiny_pair(rng, index)
+        profile = join_profile(left, right, spec)
+        assert join(left, right, spec, profile) == join(left, right, spec), spec
+
+
 def test_left_deep_chain_over_a_code_level_intermediate():
     rng = random.Random(38)
     for index in range(60):

@@ -1,5 +1,7 @@
 import random
 
+from itertools import permutations
+
 import pytest
 
 from joinfd.fds import fd
@@ -76,6 +78,43 @@ def test_refine_matches_grouping_randomized():
         assert refine(refine(p, inst, "c2"), inst, "c1").classes == _grouping(
             inst, ["c0", "c1", "c2"]
         )
+
+
+def test_refine_matches_grouping_in_every_attribute_order():
+    # domains of one to a few values give all-equal classes, two-row
+    # classes and rows that end up singletons, with and without nulls
+    rng = random.Random(31)
+    seen = {"two-row": 0, "all-equal": 0, "singleton": 0, "null": 0}
+    for _ in range(150):
+        inst = random_instance(
+            rng,
+            n_attrs=rng.randint(1, 4),
+            n_rows=rng.randint(2, 12),
+            null_share=rng.choice([0, 0.3]),
+        )
+        seen["null"] += any(v is None for row in inst.raw_rows() for v in row)
+        for order in permutations(inst.attr_names):
+            part = build_partition(inst, [])
+            assert part.size == inst.row_count
+            for i, attr in enumerate(order):
+                col = inst.columns[inst.ordinal(attr)]
+                for cls in part.classes:
+                    seen["two-row"] += len(cls) == 2
+                    seen["all-equal"] += len(cls) > 2 and len({col[t] for t in cls}) == 1
+                part = refine(part, inst, attr)
+                want = _grouping(inst, order[: i + 1])
+                assert part.classes == want
+                assert part.size == sum(map(len, want))
+                assert part.attrs == set(order[: i + 1])
+            seen["singleton"] += part.size < inst.row_count
+    assert all(seen.values()), seen
+
+
+def test_partition_of_fewer_than_two_rows_is_empty():
+    inst = loads_csv("a,b\nx,1")
+    for rows in ([], [0]):
+        part = build_partition(take_rows(inst, rows), ["a", "b"])
+        assert part.classes == () and part.size == 0
 
 
 def test_error_zero_iff_dependency_holds():

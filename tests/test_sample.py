@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import conftest
+from joinfd import sample
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds
 from joinfd.errors import InputError
@@ -285,3 +287,29 @@ def test_selection_matches_the_two_sort_reference(n_b, n_v):
                 groups.setdefault(key, []).append(r)
             got = generate_ids_set(inst, on, groups, cfg)
             assert got == reference_ids_set(inst, on, groups, cfg), (seed, on)
+
+
+@pytest.mark.parametrize("n_b", [1, 2])
+def test_crc32_ties_break_on_the_value_itself(monkeypatch, n_b):
+    # three rank values among dozens of candidates: ties decide the choice
+    crc = sample._rank
+
+    def coarse(seed, value):
+        return crc(seed, value) % 3
+
+    monkeypatch.setattr(sample, "_rank", coarse)
+    monkeypatch.setattr(conftest, "_rank", coarse)  # read by reference_ids_set
+    rng = random.Random(86 + n_b)
+    domain = ["x", "y", "z", "None", None]
+    for seed in range(12):
+        inst = Instance.from_rows(
+            ["k0", "k1", "a"],
+            [[rng.choice(domain) for _ in range(2)] + [str(rng.randrange(2))]
+             for _ in range(30)],
+        )
+        groups = {}
+        for r, row in enumerate(inst.raw_rows()):
+            groups.setdefault(tuple(row[:2]), []).append(r)
+        cfg = SampleConfig(n_b=n_b, seed=seed)
+        got = generate_ids_set(inst, ["k0", "k1"], groups, cfg)
+        assert got == reference_ids_set(inst, ["k0", "k1"], groups, cfg)
