@@ -46,6 +46,8 @@ from .relation import Instance, append_padding, take_rows
 @dataclass
 class Counters:
     candidates_validated: int = 0
+    candidates_refuted: int = 0
+    candidates_implied: int = 0
     partial_joins_built: int = 0
     partial_join_rows: int = 0
     full_join_rows: int = 0
@@ -54,6 +56,8 @@ class Counters:
     def to_json(self) -> dict:
         return {
             "candidates_validated": self.candidates_validated,
+            "candidates_refuted": self.candidates_refuted,
+            "candidates_implied": self.candidates_implied,
             "partial_joins_built": self.partial_joins_built,
             "partial_join_rows": self.partial_join_rows,
             "full_join_rows": self.full_join_rows,

@@ -15,9 +15,9 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .context import Counters, JoinContext
-from .discovery import discover_fds, holds
+from .discovery import _PartitionCache, discover_fds, holds
 from .errors import InputError, InternalInvariantError
-from .fds import Afd, FdSet, FunctionalDependency, remove_implied
+from .fds import Afd, FdSet, FunctionalDependency, mask_bits, remove_implied
 from .infer import infer_join_fds
 from .joins import CoverageReport, JoinKind, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
@@ -28,7 +28,7 @@ from .upstage import upstage
 
 STRATEGIES = ("selective", "sampling", "oracle")
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -94,6 +94,51 @@ def _tag_from(final: FdSet, sources: FdSet) -> FdSet:
     return tagged
 
 
+def _tag_preserved(
+    final: FdSet,
+    context: JoinContext,
+    left_fds: FdSet | None,
+    right_fds: FdSet | None,
+) -> FdSet:
+    """`final` with each member that is a minimal dependency of an input
+    tagged `preserved-left` or `preserved-right`, the left side first.
+
+    A caller-given input set is read by membership. Otherwise a member
+    whose names all map to that side is preserved iff it holds on the input
+    and no one-smaller lhs does there, tested on the side's partitions:
+    exactly the members of that side's mined dependency set.
+    """
+    sides = [
+        (instance, {qual: a for a, qual in names.items()}, given, preserved)
+        for instance, names, given, preserved in (
+            (context.left, context.lmap, left_fds, "preserved-left"),
+            (context.right, context.rmap, right_fds, "preserved-right"),
+        )
+    ]
+    caches: dict[str, _PartitionCache] = {}
+    tagged = FdSet()
+    for d in final.as_set():
+        tag = final.origins[d]
+        for instance, base, given, preserved in sides:
+            if d.rhs not in base or not d.lhs <= base.keys():
+                continue
+            local = d.rename(base)
+            if given is not None:
+                hit = local in given
+            else:
+                cache = caches.get(preserved) or _PartitionCache(instance)
+                caches[preserved] = cache
+                lhs, rhs = cache.mask(local.lhs), instance.ordinal(local.rhs)
+                hit = cache.holds(lhs, rhs) and not any(
+                    cache.holds(lhs ^ bit, rhs) for bit in mask_bits(lhs)
+                )
+            if hit:
+                tag = preserved
+                break
+        tagged.add(d, tag)
+    return tagged
+
+
 def _map_fdset(
     fds: FdSet, mapping: dict[str, str], origin: str | None = None
 ) -> FdSet:
@@ -153,12 +198,7 @@ def run_pipeline(
         t0 = time.perf_counter()
         final = oracle_join_fds(left, right, spec, context=context)
         timings["oracle"] = time.perf_counter() - t0
-        sigma_l = left_fds if left_fds is not None else discover_fds(left)[0]
-        sigma_r = right_fds if right_fds is not None else discover_fds(right)[0]
-        sources = _map_fdset(sigma_l, context.lmap, "preserved-left").union(
-            _map_fdset(sigma_r, context.rmap, "preserved-right"), final
-        )
-        tagged = _tag_from(final, sources)
+        tagged = _tag_preserved(final, context, left_fds, right_fds)
         timings["total"] = time.perf_counter() - started
         return DiscoveryReport(
             strategy=strategy,

@@ -8,7 +8,8 @@ removal, the apriori step), the mining anchors and inference determiners
 found by testing every subset instead of walking the lattice, a join that
 decodes every cell and encodes the result again, and the selection tree
 that ranks and sorts every branch whole; the library must return exactly
-what they do.
+what they do. The miner that walks the lattice once per anchor, not once
+per direction, is kept too: the library's must be closure-equal to it.
 `recorded_contexts` and `counterexamples_refuted_on_join` check the
 validator's counterexamples against the materialized join.
 """
@@ -19,8 +20,8 @@ import pytest
 
 from joinfd import pipeline
 from joinfd.context import JoinContext
-from joinfd.discovery import holds
-from joinfd.fds import FdSet, FunctionalDependency, compile_rules
+from joinfd.discovery import holds, walk
+from joinfd.fds import FdSet, FunctionalDependency, compile_rules, implies
 from joinfd.joins import (
     PADS_LEFT_ATTRS,
     PADS_RIGHT_ATTRS,
@@ -269,6 +270,38 @@ def reference_anchors(j_attrs, y_attrs, sigma_j, assume_all_anchored=False) -> l
                 if assume_all_anchored or determines(y_mask | ext, goal):
                     out.append((b, frozenset(combo)))
     out.sort(key=lambda t: (t[0], len(t[1]), tuple(sorted(t[1]))))
+    return out
+
+
+def reference_mine(context, i_is_left, anchors, pool) -> FdSet:
+    """`mine.discover` as one walk of side I's lattice per anchor, in list
+    order, each judging only its own (lhs, anchor) pairs."""
+    instance_i = context.left if i_is_left else context.right
+    i_map = context.lmap if i_is_left else context.rmap
+    j_map = context.rmap if i_is_left else context.lmap
+    bits = context.join_bits
+    name = {bit: a for a, bit in bits.items()}
+    singles = [bits[i_map[a]] for a in instance_i.attr_names]
+    out = FdSet()
+    for b, ext in anchors:
+        rhs = j_map[b]
+        ext_names = frozenset(j_map[a] for a in ext)
+        ext_mask = sum(map(bits.__getitem__, ext_names))
+
+        def verdict(lhs: int) -> bool:
+            if context.refutes(lhs | ext_mask, rhs):
+                return False
+            lhs_names = frozenset(a for bit, a in name.items() if bit & lhs)
+            cand = FunctionalDependency(lhs_names | ext_names, rhs)
+            if implies(pool, cand):
+                return True
+            if context.check_fd(cand):
+                out.add(cand, "mined")
+                pool.add(cand)
+                return True
+            return False
+
+        walk([bit for bit in singles if bit != bits[rhs]], verdict)
     return out
 
 

@@ -1,19 +1,20 @@
 import random
 from collections import Counter
 
+from joinfd import fds, mine
 from joinfd.context import JoinContext
-from joinfd.discovery import discover_fds, holds
-from joinfd.fds import FdSet, fd, implies, minimal_cover, closure_equal
+from joinfd.discovery import discover_fds, holds, walk
+from joinfd.fds import FdSet, Rules, fd, implies, minimal_cover, closure_equal
 from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.infer import infer_join_fds
-from joinfd.joins import JoinKind, JoinSpec, join
+from joinfd.joins import SEMI_KINDS, JoinKind, JoinSpec, join
 from joinfd.mine import _anchors, discover, discover_selective
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 from joinfd.upstage import upstage
 
-from conftest import random_rules, reference_anchors
+from conftest import random_rules, reference_anchors, reference_mine
 
 
 def _stage12(left, right, spec):
@@ -98,6 +99,111 @@ def test_anchors_match_the_subset_enumeration():
         seen["no rules"] += not sigma.as_set()
         seen["constant"] += any(implies(sigma, fd([], b)) for b in names)
     assert len(seen) == 4 and min(seen.values()) >= 40, seen
+
+
+def test_one_walk_per_direction_matches_the_per_anchor_miner(monkeypatch):
+    # discover judges each (lhs, anchor) pair at most once, exactly when no
+    # subset of its lhs was a hit for that anchor, and ends closure-equal
+    # to one walk per anchor; _anchors closes each walked extension at most
+    # twice, after one closure of the join attributes
+    closures = walked = 0
+    closure = Rules.closure
+
+    def counted_closure(self, mask, goal=0):
+        nonlocal closures
+        closures += 1
+        return closure(self, mask, goal)
+
+    def counted_walk(level, verdict):
+        def counted(mask):
+            nonlocal walked
+            walked += 1
+            return verdict(mask)
+
+        walk(level, counted)
+
+    judged: list[list] = []  # [mask over join bits, rhs, hit]
+
+    def recorded_implies(pool, cand):
+        judged[-1][2] = fds.implies(pool, cand)
+        return judged[-1][2]
+
+    monkeypatch.setattr(mine, "implies", recorded_implies)
+    rng = random.Random(75)
+    kinds = [k for k in JoinKind if k not in SEMI_KINDS]
+    seen = Counter()
+    for seed in range(200):
+        prof = FixtureProfile(
+            left_rows=rng.randint(4, 14), right_rows=rng.randint(4, 14),
+            left_attrs=rng.randint(2, 4), right_attrs=rng.randint(2, 4),
+            dangling_fraction=rng.choice([0.0, 0.3]),
+            duplicate_fraction=rng.choice([0.0, 0.3]),
+            op=kinds[seed % len(kinds)],
+        )
+        left, right, spec = make_fixture(prof, seed=seed)
+        context, sigma_l, sigma_r, prior = _stage12(left, right, spec)
+        sides = {
+            True: (right, spec.right_on, sigma_r),
+            False: (left, spec.left_on, sigma_l),
+        }
+        anchors = {}
+        for i_is_left, (inst, on, sigma) in sides.items():
+            closures = walked = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(Rules, "closure", counted_closure)
+                patch.setattr(mine, "walk", counted_walk)
+                anchors[i_is_left] = _anchors(inst.attr_names, on, sigma)
+            assert closures <= 2 * walked + 1, (seed, closures, walked)
+
+        reference = FdSet(prior.as_set())
+        for i_is_left in (True, False):
+            fresh = JoinContext(left, right, spec)
+            reference_mine(fresh, i_is_left, anchors[i_is_left], reference)
+
+        pool = FdSet(prior.as_set())
+        check_fd, refutes = context.check_fd, context.refutes
+
+        def recorded_refutes(mask, rhs):
+            judged.append([mask, rhs, False])
+            return refutes(mask, rhs)
+
+        def recorded_check(cand):
+            judged[-1][2] = check_fd(cand)
+            return judged[-1][2]
+
+        context.refutes, context.check_fd = recorded_refutes, recorded_check
+        for i_is_left in (True, False):
+            del judged[:]
+            counters = vars(context.counters).copy()
+            discover(context, i_is_left, anchors[i_is_left], pool)
+            funnel = sum(
+                getattr(context.counters, f"candidates_{k}") - counters[f"candidates_{k}"]
+                for k in ("refuted", "implied", "validated")
+            )
+            assert funnel == len(judged)
+            i_map = context.lmap if i_is_left else context.rmap
+            j_map = context.rmap if i_is_left else context.lmap
+            i_bits = [context.join_bits[a] for a in i_map.values()]
+            # per anchor: every lhs judged, and whether it was a hit
+            verdicts: dict[tuple, dict[int, bool]] = {}
+            for mask, rhs, hit in judged:
+                lhs = sum(bit for bit in i_bits if bit & mask)
+                per_lhs = verdicts.setdefault((rhs, mask ^ lhs), {})
+                assert lhs not in per_lhs, (seed, mask, rhs)
+                per_lhs[lhs] = hit
+            for b, ext in anchors[i_is_left]:
+                ext_mask = sum(context.join_bits[j_map[a]] for a in ext)
+                per_lhs = verdicts.get((j_map[b], ext_mask), {})
+                hits = [lhs for lhs, hit in per_lhs.items() if hit]
+                for lhs in range(1, 1 << len(i_bits)):
+                    mask = sum(bit for k, bit in enumerate(i_bits) if lhs >> k & 1)
+                    below_hit = any(h != mask and not h & ~mask for h in hits)
+                    assert (mask in per_lhs) == (not below_hit), (seed, b, ext, mask)
+                seen["hit"] += bool(hits)
+            seen["judged"] += len(judged)
+        assert closure_equal(pool, reference), seed
+        seen["mined"] += len(pool) > len(prior)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_mined_dependencies_hold_on_the_join():
@@ -231,7 +337,8 @@ def test_natural_padding_breaks_dependencies_without_nulls_in_the_data():
 
 def test_width_cliff_stays_exact_and_bounded():
     # seven attributes a side on tiny domains: the lhs lattice is wide, and
-    # the walk must neither lose a dependency nor validate more than it did
+    # the walk must neither lose a dependency nor validate more than it does
+    # (the count pins the cover one walk over all open anchors reaches)
     prof = FixtureProfile(
         left_rows=150, right_rows=150, left_attrs=7, right_attrs=7,
         dangling_fraction=0.3, duplicate_fraction=0.3, domain_low=2, domain_high=8,
@@ -239,5 +346,5 @@ def test_width_cliff_stays_exact_and_bounded():
     left, right, spec = make_fixture(prof, seed=2)
     rep = run_pipeline(left, right, spec, strategy="selective")
     assert closure_equal(rep.fds, oracle_join_fds(left, right, spec))
-    assert len(rep.fds) == 243
-    assert rep.counters.candidates_validated <= 747
+    assert len(rep.fds) == 242
+    assert rep.counters.candidates_validated <= 715

@@ -6,13 +6,14 @@ from joinfd import pipeline
 from joinfd.errors import GuardError, InputError, InternalInvariantError
 from joinfd.fds import FdSet, fd, minimal_cover
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
-from joinfd.joins import JoinKind, JoinSpec, coverage
+from joinfd.discovery import discover_fds
+from joinfd.joins import JoinKind, JoinSpec, coverage, left_name_map, right_name_map
 from joinfd.metrics import evaluate
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_left_deep, run_pipeline
 from joinfd.relation import loads_csv
 
-from conftest import brute_force_fds
+from conftest import brute_force_fds, random_instance
 
 
 def test_oracle_on_proof_tables_contains_the_mixed_rule(pair_with_join_only_fd):
@@ -78,6 +79,41 @@ def test_preserved_tags_take_priority(pair_with_join_only_fd):
     rep = run_pipeline(left, right, spec)
     assert rep.fds.origins[fd(["R.B", "R.Y"], "R.C")] == "preserved-right"
     assert rep.fds.origins[fd(["L.A", "R.B"], "R.C")] == "mined"
+
+
+def test_oracle_tags_each_minimal_input_dependency_as_preserved():
+    # the oracle tests a final member on the input it maps to; that must tag
+    # exactly the members of the input's mined set, the left side first
+    rng = random.Random(94)
+    seen = set()
+    for seed in range(60):
+        if seed % 3:
+            prof = FixtureProfile(
+                left_rows=rng.randint(4, 12), right_rows=rng.randint(4, 12),
+                dangling_fraction=rng.choice([0.0, 0.3]), op=list(JoinKind)[seed % 6],
+            )
+            left, right, spec = make_fixture(prof, seed=seed)
+        else:
+            # shared names c0, c1: natural joins merge them into one column
+            left, right = (
+                random_instance(rng, n, rng.randint(1, 8), name, null_share=0.2)
+                for n, name in ((3, "L"), (2, "R"))
+            )
+            spec = JoinSpec.natural_join(left, right, list(JoinKind)[seed % 6])
+        rep = run_pipeline(left, right, spec, strategy="oracle")
+        sigma_l, sigma_r = discover_fds(left)[0], discover_fds(right)[0]
+        preserved_l = {x.rename(left_name_map(left, right, spec)) for x in sigma_l}
+        preserved_r = {x.rename(right_name_map(left, right, spec)) for x in sigma_r}
+        for d in rep.fds:
+            if d in preserved_l:
+                expected = "preserved-left"
+            elif d in preserved_r:
+                expected = "preserved-right"
+            else:
+                expected = "mined"
+            assert rep.fds.origins[d] == expected, (seed, d)
+            seen.add(expected)
+    assert seen == {"preserved-left", "preserved-right", "mined"}
 
 
 def test_untagged_stage_output_is_an_internal_error(
@@ -179,12 +215,26 @@ def test_unknown_strategy_rejected():
 def test_report_json_shape(pair_with_join_only_fd):
     left, right, spec = pair_with_join_only_fd
     doc = run_pipeline(left, right, spec).to_json()
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["strategy"] == "selective"
     assert doc["operator"] == "inner"
     assert doc["fd_count"] == len(doc["fds"])
     assert set(doc["counters"]) >= {"partial_join_rows", "full_join_rows"}
     assert "coverage" in doc and "timings" in doc
+
+
+def test_wide_pair_reports_the_mining_funnel():
+    # many two-valued attributes: mining refutes candidates by recorded
+    # counterexamples and prunes others the pool implies
+    prof = FixtureProfile(
+        left_rows=45, right_rows=45, left_attrs=6, right_attrs=4,
+        dangling_fraction=0.2, duplicate_fraction=0.3, domain_low=2, domain_high=2,
+    )
+    left, right, spec = make_fixture(prof, seed=3)
+    counters = run_pipeline(left, right, spec).to_json()["counters"]
+    assert counters["candidates_refuted"] > 0
+    assert counters["candidates_implied"] > 0
+    assert counters["candidates_validated"] > 0
 
 
 def test_fixture_is_deterministic():
