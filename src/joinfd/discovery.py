@@ -3,19 +3,24 @@
 `walk` is the apriori search over attribute sets as integer bitmasks that
 every search over attribute sets in the package runs on: a mask reaches the
 next level only if all its one-smaller subsets were judged False, so a hit
-prunes every superset of itself. Single-table mining is one walk per rhs
-from the empty set (constant columns) over `lattice_bits`: the first name in
-sorted order takes the highest bit, so a mask minus its lowest bit lacks
-its largest name, and within one level descending masks come out in
-lexicographic order of sorted names. Each partition is refined from the
-cached one-smaller subset whose classes hold the fewest rows (a walk has
-judged them all), and a candidate is tested exactly by scanning lhs
-classes until one disagrees on the rhs. With a nonzero error
-budget the search also reports approximate dependencies that are minimal
-under the budget (g3 counts), and keeps expanding below them because exact
-dependencies may still appear there. `discover_new_fds` also skips every
-candidate that the known dependencies, compiled onto the lattice's bits,
-plus what it has found for that rhs, imply.
+prunes every superset of itself. Single-table mining is one walk from the
+empty set (constant columns) over `lattice_bits` for every rhs together:
+the first name in sorted order takes the highest bit, so a mask minus its
+lowest bit lacks its largest name, and within one level descending masks
+come out in lexicographic order of sorted names. Like TANE's rhs candidate
+sets, each mask carries the rhs bits still open there, and a hit X -> A
+also makes X | A dead: A is redundant in every lhs containing it, so the
+walk judges no superset of it for any rhs (TANE's rhs+ rule, Huhtala et
+al., Comput. J. 1999). Each partition is refined from the cached
+one-smaller subset whose classes hold the fewest rows (a walk has judged
+them all), and a candidate is tested exactly by scanning lhs classes until
+one disagrees on the rhs. With a nonzero error budget the search also
+reports approximate dependencies that are minimal under the budget (g3
+counts), and keeps expanding below them because exact dependencies may
+still appear there; a dead mask has the g3 error of its subset without A,
+so the rule prunes no approximate one either. `discover_new_fds` also
+counts as a hit every candidate that the known dependencies, compiled onto
+the lattice's bits, plus what it has found for that rhs, imply.
 """
 
 from __future__ import annotations
@@ -181,9 +186,23 @@ def _search(
     known: FdSet | Iterable[FunctionalDependency] = (),
     epsilon: float = 0.0,
 ) -> tuple[FdSet, list[Afd]]:
-    """Per rhs, the minimal exact dependencies not implied by `known`, and
-    with a nonzero `epsilon` the minimal approximate ones. With no known
-    rules the walk alone prunes above every hit: nothing else is implied."""
+    """The minimal exact dependencies not implied by `known`, and with a
+    nonzero `epsilon` the minimal approximate ones, for every rhs in one
+    walk over lhs masks.
+
+    Each mask carries the rhs bits still open there: those open at all its
+    one-smaller subsets, less its own bits. An open rhs A is a hit when
+    `known` plus what was found for A implies lhs -> A, or when it holds;
+    a hit closes A and makes lhs | A dead. Since lhs -> A holds, A is
+    redundant in every lhs containing lhs | A, which has the same
+    partition as the lhs without A and so the same g3 error for every rhs:
+    no such lhs is minimal, exact or within the budget. A dead mask and
+    one with nothing open end their branch, and a partition is built only
+    for a mask with an open rhs left to scan. With no known rules the
+    walk alone prunes above every hit for its rhs: nothing else is
+    implied. `known` must hold on the instance, since an implied candidate
+    counts as a hit.
+    """
     instance = cache.instance
     n = instance.row_count
     rules = Rules()
@@ -194,42 +213,58 @@ def _search(
         for d in known:
             rules.add(d)
     check = bool(rules.rules)
+    name = {bit: a for a, bit in cache.bits.items()}
+    rhs_ord = {bit: instance.ordinal(a) for bit, a in name.items()}
     exact = FdSet()
     afds: list[Afd] = []
-    for rhs in instance.attr_names:
-        rhs_ord = instance.ordinal(rhs)
-        goal = cache.bits[rhs]
-        found: list[int] = []
-        # each judged non-dependency -> whether some subset of it, itself
-        # included, is within the error budget
-        budget: dict[int, bool] = {}
+    # per rhs bit, the lhs masks found for it, in walk order
+    found: dict[int, list[int]] = {bit: [] for bit in name}
+    # per judged mask, the rhs bits still open there, and (with a budget)
+    # those some subset of it, itself included, is within the budget for
+    open_at: dict[int, int] = {}
+    within_at: dict[int, int] = {}
+    # X | A for every hit X -> A: A is redundant in any lhs containing it
+    dead: set[int] = set()
+    everything = sum(name)
+    budget = epsilon > 0
 
-        def verdict(lhs: int) -> bool:
-            if check:
-                # a rule X -> rhs found here fires only once X is within
-                # the closure of lhs under `known`, and then reaches the goal
-                reach = rules.closure(lhs, goal)
-                if reach & goal or any(not x & ~reach for x in found):
-                    return True
-            if cache.holds(lhs, rhs_ord):
-                exact.add(FunctionalDependency(cache.names(lhs), rhs))
-                found.append(lhs)
-                return True
-            if epsilon > 0:
-                within = any(budget[lhs ^ bit] for bit in mask_bits(lhs))
-                if not within:
-                    count = cache.error_count(lhs, rhs_ord)
-                    within = count <= epsilon * n
-                    if within:
-                        fd = FunctionalDependency(cache.names(lhs), rhs)
+    def verdict(lhs: int) -> bool:
+        if lhs in dead:
+            return True
+        still = everything & ~lhs
+        within = 0
+        for bit in mask_bits(lhs):
+            still &= open_at[lhs ^ bit]
+            if budget:
+                within |= within_at[lhs ^ bit]
+        if still and check:
+            # a lhs found for a goal implies it once it lies within the
+            # closure of lhs under `known`
+            reach = rules.closure(lhs)
+        for goal in mask_bits(still):
+            if check and (reach & goal or any(not x & ~reach for x in found[goal])):
+                pass  # implied: a hit with nothing to report
+            elif cache.holds(lhs, rhs_ord[goal]):
+                exact.add(FunctionalDependency(cache.names(lhs), name[goal]))
+                found[goal].append(lhs)
+            else:
+                if budget and not within & goal:
+                    count = cache.error_count(lhs, rhs_ord[goal])
+                    if count <= epsilon * n:
+                        within |= goal
+                        fd = FunctionalDependency(cache.names(lhs), name[goal])
                         afds.append(Afd(fd, count / n, count))
-                budget[lhs] = within
-            return False
+                continue
+            still ^= goal
+            dead.add(lhs | goal)
+        open_at[lhs] = still
+        within_at[lhs] = within
+        return not still
 
-        # the empty lhs asks for a constant column (vacuously constant
-        # when there are no rows)
-        if not verdict(0):
-            walk([bit for bit in cache.bits.values() if bit != goal], verdict)
+    # the empty lhs asks for a constant column (vacuously constant when
+    # there are no rows)
+    if not verdict(0):
+        walk(list(name), verdict)
     afds.sort(key=lambda a: a.fd.sort_key())
     return exact, afds
 
@@ -252,10 +287,12 @@ def discover_new_fds(
 ) -> FdSet:
     """Minimal dependencies of `instance` not implied by `known`.
 
-    A candidate implied by `known` plus the output found so far for its rhs
-    is skipped, so the union of `known` and the result implies every
-    dependency holding on the instance. `cache` holds partitions of
-    `instance` that other readers share; by default the search builds its
-    own.
+    Every `known` dependency must hold on `instance`. A candidate implied
+    by `known` plus the output found so far for its rhs is skipped, and,
+    like a found one, it prunes every lhs containing its lhs and rhs, which
+    is sound only for a dependency that holds. So the union of `known` and
+    the result implies every dependency holding on the instance. `cache`
+    holds partitions of `instance` that other readers share; by default the
+    search builds its own.
     """
     return _search(cache or _PartitionCache(instance), known)[0]

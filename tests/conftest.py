@@ -10,6 +10,8 @@ decodes every cell and encodes the result again, and the selection tree
 that ranks and sorts every branch whole; the library must return exactly
 what they do. The miner that walks the lattice once per anchor, not once
 per direction, is kept too: the library's must be closure-equal to it.
+So is the single-table search that walks the lattice once per rhs: the
+library's one walk for every rhs must return exactly what it does.
 `recorded_contexts` and `counterexamples_refuted_on_join` check the
 validator's counterexamples against the materialized join.
 """
@@ -21,7 +23,15 @@ import pytest
 from joinfd import pipeline
 from joinfd.context import JoinContext
 from joinfd.discovery import holds, walk
-from joinfd.fds import FdSet, FunctionalDependency, compile_rules, implies
+from joinfd.fds import (
+    Afd,
+    FdSet,
+    FunctionalDependency,
+    Rules,
+    compile_rules,
+    implies,
+    mask_bits,
+)
 from joinfd.joins import (
     PADS_LEFT_ATTRS,
     PADS_RIGHT_ATTRS,
@@ -303,6 +313,54 @@ def reference_mine(context, i_is_left, anchors, pool) -> FdSet:
 
         walk([bit for bit in singles if bit != bits[rhs]], verdict)
     return out
+
+
+def reference_search(cache, known=(), epsilon=0.0) -> tuple[FdSet, list]:
+    """`discovery._search` as one walk of the lattice per rhs, from the
+    empty set, pruning only above that rhs's own hits and what `known` plus
+    that rhs's finds imply."""
+    instance = cache.instance
+    n = instance.row_count
+    rules = Rules()
+    if known:
+        rules.mask(sorted(cache.bits, reverse=True))
+        for d in known:
+            rules.add(d)
+    check = bool(rules.rules)
+    exact = FdSet()
+    afds: list[Afd] = []
+    for rhs in instance.attr_names:
+        rhs_ord = instance.ordinal(rhs)
+        goal = cache.bits[rhs]
+        found: list[int] = []
+        # each judged non-dependency -> whether some subset of it, itself
+        # included, is within the error budget
+        budget: dict[int, bool] = {}
+
+        def verdict(lhs: int) -> bool:
+            if check:
+                reach = rules.closure(lhs, goal)
+                if reach & goal or any(not x & ~reach for x in found):
+                    return True
+            if cache.holds(lhs, rhs_ord):
+                exact.add(FunctionalDependency(cache.names(lhs), rhs))
+                found.append(lhs)
+                return True
+            if epsilon > 0:
+                within = any(budget[lhs ^ bit] for bit in mask_bits(lhs))
+                if not within:
+                    count = cache.error_count(lhs, rhs_ord)
+                    within = count <= epsilon * n
+                    if within:
+                        fd = FunctionalDependency(cache.names(lhs), rhs)
+                        afds.append(Afd(fd, count / n, count))
+                budget[lhs] = within
+            return False
+
+        if not verdict(0):
+            walk([bit for bit in cache.bits.values() if bit != goal], verdict)
+    afds.sort(key=lambda a: a.fd.sort_key())
+    return exact, afds
 
 
 def reference_minimal_determiners(target, fds) -> list[frozenset]:

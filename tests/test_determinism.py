@@ -6,7 +6,9 @@ is made in a fresh interpreter under three hash seeds, and everything it
 serializes except the timings must come out the same, counters included.
 A partition is refined from the smallest cached parent, so the order in
 which partitions are first requested decides how many rows `refine` reads:
-that count must come out the same too.
+that count must come out the same too. So must the output of the
+single-table searches run directly on a wide join, given a known set as a
+plain set, and the number of partitions they build.
 """
 
 import json
@@ -19,7 +21,7 @@ PROBE = """
 import json
 from joinfd import discovery
 from joinfd.fixtures import FixtureProfile, make_fixture
-from joinfd.joins import JoinKind, JoinSpec
+from joinfd.joins import JoinKind, JoinSpec, join
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 
@@ -43,10 +45,12 @@ pairs = [
     ),
 ]
 read = [0]
+built = [0]
 refine = discovery.refine
 
 def counted(part, instance, attr):
     read[0] += part.size
+    built[0] += 1
     return refine(part, instance, attr)
 
 discovery.refine = counted
@@ -57,6 +61,21 @@ for pair in pairs:
         del doc["timings"]
         out.append(doc)
 out.append(read[0])
+wide = make_fixture(
+    FixtureProfile(
+        left_rows=40, right_rows=40, left_attrs=6, right_attrs=4,
+        dangling_fraction=0.3, duplicate_fraction=0.3, domain_low=2,
+        domain_high=2,
+    ),
+    seed=5,
+)
+joined = join(*wide)
+built[0] = 0
+exact, afds = discovery.discover_fds(joined, 0.1)
+out.append([str(d) for d in exact] + [str(a.fd) for a in afds])
+known = set(list(exact)[::2])
+out.append([str(d) for d in discovery.discover_new_fds(joined, known)])
+out.append(built[0])
 print(json.dumps(out))
 """
 
@@ -73,6 +92,8 @@ def test_reports_do_not_depend_on_the_hash_seed():
         )
         runs.append(json.loads(done.stdout))
     # both pairs mine something, so the walk order is exercised
-    assert all(doc["counters"]["candidates_validated"] > 0 for doc in runs[0][:-1:2])
-    assert runs[0][-1] > 0  # rows `refine` read
+    *docs, rows_read, searched, new, searches_built = runs[0]
+    assert all(doc["counters"]["candidates_validated"] > 0 for doc in docs[::2])
+    assert rows_read > 0
+    assert searched and new and searches_built > 0
     assert runs[0] == runs[1] == runs[2]

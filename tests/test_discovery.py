@@ -6,6 +6,7 @@ from joinfd import discovery
 from joinfd.discovery import (
     _next_level,
     _PartitionCache,
+    _search,
     discover_fds,
     discover_new_fds,
     holds,
@@ -13,6 +14,8 @@ from joinfd.discovery import (
     walk,
 )
 from joinfd.fds import FdSet, fd, mask_bits
+from joinfd.fixtures import FixtureProfile, make_fixture
+from joinfd.joins import join
 from joinfd.relation import loads_csv, take_rows
 
 from conftest import (
@@ -21,6 +24,7 @@ from conftest import (
     model_implies,
     random_instance,
     reference_next_level,
+    reference_search,
 )
 from test_partition import _grouping
 
@@ -78,6 +82,19 @@ def test_matches_brute_force_enumeration():
         assert exact == brute_force_fds(inst)
 
 
+def _true_known(rng, inst):
+    """Some true dependencies of `inst`, a few widened by one attribute."""
+    names = inst.attr_names
+    truth = list(brute_force_fds(inst))
+    known = FdSet()
+    for d in rng.sample(truth, rng.randint(0, len(truth))):
+        extra = [a for a in names if a != d.rhs and a not in d.lhs]
+        if extra and rng.random() < 0.3:
+            d = fd(d.lhs | {rng.choice(extra)}, d.rhs)
+        known.add(d)
+    return known
+
+
 def test_new_fds_complete_and_minimal_against_brute_force():
     rng = random.Random(27)
     for _ in range(60):
@@ -88,14 +105,8 @@ def test_new_fds_complete_and_minimal_against_brute_force():
             null_share=rng.choice([0.0, 0.25]),
         )
         names = inst.attr_names
+        known = _true_known(rng, inst)
         truth = list(brute_force_fds(inst))
-        # known: some true dependencies, a few widened by one attribute
-        known = FdSet()
-        for d in rng.sample(truth, rng.randint(0, len(truth))):
-            extra = [a for a in names if a != d.rhs and a not in d.lhs]
-            if extra and rng.random() < 0.3:
-                d = fd(d.lhs | {rng.choice(extra)}, d.rhs)
-            known.add(d)
         new = discover_new_fds(inst, known)
         base = list(known) + list(new)
         for d in truth:
@@ -296,3 +307,112 @@ def test_vacuous_instance_reports_constants():
     inst = take_rows(loads_csv("a,b\n1,2"), [])
     exact, _ = discover_fds(inst)
     assert exact == {fd([], "a"), fd([], "b")}
+
+
+def test_search_matches_the_per_rhs_reference():
+    rng = random.Random(31)
+    for i in range(120):
+        inst = random_instance(
+            rng,
+            n_attrs=2 + i % 6,
+            n_rows=rng.randint(1, 30),
+            null_share=rng.choice([0.0, 0.25]),
+        )
+        known = _true_known(rng, inst) if i % 2 else FdSet()
+        for epsilon in (0.0, 0.1, 0.3):
+            got = _search(_PartitionCache(inst), known, epsilon)
+            want = reference_search(_PartitionCache(inst), known, epsilon)
+            assert got[0] == want[0]
+            assert got[1] == want[1]
+
+
+def _spied_search(monkeypatch, search, inst, known, epsilon):
+    """`search` on `inst`, with the masks whose partition it requested and
+    the (mask, rhs) pairs its exact scan and its error count judged."""
+    requested: list[int] = []
+    scanned: list[tuple[int, int]] = []
+    counted: list[tuple[int, int]] = []
+    get, scan, count = (
+        _PartitionCache.get,
+        _PartitionCache.holds,
+        _PartitionCache.error_count,
+    )
+
+    def spy_get(self, mask):
+        requested.append(mask)
+        return get(self, mask)
+
+    def spy_scan(self, lhs, rhs_ord):
+        scanned.append((lhs, rhs_ord))
+        return scan(self, lhs, rhs_ord)
+
+    def spy_count(self, lhs, rhs_ord):
+        counted.append((lhs, rhs_ord))
+        return count(self, lhs, rhs_ord)
+
+    monkeypatch.setattr(_PartitionCache, "get", spy_get)
+    monkeypatch.setattr(_PartitionCache, "holds", spy_scan)
+    monkeypatch.setattr(_PartitionCache, "error_count", spy_count)
+    cache = _PartitionCache(inst)
+    exact, _ = search(cache, known, epsilon)
+    monkeypatch.undo()
+    return cache, exact, requested, scanned, counted
+
+
+def test_search_requests_no_partition_above_a_found_dependency(monkeypatch):
+    # once X -> A is established, no lhs containing X | A is minimal for
+    # any rhs, so no partition of one is requested; no (mask, rhs) pair is
+    # judged twice, by the scan or by the error count
+    rng = random.Random(32)
+    per_rhs_requests_above = 0
+    for i in range(80):
+        inst = random_instance(
+            rng,
+            n_attrs=2 + i % 6,
+            n_rows=rng.randint(2, 30),
+            null_share=rng.choice([0.0, 0.25]),
+        )
+        known = _true_known(rng, inst) if i % 2 else FdSet()
+        epsilon = rng.choice([0.0, 0.1, 0.3])
+        cache, exact, requested, scanned, counted = _spied_search(
+            monkeypatch, _search, inst, known, epsilon
+        )
+        dead = {cache.mask(d.lhs | {d.rhs}) for d in [*known, *exact]}
+
+        def above(mask):
+            return any(not x & ~mask for x in dead)
+
+        assert not any(map(above, requested)), inst.attr_names
+        assert len(set(scanned)) == len(scanned)
+        assert len(set(counted)) == len(counted)
+        assert set(counted) <= set(scanned)
+        # the walks per rhs do request such partitions
+        _, _, requested, _, _ = _spied_search(
+            monkeypatch, reference_search, inst, known, epsilon
+        )
+        per_rhs_requests_above += sum(map(above, requested))
+    assert per_rhs_requests_above > 0
+
+
+def test_search_builds_few_partitions_on_a_wide_join(monkeypatch):
+    left, right, spec = make_fixture(
+        FixtureProfile(
+            left_rows=45, right_rows=45, left_attrs=6, right_attrs=4,
+            dangling_fraction=0.3, duplicate_fraction=0.3,
+            domain_low=2, domain_high=2,
+        ),
+        seed=1,
+    )
+    joined = join(left, right, spec)
+    built = []
+    original = discovery.refine
+
+    def spy(part, instance, attr):
+        built.append(attr)
+        return original(part, instance, attr)
+
+    monkeypatch.setattr(discovery, "refine", spy)
+    exact, _ = discover_fds(joined)
+    assert len(joined.attr_names) == 10 and len(exact) == 27
+    # one walk per rhs built 972 here
+    assert len(built) <= 504
