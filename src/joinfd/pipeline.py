@@ -117,7 +117,7 @@ def _tag_preserved(
     ]
     caches: dict[str, _PartitionCache] = {}
     tagged = FdSet()
-    for d in final.as_set():
+    for d in final:  # sorted, so partitions are built in a fixed order
         tag = final.origins[d]
         for instance, base, given, preserved in sides:
             if d.rhs not in base or not d.lhs <= base.keys():
@@ -167,7 +167,14 @@ def run_pipeline(
     left_afds: list[Afd] | None = None,
     right_afds: list[Afd] | None = None,
 ) -> DiscoveryReport:
-    """Discover the dependencies of join(left, right, spec) per `strategy`."""
+    """Discover the dependencies of join(left, right, spec) per `strategy`.
+
+    The frugal strategies mine an input table's own dependency set (stage 0)
+    only where the run has one: the caller gave it, its side is padded (the
+    members padding breaks are reported as `violated_fds`), or `epsilon` > 0
+    asks for approximate dependencies. Elsewhere upstaging mines each side's
+    join rows once, and `single_tables` times only the stage-0 work done.
+    """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     for instance, given in ((left, left_fds), (right, right_fds)):
@@ -209,13 +216,15 @@ def run_pipeline(
             timings=timings,
         )
 
-    # stage 0: single-table dependency sets a caller did not give
+    # stage 0: an input's own dependency set, where the run has one and
+    # the caller did not give it: a padded side reports the members that
+    # padding breaks, and an error budget asks for approximate ones
     t0 = time.perf_counter()
-    if left_fds is None:
+    if left_fds is None and (epsilon > 0 or left_afds or context.pads_left()):
         left_fds, found_afds = discover_fds(left, epsilon)
         if epsilon > 0 and left_afds is None:
             left_afds = found_afds
-    if right_fds is None:
+    if right_fds is None and (epsilon > 0 or right_afds or context.pads_right()):
         right_fds, found_afds = discover_fds(right, epsilon)
         if epsilon > 0 and right_afds is None:
             right_afds = found_afds
@@ -238,7 +247,7 @@ def run_pipeline(
         ("right", right, right_fds, up.right_preserved),
     ):
         sub_exists = context.side_subinstance(side) is not None
-        dropped = [d for d in given if sub_exists and d not in survived]
+        dropped = [d for d in given or () if sub_exists and d not in survived]
         # natural-join padding rows are null outside the merged key columns,
         # where they carry the other side's join values: without any null in
         # the data they can still agree with a row on a lhs within those

@@ -1,14 +1,20 @@
-"""Stage 1: dependencies that become exact once the join filters rows out.
+"""Stage 1: each side's dependencies on the join, preserved or upstaged.
 
-A dependency that almost holds on one table holds exactly on the join result
-whenever every row violating it dangles (its join value has no partner on the
-other side). The approximate-input path checks precisely that; the discovery
-path re-mines the filtered table, pruning everything the already-known
-dependencies imply.
+Each side's rows in the join (the input rows that survive it, plus padding
+rows) are mined once, as a single table. Without an input dependency set a
+mined dependency that holds on the whole input is preserved, and the rest
+are upstaged: they became exact because the join filtered out every row
+violating them (rows whose join value has no partner on the other side).
+That test is sound only on a row subset of the input: a minimal dependency
+of the subset that holds on the input is minimal there too.
 
-Sides that an outer operator preserves are never filtered, so they cannot
-upstage anything; sides that an outer operator pads with nulls are checked
-against the padded row set so that nothing broken by padding slips through.
+Sides that an outer operator pads with nulls are no row subset, since a
+smaller lhs may hold on the input and be broken by padding. They, like any
+side with a given or approximate input set, keep that set: its members that
+hold on the padded rows are preserved, approximate dependencies whose
+violators all dangle are promoted, and the rows are mined only for what
+those do not imply. Sides that an outer operator preserves are never filtered,
+so they cannot upstage anything.
 """
 
 from __future__ import annotations
@@ -17,7 +23,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .context import JoinContext
-from .discovery import discover_fds, discover_new_fds, minimal_variants
+from .discovery import (
+    _PartitionCache,
+    discover_fds,
+    discover_new_fds,
+    minimal_variants,
+)
 from .errors import InputError
 from .fds import Afd, FdSet, FunctionalDependency, remove_implied
 from .partition import violating_tuples
@@ -62,12 +73,17 @@ def upstage(
 ) -> UpstageResult:
     """Run the upstaging stage on both sides of the join.
 
-    Per side: with approximate inputs the promotion path runs; with exact
-    inputs (provided or computed) the discovery path runs; with both, the
-    promotion path runs first and the discovery path prunes with the union.
-    Promoted dependencies are lhs-minimized against the surviving rows so
-    every emitted dependency is minimal on the join. Given exact sets are
-    trusted: `run_pipeline` checks a caller's sets before any stage runs.
+    Per side, with no input set (`fds` None, no `afds`) on an unpadded side,
+    the side's rows are mined once and each member is preserved iff it holds
+    on the input: every member when the side is the input itself. Otherwise
+    the side keeps an input set, mined here when `fds` is None: with
+    approximate inputs the promotion path runs; with exact ones the
+    discovery path re-mines the side's rows, pruning what the set implies;
+    with both, the promotion path runs first and the discovery path prunes
+    with the union. Promoted dependencies are lhs-minimized against the
+    surviving rows so every emitted dependency is minimal on the join. Given
+    exact sets are trusted: `run_pipeline` checks a caller's sets before any
+    stage runs.
     """
     profile = context.profile
     out: dict[str, FdSet] = {}
@@ -76,9 +92,6 @@ def upstage(
         ("left", context.left, left_afds, left_fds),
         ("right", context.right, right_afds, right_fds),
     ):
-        run_discovery_path = not afds or fds is not None
-        if fds is None:
-            fds, _ = discover_fds(inst)
         sub = context.side_subinstance(side)
         if sub is None:  # dropped side of a semi-join
             out[side] = FdSet()
@@ -87,6 +100,25 @@ def upstage(
         padded = context.pads_left() if side == "left" else context.pads_right()
         # the validator reads the same sub-instance's partitions
         partitions = context.side_partitions(side)
+        if fds is None and not (padded or afds):
+            # no input set: mine the side's rows alone, and keep as preserved
+            # each member that holds on the input. A row subset's minimal
+            # dependency that holds on the whole input is minimal there too,
+            # since any smaller lhs holding there would hold on the subset.
+            mined = discover_new_fds(sub, (), partitions)
+            if sub is inst:
+                out[side], preserved[side] = FdSet(), mined
+                continue
+            cache = _PartitionCache(inst)
+            kept, new = FdSet(), FdSet()
+            for d in mined:
+                on_input = cache.holds(cache.mask(d.lhs), inst.ordinal(d.rhs))
+                (kept if on_input else new).add(d)
+            out[side], preserved[side] = remove_implied(new), kept
+            continue
+        run_discovery_path = not afds or fds is not None
+        if fds is None:
+            fds, _ = discover_fds(inst)
 
         def valid(d: FunctionalDependency) -> bool:
             return partitions.holds(partitions.mask(d.lhs), sub.ordinal(d.rhs))

@@ -11,7 +11,11 @@ that ranks and sorts every branch whole; the library must return exactly
 what they do. The miner that walks the lattice once per anchor, not once
 per direction, is kept too: the library's must be closure-equal to it.
 So is the single-table search that walks the lattice once per rhs: the
-library's one walk for every rhs must return exactly what it does.
+library's one walk for every rhs must return exactly what it does. So is
+the upstaging stage that mines every input table whole and then re-mines
+each side's join rows for what the input's set does not imply: reports
+made with it must be closure-equal to the library's, which mines each
+side's rows once.
 `recorded_contexts` and `counterexamples_refuted_on_join` check the
 validator's counterexamples against the materialized join.
 """
@@ -22,7 +26,13 @@ import pytest
 
 from joinfd import pipeline
 from joinfd.context import JoinContext
-from joinfd.discovery import holds, walk
+from joinfd.discovery import (
+    discover_fds,
+    discover_new_fds,
+    holds,
+    minimal_variants,
+    walk,
+)
 from joinfd.fds import (
     Afd,
     FdSet,
@@ -31,6 +41,7 @@ from joinfd.fds import (
     compile_rules,
     implies,
     mask_bits,
+    remove_implied,
 )
 from joinfd.joins import (
     PADS_LEFT_ATTRS,
@@ -42,6 +53,7 @@ from joinfd.joins import (
 )
 from joinfd.relation import Instance, loads_csv
 from joinfd.sample import _rank, _value_sort_key
+from joinfd.upstage import UpstageResult, upstaged_afds
 
 
 @pytest.fixture
@@ -361,6 +373,64 @@ def reference_search(cache, known=(), epsilon=0.0) -> tuple[FdSet, list]:
             walk([bit for bit in cache.bits.values() if bit != goal], verdict)
     afds.sort(key=lambda a: a.fd.sort_key())
     return exact, afds
+
+
+def reference_upstage(
+    context, left_fds=None, right_fds=None, left_afds=None, right_afds=None
+) -> UpstageResult:
+    """`upstage.upstage` mining every input table whole when no set is
+    given, then each side's join rows again for what the surviving members
+    and promoted approximate dependencies do not imply; every member that
+    holds on the side's rows is preserved."""
+    profile = context.profile
+    out: dict[str, FdSet] = {}
+    preserved: dict[str, FdSet] = {}
+    for side, inst, afds, fds in (
+        ("left", context.left, left_afds, left_fds),
+        ("right", context.right, right_afds, right_fds),
+    ):
+        run_discovery_path = not afds or fds is not None
+        if fds is None:
+            fds, _ = discover_fds(inst)
+        sub = context.side_subinstance(side)
+        if sub is None:
+            out[side] = preserved[side] = FdSet()
+            continue
+        padded = context.pads_left() if side == "left" else context.pads_right()
+
+        def valid(d: FunctionalDependency) -> bool:
+            return holds(sub, d)
+
+        survivors = FdSet(d for d in fds if not padded or valid(d))
+        preserved[side] = survivors
+        if not padded and sub.row_count == inst.row_count:
+            out[side] = FdSet()
+            continue
+        new = FdSet()
+        if afds:
+            dangling = (
+                profile.dangling_left if side == "left" else profile.dangling_right
+            )
+            promoted = upstaged_afds(inst, set(profile.rows(side, dangling)), afds)
+            for d in promoted:
+                if valid(d):
+                    for minimal in minimal_variants(d, valid):
+                        new.add(minimal)
+        if run_discovery_path:
+            for d in discover_new_fds(sub, survivors.union(new)):
+                new.add(d)
+        out[side] = remove_implied(new)
+    left_up, right_up = FdSet(), FdSet()
+    for d in out["left"]:
+        left_up.add(d, "upstaged-left")
+    for d in out["right"]:
+        right_up.add(d, "upstaged-right")
+    return UpstageResult(
+        left_upstaged=left_up,
+        right_upstaged=right_up,
+        left_preserved=preserved["left"],
+        right_preserved=preserved["right"],
+    )
 
 
 def reference_minimal_determiners(target, fds) -> list[frozenset]:

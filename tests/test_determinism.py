@@ -1,14 +1,17 @@
 """Reports, and the partition work behind them, do not depend on the hash seed.
 
-The mining walk, the counterexamples the validator keeps and the sampling
-tree all iterate sets and dicts of names and join values. Each report here
-is made in a fresh interpreter under three hash seeds, and everything it
-serializes except the timings must come out the same, counters included.
-A partition is refined from the smallest cached parent, so the order in
-which partitions are first requested decides how many rows `refine` reads:
-that count must come out the same too. So must the output of the
-single-table searches run directly on a wide join, given a known set as a
-plain set, and the number of partitions they build.
+The mining walk, the counterexamples the validator keeps, the sampling
+tree and the oracle's preserved tagging all iterate sets and dicts of names
+and join values. Each report here, of every strategy, is made in a fresh
+interpreter under three hash seeds, and everything it serializes except
+the timings must come out the same, counters included. A partition is
+refined from the smallest cached parent, so the order in which partitions
+are first requested decides how many `refine` builds and how many rows it
+reads: both counts must come out the same too. The inner pair dangles rows
+on both sides, so upstaging tests each side's mined dependencies on the
+input, and on each side some fail there and are upstaged. So must the
+output of the single-table searches run directly on a wide join, given a
+known set as a plain set, and the number of partitions they build.
 """
 
 import json
@@ -43,6 +46,14 @@ pairs = [
         ),
         seed=5,
     ),
+    make_fixture(
+        FixtureProfile(
+            left_rows=24, right_rows=24, left_attrs=4, right_attrs=4,
+            dangling_fraction=0.3, duplicate_fraction=0.3, domain_low=3,
+            domain_high=12, op=JoinKind.INNER,
+        ),
+        seed=10,
+    ),
 ]
 read = [0]
 built = [0]
@@ -56,11 +67,12 @@ def counted(part, instance, attr):
 discovery.refine = counted
 out = []
 for pair in pairs:
-    for strategy in ("selective", "sampling"):
+    for strategy in ("selective", "sampling", "oracle"):
         doc = run_pipeline(*pair, strategy=strategy).to_json()
         del doc["timings"]
         out.append(doc)
 out.append(read[0])
+out.append(built[0])
 wide = make_fixture(
     FixtureProfile(
         left_rows=40, right_rows=40, left_attrs=6, right_attrs=4,
@@ -91,9 +103,10 @@ def test_reports_do_not_depend_on_the_hash_seed():
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         runs.append(json.loads(done.stdout))
-    # both pairs mine something, so the walk order is exercised
-    *docs, rows_read, searched, new, searches_built = runs[0]
-    assert all(doc["counters"]["candidates_validated"] > 0 for doc in docs[::2])
-    assert rows_read > 0
+    # every pair mines something, so the walk order is exercised
+    *docs, rows_read, built, searched, new, searches_built = runs[0]
+    assert [doc["strategy"] for doc in docs[:3]] == ["selective", "sampling", "oracle"]
+    assert all(doc["counters"]["candidates_validated"] > 0 for doc in docs[::3])
+    assert rows_read > 0 and built > 0
     assert searched and new and searches_built > 0
     assert runs[0] == runs[1] == runs[2]

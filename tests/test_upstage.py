@@ -2,14 +2,19 @@ import random
 
 import pytest
 
+from conftest import reference_upstage
+from joinfd import discovery, pipeline
+from joinfd import upstage as upstage_module
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds, holds
-from joinfd.errors import InputError
-from joinfd.fds import Afd, fd, implies
+from joinfd.errors import InputError, InternalInvariantError
+from joinfd.fds import Afd, FdSet, closure_equal, fd, implies
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
 from joinfd.joins import JoinKind, JoinSpec, join, left_name_map
+from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 from joinfd.upstage import upstage
+from test_differential import _pairs as tiny_random_pairs
 
 
 def _bijective_pair():
@@ -169,3 +174,148 @@ def test_preserved_side_of_outer_join_never_upstages():
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.LEFT_OUTER)
     got = upstage(JoinContext(left, right, spec))
     assert len(got.left_upstaged) == 0  # left rows all survive a left outer
+
+
+def _fixture_pairs():
+    # 216 pairs: every operator at dangling fractions 0, 0.2 and 0.5
+    rng = random.Random(53)
+    pairs = []
+    for seed in range(216):
+        prof = FixtureProfile(
+            left_rows=rng.randint(5, 20),
+            right_rows=rng.randint(5, 20),
+            left_attrs=rng.randint(2, 4),
+            right_attrs=rng.randint(2, 4),
+            dangling_fraction=(0.0, 0.2, 0.5)[seed % 3],
+            duplicate_fraction=0.3,
+            op=list(JoinKind)[seed // 3 % 6],
+        )
+        pairs.append(make_fixture(prof, seed=seed))
+    # tiny pairs with composite keys, nulls and natural joins
+    return pairs + tiny_random_pairs()[::2]
+
+
+def test_reports_match_mining_every_input_whole(monkeypatch):
+    for left, right, spec in _fixture_pairs():
+        for strategy in ("selective", "sampling"):
+            got = run_pipeline(left, right, spec, strategy=strategy)
+            with monkeypatch.context() as patched:
+                patched.setattr(pipeline, "upstage", reference_upstage)
+                want = run_pipeline(left, right, spec, strategy=strategy)
+            assert closure_equal(got.fds, want.fds), (spec, strategy)
+            assert got.violated_fds == want.violated_fds, (spec, strategy)
+
+
+def test_side_local_output_is_preserved_iff_an_input_member():
+    # a member that padding breaks is no dependency of the join, though a
+    # sampled report may still claim it
+    preserved = 0
+    for left, right, spec in _fixture_pairs():
+        context = JoinContext(left, right, spec)
+        sides = [
+            (side, {qual: a for a, qual in names.items()}, discover_fds(inst)[0], sub)
+            for side, inst, names in (
+                ("left", left, context.lmap),
+                ("right", right, context.rmap),
+            )
+            if (sub := context.side_subinstance(side)) is not None
+        ]
+        for strategy in ("selective", "sampling"):
+            rep = run_pipeline(left, right, spec, strategy=strategy)
+            for d in rep.fds:
+                local = [
+                    (side, d.rename(base) in members and holds(sub, d.rename(base)))
+                    for side, base, members, sub in sides
+                    if d.rhs in base and d.lhs <= base.keys()
+                ]
+                if not local:
+                    continue
+                member_of = [side for side, member in local if member]
+                tag = rep.fds.origins[d]
+                if member_of:
+                    assert tag == f"preserved-{member_of[0]}", (spec, strategy, d)
+                    preserved += 1
+                else:
+                    assert not tag.startswith("preserved-"), (spec, strategy, d)
+    assert preserved > 0
+
+
+def test_preserved_are_input_members_and_cover_the_side_rows():
+    # on a padded side a smaller lhs can hold on the input and be broken by
+    # padding, so a minimal dependency of the side's rows that holds on the
+    # input need not be minimal there
+    for left, right, spec in _fixture_pairs():
+        context = JoinContext(left, right, spec)
+        got = upstage(context)
+        for side, inst, kept, upstaged in (
+            ("left", left, got.left_preserved, got.left_upstaged),
+            ("right", right, got.right_preserved, got.right_upstaged),
+        ):
+            sub = context.side_subinstance(side)
+            if sub is None:
+                continue
+            members = discover_fds(inst)[0]
+            assert all(d in members for d in kept), (spec, side)
+            assert closure_equal(kept.union(upstaged), discover_fds(sub)[0])
+
+
+@pytest.fixture
+def mined_inputs(monkeypatch):
+    """The names of the tables each `discovery.discover_fds` call mines,
+    spied on wherever the package binds it."""
+    seen: list[str] = []
+
+    def spy(instance, epsilon=0.0):
+        seen.append(instance.name)
+        return discover_fds(instance, epsilon)
+
+    for module in (discovery, pipeline, upstage_module):
+        monkeypatch.setattr(module, "discover_fds", spy)
+    return seen
+
+
+def _dangling_pair(kind):
+    # k=3 dangles on the left and k=4 on the right; c is constant on the
+    # right, so right padding breaks {} -> c
+    left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
+    right = loads_csv("k,c,d\n1,m,u\n2,m,v\n4,m,u", name="R")
+    return left, right, JoinSpec.equi(["k"], ["k"], kind)
+
+
+def test_inner_join_mines_no_input_table(mined_inputs):
+    left, right, spec = _dangling_pair(JoinKind.INNER)
+    for strategy in ("selective", "sampling"):
+        mined_inputs.clear()
+        rep = run_pipeline(left, right, spec, strategy=strategy)
+        assert "L" not in mined_inputs and "R" not in mined_inputs, strategy
+        assert rep.violated_fds == []
+        assert "single_tables" in rep.timings
+
+
+def test_one_sided_outer_join_mines_only_the_padded_input(mined_inputs):
+    # a left outer join keeps every left row and pads the right side
+    left, right, spec = _dangling_pair(JoinKind.LEFT_OUTER)
+    for strategy in ("selective", "sampling"):
+        mined_inputs.clear()
+        rep = run_pipeline(left, right, spec, strategy=strategy)
+        assert [n for n in mined_inputs if n in ("L", "R")] == ["R"], strategy
+        assert rep.violated_fds == ["right: {} -> c"], strategy
+    mined_inputs.clear()
+    run_pipeline(left, right, spec, epsilon=0.1)
+    assert [n for n in mined_inputs if n in ("L", "R")] == ["L", "R"]
+
+
+def test_dropped_preserved_dependency_still_raises(monkeypatch):
+    # without nulls, padding breaks no member with a nonempty lhs; a stage
+    # that loses one anyway is a bug, and the run must refuse to report
+    left, right, spec = _dangling_pair(JoinKind.LEFT_OUTER)
+    real = upstage_module.upstage
+
+    def lossy(context, **sets):
+        got = real(context, **sets)
+        got.right_preserved = FdSet(d for d in got.right_preserved if not d.lhs)
+        return got
+
+    monkeypatch.setattr(pipeline, "upstage", lossy)
+    with pytest.raises(InternalInvariantError, match="right table no longer holds"):
+        run_pipeline(left, right, spec)
