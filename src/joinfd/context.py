@@ -6,22 +6,23 @@ row set restricted to one side's columns, with one padding row per dangling
 join value of the other side under outer padding), a cache of partial joins
 keyed by kept attribute sets, and the validator's caches: each sub-instance
 row's join-value group, per-side stripped partitions refined from cached
-parents (shared with upstaging through `side_partitions`), and per-row (lhs
-part, rhs) code pairs, each built on first use and reused by every later
-candidate. Every rejected candidate leaves a counterexample: the agree set of
-the two join rows that violate it, a bitmask over `join_bits`. It refutes
-every dependency whose lhs lies inside it and whose rhs lies outside, so it
-is filed under each join name outside it, and per name only the maximal
-agree sets are kept (`agree_sets`). `refutes` reads them, so the miner can
-drop a candidate that fits inside one without validating it. Counters record
-how much was materialized, which is the frugality evidence the report
-exposes.
+parents (shared with upstaging through `side_partitions`), and per (side,
+lhs part) a link table of the groups each partition class spans, each built
+on first use and reused by every later candidate. The validator answers a
+candidate from one side's partition of its lhs part there and the link
+table of the other side's, copying no rows. Every rejected candidate leaves
+a counterexample: the agree set of the two join rows that violate it, a
+bitmask over `join_bits`. It refutes every dependency whose lhs lies inside
+it and whose rhs lies outside, so it is filed under each join name outside
+it, and per name only the maximal agree sets are kept (`agree_sets`).
+`refutes` reads them, so mining and inference can drop a candidate that
+fits inside one without validating it. Counters record how much was
+materialized, which is the frugality evidence the report exposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 from .discovery import _PartitionCache, holds, lattice_bits
@@ -95,10 +96,9 @@ class JoinContext:
         self._directions: tuple[bool, bool] | None = None
         self._sides: dict[str, Instance | None] = {}
         # validator caches, see check_fd
-        self._groups: dict[str, tuple[list[int], list[list[int]]]] = {}
+        self._groups: dict[str, list[int]] = {}
         self._partitions: dict[str, _PartitionCache] = {}
-        self._spans: dict[tuple[str, frozenset[str]], list[tuple]] = {}
-        self._pairs: dict[tuple[str, frozenset[str], str], tuple] = {}
+        self._links_of: dict[tuple[str, frozenset[str]], tuple[list, list]] = {}
         # counterexamples, see check_fd and refutes
         self.join_bits: dict[str, int] = lattice_bits(self.owner)
         self.agree_sets: dict[str, list[int]] = {}
@@ -248,18 +248,19 @@ class JoinContext:
         a join-value group and read off side J's key columns. A merged rhs
         goes to the side holding fewer lhs names. In the sub-instances every
         row lies in one participating group (a shared join value, or a
-        dangling one an outer operator pads). The dependency holds iff side
-        J's rows map E to b functionally within every group and, for every
-        class of π_X over side I's rows that spans several groups, across
-        those groups too. Side J's (E, b) pairs are cached per (J, E, b),
-        and its rows per multi-group class per (I, X), read off partitions
-        refined from cached parents.
+        dangling one an outer operator pads), and a group joins each of its
+        side-I rows with each of its side-J rows. So two side-J rows meet
+        on X in the join iff their groups are one, or some class of π_X
+        over side I's rows spans both. `_links` gives each group the tokens
+        that say this: one per such class, or the group's own when no class
+        spans it. The dependency fails iff some class of side J's cached
+        partition π_E holds two rows that differ on b and whose groups share
+        a token; the scan stops at the first such pair.
 
-        A rejection records its witness, two side-J rows r1 and r2 that
-        agree on E and differ on b, joined with side-I rows l1 and l2 of
-        their groups: within one group both meet the same side-I row, across
-        groups l1 and l2 come from the spanning π_X class (any rows of the
-        two groups when X is empty). See `_witness`.
+        A rejection records its witness: that pair r1 and r2, joined with
+        side-I rows l1 and l2 of their groups taken from the class behind
+        the shared token, or one side-I row of their common group when the
+        token is the group's own. See `_witness`.
         """
         self.counters.candidates_validated += 1
         names: dict[str, set[str]] = {"left": set(), "right": set()}
@@ -279,19 +280,19 @@ class JoinContext:
         if rhs_pos is not None:
             b = on[rhs_pos]
         i = "right" if j == "left" else "left"
-        e = frozenset(names[j]) | {on[p] for p in positions}
-        pairs, clash = self._eb_pairs(j, e, b)
-        if clash is not None:
-            self._witness(fd.rhs, i, None, *clash)
-            return False
-        for rows, cls in self._class_rows(i, frozenset(names[i])):
-            seen: dict[tuple, int] = {}
-            for r in rows:
-                e_codes, b_code = pairs[r]
-                if seen.setdefault(e_codes, b_code) != b_code:
-                    first = next(t for t in rows if pairs[t][0] == e_codes)
-                    self._witness(fd.rhs, i, cls, first, r)
-                    return False
+        tokens, classes = self._links(i, frozenset(names[i]))
+        labels = self._row_groups(j)
+        cache = self.side_partitions(j)
+        b_col = cache.instance.columns[cache.instance.ordinal(b)]
+        e = names[j].union(on[p] for p in positions)
+        for cls in cache.get(cache.mask(e)).classes:
+            first: dict[int, int] = {}
+            for r in cls:
+                for token in tokens[labels[r]]:
+                    t = first.setdefault(token, r)
+                    if b_col[t] != b_col[r]:
+                        self._witness(fd.rhs, i, classes[token], t, r)
+                        return False
         return True
 
     def refutes(self, mask: int, rhs: str) -> bool:
@@ -310,23 +311,23 @@ class JoinContext:
 
         r1 and r2 are rows of side J's sub-instance that violate a candidate
         with this rhs; l1 and l2 are rows of side I's from their groups,
-        taken from `cls` when given, else the first of each group. Both join
-        rows exist, since a participating group joins every side-I row with
-        every side-J row. A join name agrees when its owning side's codes
-        agree; a merged natural key column is owned by the left side, whose
-        key columns carry every row's join value, padding rows included.
-        The agree set is filed under every join name outside it, rhs among
-        them, unless one filed there already contains it; it displaces the
-        ones it contains.
+        the first of `cls` in each when given, else the first of their
+        common group. Both join rows exist, since a participating group
+        joins every side-I row with every side-J row. A join name agrees
+        when its owning side's codes agree; a merged natural key column is
+        owned by the left side, whose key columns carry every row's join
+        value, padding rows included. The agree set is filed under every
+        join name outside it, rhs among them, unless one filed there
+        already contains it; it displaces the ones it contains.
         """
         if self.spec.kind in SEMI_KINDS:  # nothing mines a semi-join
             return
         j = "right" if i == "left" else "left"
-        labels_j, _ = self._row_groups(j)
-        labels_i, grouped_i = self._row_groups(i)
+        labels_j = self._row_groups(j)
+        labels_i = self._row_groups(i)
         g1, g2 = labels_j[r1], labels_j[r2]
         if cls is None:
-            l1, l2 = grouped_i[g1][0], grouped_i[g2][0]
+            l1 = l2 = labels_i.index(g1)
         else:
             l1 = next(t for t in cls if labels_i[t] == g1)
             l2 = next(t for t in cls if labels_i[t] == g2)
@@ -350,101 +351,71 @@ class JoinContext:
             kept[:] = [agree for agree in kept if agree & ~mask]
             kept.append(mask)
 
-    def _row_groups(self, side: str) -> tuple[list[int], list[list[int]]]:
-        """Each row's group id in `side_subinstance(side)`, and each group's rows.
+    def _row_groups(self, side: str) -> list[int]:
+        """Each row's group id in `side_subinstance(side)`.
 
         Group ids index the participating join values, the same on both
         sides: the shared values, then the dangling ones an outer operator
-        pads, each by the first row carrying it, so that the witnesses
-        `check_fd` records do not depend on set iteration order.
+        pads, each in order of the first row carrying it (the order of the
+        profile's groups), so that the witnesses `check_fd` records do not
+        depend on set iteration order.
         """
         if not self._groups:
-            profile = self.profile
-
-            def by_first_row(values: frozenset, side: str) -> list[tuple]:
-                return sorted(values, key=lambda v: profile.groups(side)[v][0])
-
-            values = by_first_row(profile.shared, "left")
+            profile, shared = self.profile, self.profile.shared
+            values = [v for v in profile.left_groups if v in shared]
             if self.pads_right():
-                values += by_first_row(profile.dangling_left, "left")
+                values += [v for v in profile.left_groups if v not in shared]
             if self.pads_left():
-                values += by_first_row(profile.dangling_right, "right")
+                values += [v for v in profile.right_groups if v not in shared]
             gid = {v: g for g, v in enumerate(values)}
             for s in ("left", "right"):
                 layout = self._side_rows(s)
                 if layout is None:  # dropped side of a semi-join
                     continue
-                label: dict[int, int] = {}
-                for v, members in profile.groups(s).items():
-                    if v in gid:
-                        label.update(dict.fromkeys(members, gid[v]))
+                groups = profile.groups(s)
+                label = [-1] * (self.left if s == "left" else self.right).row_count
+                for v, g in gid.items():
+                    for r in groups.get(v, ()):
+                        label[r] = g
                 rows, pads = layout
-                labels = [label[r] for r in rows] + [gid[v] for v in pads]
-                grouped: list[list[int]] = [[] for _ in values]
-                for t, g in enumerate(labels):
-                    grouped[g].append(t)
-                self._groups[s] = (labels, grouped)
+                if not isinstance(rows, range):
+                    label = list(map(label.__getitem__, rows))
+                label += map(gid.__getitem__, pads)
+                if -1 in label:
+                    raise InternalInvariantError(f"a {s} row is in no join-value group")
+                self._groups[s] = label
         return self._groups[side]
 
-    def _eb_pairs(
-        self, j: str, e: frozenset[str], b: str
-    ) -> tuple[list[tuple] | None, tuple[int, int] | None]:
-        """Per row of `side_subinstance(j)`, its (E codes, b code) pair.
-
-        Or, when some group holds two rows that agree on E and differ on b,
-        which fails every dependency with this E and b, None and the first
-        such two rows.
-        """
-        key = (j, e, b)
-        if key not in self._pairs:
-            sub = self.side_subinstance(j)
-            labels, _ = self._row_groups(j)
-            cols = [sub.columns[o] for o in sub.ordinals(e)]
-            codes = list(zip(*cols)) if cols else [()] * sub.row_count
-            pairs = list(zip(codes, sub.columns[sub.ordinal(b)]))
-            found: tuple[list[tuple] | None, tuple[int, int] | None] = (pairs, None)
-            if len(set(zip(labels, codes))) < len(set(zip(labels, pairs))):
-                first: dict[tuple, int] = {}
-                for r, (g, (e_codes, b_code)) in enumerate(zip(labels, pairs)):
-                    t = first.setdefault((g, e_codes), r)
-                    if pairs[t][1] != b_code:
-                        found = (None, (t, r))
-                        break
-            self._pairs[key] = found
-        return self._pairs[key]
-
-    def _class_rows(
+    def _links(
         self, i: str, x: frozenset[str]
-    ) -> list[tuple[Sequence[int], Sequence[int] | None]]:
-        """Per class of π_X on side i spanning several groups, the other
-        side's rows in those groups, largest first, with the class.
+    ) -> tuple[list[tuple[int, ...]], list[Sequence[int] | None]]:
+        """Per join-value group, the tokens of the groups it meets on X.
 
-        The classes are those of the stripped partition of
-        `side_subinstance(i)`, one per set of spanned groups. An empty X
-        has one class holding every participating group, given as None.
+        A class of π_X over `side_subinstance(i)` that spans several groups
+        links them: each gets the class's token, the first class per set
+        of spanned groups standing for the rest. A group no class spans
+        meets only itself and keeps a token of its own. The second list
+        gives each token its class, or None for a group's own. An empty X
+        has one class holding every row, so it links every group.
         """
         key = (i, x)
-        if key not in self._spans:
-            j = "right" if i == "left" else "left"
-            if not x:
-                spans: list[tuple] = [(range(self.side_subinstance(j).row_count), None)]
-            else:
-                cache = self.side_partitions(i)
-                labels, _ = self._row_groups(i)
-                _, grouped = self._row_groups(j)
-                found: dict[frozenset[int], Sequence[int]] = {}
-                for cls in cache.get(cache.mask(x)).classes:
-                    span = frozenset(map(labels.__getitem__, cls))
-                    if len(span) > 1:
-                        found.setdefault(span, cls)
-                spans = [
-                    (list(chain.from_iterable(map(grouped.__getitem__, groups))), cls)
-                    for groups, cls in found.items()
-                ]
-                # larger classes are likelier to witness a violation
-                spans.sort(key=lambda span: len(span[0]), reverse=True)
-            self._spans[key] = spans
-        return self._spans[key]
+        if key not in self._links_of:
+            labels = self._row_groups(i)
+            cache = self.side_partitions(i)
+            groups = max(labels, default=-1) + 1
+            tokens: list[tuple[int, ...]] = [()] * groups
+            classes: list[Sequence[int] | None] = [None] * groups
+            seen: set[frozenset[int]] = set()
+            for cls in cache.get(cache.mask(x)).classes:
+                span = frozenset(map(labels.__getitem__, cls))
+                if len(span) > 1 and span not in seen:
+                    seen.add(span)
+                    for g in span:
+                        tokens[g] += (len(classes),)
+                    classes.append(cls)
+            tokens = [t or (g,) for g, t in enumerate(tokens)]
+            self._links_of[key] = (tokens, classes)
+        return self._links_of[key]
 
     def side_partitions(self, side: str) -> _PartitionCache:
         """Stripped partitions of `side_subinstance(side)`, shared by every

@@ -92,14 +92,24 @@ def refine(context: JoinContext, inferred: FdSet) -> FdSet:
     """Minimize each dependency's lhs on the join's validator.
 
     Dependencies arrive in join-result names. Proper lhs subsets, the empty
-    one included, are validated bottom-up by `JoinContext.check_fd`; all
+    one included, are tried bottom-up: one that a recorded counterexample
+    refutes (`JoinContext.refutes`) fails unvalidated and is counted as
+    refuted, and any other is validated by `JoinContext.check_fd`. All
     variants holding at the smallest size replace the original. Members
     that were actually shrunk come back tagged "refined".
     """
+    bits, counters = context.join_bits, context.counters
+
+    def valid(cand: FunctionalDependency) -> bool:
+        if context.refutes(sum(map(bits.__getitem__, cand.lhs)), cand.rhs):
+            counters.candidates_refuted += 1
+            return False
+        return context.check_fd(cand)
+
     out = FdSet()
     shrunk: set[FunctionalDependency] = set()
     for d in inferred:
-        variants = minimal_variants(d, context.check_fd)
+        variants = minimal_variants(d, valid)
         for v in variants:
             out.add(v)
         if variants != [d]:

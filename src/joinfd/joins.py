@@ -144,23 +144,26 @@ def right_name_map(left: Instance, right: Instance, spec: JoinSpec) -> dict[str,
 def _value_groups(instance: Instance, attrs: Sequence[str]) -> dict[tuple, list[int]]:
     """Decoded join-value tuple over `attrs` -> ascending ids of its rows.
 
-    Rows are grouped by their code tuple and each distinct tuple is decoded
-    once; values come in order of their first row.
+    Rows are grouped by their code tuple, and the distinct tuples are
+    decoded a key column at a time; values come in order of their first row.
     """
     ords = [instance.ordinal(a) for a in attrs]
-    by_codes: dict[tuple, list[int]] = {}
-    for r, codes in enumerate(zip(*(instance.columns[o] for o in ords))):
+    cols = [instance.columns[o] for o in ords]
+    # a single key column groups by its bare codes, saving a tuple per row
+    single = len(cols) == 1
+    by_codes: dict = {}
+    for r, codes in enumerate(cols[0] if single else zip(*cols)):
         rows = by_codes.get(codes)
         if rows is None:
             by_codes[codes] = [r]
         else:
             rows.append(r)
     # NULL_CODE is -1, so it selects the None appended to each dictionary
-    words = [instance.dictionaries[o] + (None,) for o in ords]
-    return {
-        tuple(map(tuple.__getitem__, words, codes)): rows
-        for codes, rows in by_codes.items()
-    }
+    decoded = [
+        map((instance.dictionaries[o] + (None,)).__getitem__, codes)
+        for o, codes in zip(ords, [by_codes] if single else zip(*by_codes))
+    ]
+    return dict(zip(zip(*decoded), by_codes.values()))
 
 
 def _semi(side: Instance, groups: dict, partner_groups: dict) -> Instance:

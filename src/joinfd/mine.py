@@ -12,12 +12,13 @@ the validator recorded under its rhs is refuted: false on the join, its
 anchor stays open without an implication check or a validation. One
 implied by the pool of established dependencies closes its anchor. Any
 other is validated by the context's validator (`JoinContext.check_fd`),
-which reads cached partitions of the lhs side and cached (lhs part, rhs)
-code pairs of the rhs side and materializes no join rows: an accepted one
-closes its anchor and joins the pool, and a rejected one leaves the anchor
-open and the agree set of two violating join rows behind. The context's
-counters count each outcome. Both directions share the pool. It holds only
-true dependencies, so it never implies a refuted one.
+which reads cached stripped partitions of both sides, with a cached table
+of the join-value groups each lhs-side class links, and materializes no
+join rows: an accepted one closes its anchor and joins the pool, and a
+rejected one leaves the anchor open and the agree set of two violating
+join rows behind. The context's counters count each outcome. Both
+directions share the pool. It holds only true dependencies, so it never
+implies a refuted one.
 """
 
 from __future__ import annotations

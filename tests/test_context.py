@@ -5,9 +5,13 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from conftest import counterexamples_refuted_on_join
+from joinfd import discovery
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
+from joinfd.errors import InternalInvariantError
 from joinfd.fds import fd
 from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, join
@@ -55,6 +59,7 @@ def _exhaustive_agreement(left, right, spec):
                 mask = sum(ctx.join_bits[a] for a in combo)
                 assert ctx.refutes(mask, rhs) is not valid, cand
     assert ctx.counters.partial_join_rows == 0  # streaming stores nothing
+    return ctx
 
 
 def test_streaming_check_matches_materialized_join_natural():
@@ -114,6 +119,35 @@ def _outer_fixture_pairs():
 def test_streaming_check_matches_materialized_join_at_fixture_scale():
     for left, right, spec in _outer_fixture_pairs():
         _exhaustive_agreement(left, right, spec)
+
+
+def test_streaming_check_matches_materialized_join_on_wide_two_valued_sides():
+    # two-valued attributes, 6 and 4 a side: most π_X classes span many
+    # join-value groups, so a group meets others through several classes,
+    # each a token of the validator's links; odd seeds join naturally,
+    # merging the key columns
+    tokens_per_group = 0
+    for seed in range(4):
+        for kind in (JoinKind.INNER, JoinKind.FULL_OUTER):
+            profile = FixtureProfile(
+                left_rows=40,
+                right_rows=40,
+                left_attrs=6,
+                right_attrs=4,
+                dangling_fraction=0.3,
+                duplicate_fraction=0.3,
+                domain_low=2,
+                domain_high=2,
+                op=kind,
+            )
+            left, right, spec = make_fixture(profile, seed)
+            if seed % 2:
+                spec = JoinSpec.natural_join(left, right, kind)
+            ctx = _exhaustive_agreement(left, right, spec)
+            for (_, x), (tokens, _) in ctx._links_of.items():
+                if x:
+                    tokens_per_group = max(tokens_per_group, *map(len, tokens))
+    assert tokens_per_group >= 3
 
 
 def test_counterexamples_are_false_on_outer_fixture_joins(recorded_contexts):
@@ -189,3 +223,36 @@ def test_padding_order_does_not_depend_on_the_hash_seed():
         runs.append(json.loads(done.stdout))
     assert runs[0][0] == [["None"], [None]]
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_validator_builds_no_more_partitions_than_mining_needs(monkeypatch):
+    # tall sides: the validator reads side J's partition of E and side I's
+    # of X from the cache that upstaging and mining fill, so it adds no
+    # partition builds; the bounds are the per-seed counts of a validator
+    # that copied side J's (E, b) codes and built no partition of E
+    refined = []
+    real = discovery.refine
+
+    def counted(*args):
+        refined[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(discovery, "refine", counted)
+    profile = FixtureProfile(
+        left_rows=400, right_rows=400, left_attrs=3, right_attrs=3,
+        dangling_fraction=0.3, duplicate_fraction=0.3, domain_low=3, domain_high=200,
+    )
+    for seed in range(6):
+        refined.append(0)
+        run_pipeline(*make_fixture(profile, seed), strategy="selective")
+    assert all(n <= bound for n, bound in zip(refined, [16, 12, 14, 12, 14, 14]))
+
+
+def test_a_row_outside_every_group_is_an_error():
+    left = loads_csv("k,a\n1,x\n2,y", name="L")
+    right = loads_csv("k,b\n1,p\n2,q", name="R")
+    ctx = JoinContext(left, right, JoinSpec.equi(["k"], ["k"], JoinKind.LEFT_OUTER))
+    # every left row survives, but the profile lost the row of value 2
+    ctx.profile.left_groups[("2",)].clear()
+    with pytest.raises(InternalInvariantError):
+        ctx._row_groups("left")

@@ -132,8 +132,9 @@ def test_refine_finds_smaller_variant():
 
 
 def test_refine_validates_on_the_join_validator():
-    # the same pair: the empty lhs, then diag and loc, each a check on the
-    # join validator, and no partial join behind any of them
+    # the same pair: the empty lhs fails on the join validator, and its
+    # counterexample (rows of pids 1 and 2, which share loc e) refutes loc
+    # unvalidated; diag holds. No partial join is behind any of them
     left = loads_csv(
         "pid,loc,diag\n1,e,d1\n2,e,d2\n3,w,d3\n3,w,d3", name="ADM"
     )
@@ -142,7 +143,8 @@ def test_refine_validates_on_the_join_validator():
     refine(context, FdSet([fd(["ADM.loc", "ADM.diag"], "PAT.dob")]))
     assert context.counters.partial_joins_built == 0
     assert context.counters.partial_join_rows == 0
-    assert context.counters.candidates_validated == 3
+    assert context.counters.candidates_validated == 2
+    assert context.counters.candidates_refuted == 1
 
 
 def test_refine_tests_the_constant_subset():

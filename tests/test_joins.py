@@ -8,6 +8,7 @@ from joinfd.errors import JoinSpecError
 from joinfd.joins import (
     JoinKind,
     JoinSpec,
+    _value_groups,
     join,
     join_attr_directions,
     join_profile,
@@ -289,3 +290,36 @@ def test_left_deep_chain_over_a_code_level_intermediate():
         report = run_left_deep([a, b, c], [first, second], strategy="selective")
         want = oracle_join_fds(want_middle, c, second)
         assert closure_equal(report.fds, want), (first, second)
+
+
+def _decoded_per_row(instance, attrs):
+    ords = [instance.ordinal(a) for a in attrs]
+    groups = {}
+    for r in range(instance.row_count):
+        value = tuple(instance.decode(o, instance.columns[o][r]) for o in ords)
+        groups.setdefault(value, []).append(r)
+    return groups
+
+
+@pytest.mark.parametrize("attrs", [("k1", "k2"), ("k2",), ("k2", "a", "k1")])
+def test_value_groups_decode_like_each_row(attrs):
+    # a null and the text "None" are different join values, in a composite
+    # key as in a single one
+    inst = Instance.from_rows(
+        ["k1", "k2", "a"],
+        [
+            ["None", None, "x"],
+            [None, "None", "y"],
+            ["1", None, "x"],
+            [None, None, "y"],
+            ["None", None, "z"],
+            [None, "None", "x"],
+            ["1", "2", None],
+        ],
+        name="T",
+    )
+    got = _value_groups(inst, attrs)
+    want = _decoded_per_row(inst, attrs)
+    assert got == want
+    assert list(got) == list(want)  # values in order of their first row
+    assert list(_value_groups(take_rows(inst, []), attrs)) == []

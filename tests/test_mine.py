@@ -338,7 +338,9 @@ def test_natural_padding_breaks_dependencies_without_nulls_in_the_data():
 def test_width_cliff_stays_exact_and_bounded():
     # seven attributes a side on tiny domains: the lhs lattice is wide, and
     # the walk must neither lose a dependency nor validate more than it does
-    # (the count pins the cover one walk over all open anchors reaches)
+    # (the count pins the cover one walk over all open anchors reaches, and
+    # the counterexamples the validator's scan order keeps: a worse witness
+    # refutes less and shows as more validations)
     prof = FixtureProfile(
         left_rows=150, right_rows=150, left_attrs=7, right_attrs=7,
         dangling_fraction=0.3, duplicate_fraction=0.3, domain_low=2, domain_high=8,
@@ -347,4 +349,4 @@ def test_width_cliff_stays_exact_and_bounded():
     rep = run_pipeline(left, right, spec, strategy="selective")
     assert closure_equal(rep.fds, oracle_join_fds(left, right, spec))
     assert len(rep.fds) == 242
-    assert rep.counters.candidates_validated <= 715
+    assert rep.counters.candidates_validated <= 626

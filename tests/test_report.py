@@ -311,11 +311,16 @@ def test_left_deep_chain_counts_intermediates_as_full_joins():
         first.counters.partial_join_rows + last.counters.partial_join_rows
     )
     # every counter and stage timing of the first step is carried, too
-    assert first.counters.candidates_validated == 7
-    assert last.counters.candidates_validated == 10
+    assert first.counters.candidates_validated == 4
+    assert last.counters.candidates_validated == 5
     assert rep.counters.candidates_validated == (
         first.counters.candidates_validated + last.counters.candidates_validated
-    ) == 17
+    ) == 9
+    assert first.counters.candidates_refuted == 6
+    assert last.counters.candidates_refuted == 18
+    assert rep.counters.candidates_refuted == (
+        first.counters.candidates_refuted + last.counters.candidates_refuted
+    ) == 24
     assert rep.counters.partial_joins_built == (
         first.counters.partial_joins_built + last.counters.partial_joins_built
     )
