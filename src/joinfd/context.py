@@ -95,6 +95,7 @@ class JoinContext:
         self._partials: dict[tuple[frozenset, frozenset], Instance] = {}
         self._directions: tuple[bool, bool] | None = None
         self._sides: dict[str, Instance | None] = {}
+        self._layouts: dict[str, tuple[Sequence[int], list[tuple]] | None] = {}
         # validator caches, see check_fd
         self._groups: dict[str, list[int]] = {}
         self._partitions: dict[str, _PartitionCache] = {}
@@ -121,11 +122,18 @@ class JoinContext:
     # -- join structure ------------------------------------------------------
 
     def directions(self) -> tuple[bool, bool]:
-        """(left join attrs determine right ones, and the converse)."""
+        """(left join attrs determine right ones, and the converse).
+
+        Both hold on an inner join, whose join values pair only with
+        themselves; outer padding can break either one.
+        """
         if self._directions is None:
-            self._directions = join_attr_directions(
-                self.left, self.right, self.spec, self.profile
-            )
+            if self.spec.kind is JoinKind.INNER:
+                self._directions = (True, True)
+            else:
+                self._directions = join_attr_directions(
+                    self.left, self.right, self.spec, self.profile
+                )
         return self._directions
 
     def pads_left(self) -> bool:
@@ -173,8 +181,13 @@ class JoinContext:
 
         The ascending ids of the side's rows that survive the join, and the
         other side's dangling join values it is padded for; None for the
-        dropped side of a semi-join.
+        dropped side of a semi-join. Worked out once per side.
         """
+        if side not in self._layouts:
+            self._layouts[side] = self._layout(side)
+        return self._layouts[side]
+
+    def _layout(self, side: str) -> tuple[Sequence[int], list[tuple]] | None:
         kind, profile = self.spec.kind, self.profile
         if side == "left":
             dropped, inst, padded = JoinKind.RIGHT_SEMI, self.left, self.pads_left()

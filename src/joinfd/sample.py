@@ -2,23 +2,27 @@
 
 Representative join values are picked per side by walking the non-join
 attributes in ascending distinct-value order (skipping the most diverse ones)
-and keeping, for every attribute value, either the single join value behind
-it or a seeded choice of a few. The two sides' selections are intersected,
-the selected rows joined, together with every row an outer operator keeps
-dangling, and exact dependencies mined from that micro-join. The
-dependencies discovered this way imply the true join dependencies (tested
-with composite and null-bearing keys, natural joins and all six
-operators); they are only exact themselves when the sample happened to
-contain a counterexample pair for everything false, so precision is
-measured, never assumed.
+and keeping, for every attribute value, either the join values behind it or,
+when there are more than `n_b`, the `n_b` first in a seeded permutation of
+the shared join values. The permutation is computed once per selection and
+read by both sides. Each side lays its candidate rows out once in that
+order, labelled by their value's position, so an attribute's picks are the
+first `n_b` distinct labels per attribute value in one pass over its
+column. The two sides' selections are intersected, the selected rows
+joined, together with every row an outer operator keeps dangling, and
+exact dependencies mined from that micro-join. The dependencies discovered
+this way imply the true join dependencies (tested with composite and
+null-bearing keys, natural joins and all six operators); they are only
+exact themselves when the sample happened to contain a counterexample pair
+for everything false, so precision is measured, never assumed.
 """
 
 from __future__ import annotations
 
-import heapq
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterable, Mapping, Sequence
 
 from .context import JoinContext
 from .discovery import discover_fds
@@ -62,69 +66,86 @@ def _rank(seed: int, value: tuple) -> int:
     return zlib.crc32(repr((seed, value)).encode())
 
 
+def rank_order(values: Iterable[tuple], seed: int) -> list[tuple]:
+    """Candidate join values in rank order: each ranked once (`_rank`),
+    with the value's own order as a tie-break only when two candidates
+    share a crc32."""
+    rank = {v: _rank(seed, v) for v in values}
+    if len(set(rank.values())) < len(rank):  # a crc32 collision
+        return sorted(rank, key=lambda v: (rank[v], _value_sort_key(v)))
+    return sorted(rank, key=rank.__getitem__)
+
+
+def _first_labels(codes: Sequence[int], labels: Sequence[int], n_b: int) -> list[int]:
+    """Per code, the first `n_b` distinct labels it meets, in the order of
+    the nondecreasing `labels`."""
+    kept: list[int] = []
+    seen: dict[int, int] = {}
+    for code, label in dict.fromkeys(zip(codes, labels)):  # distinct, in order
+        k = seen.get(code, 0)
+        if k < n_b:
+            seen[code] = k + 1
+            kept.append(label)
+    return kept
+
+
+def _first_label(codes: Sequence[int], labels: Sequence[int]) -> Iterable[int]:
+    """`_first_labels` for `n_b` = 1, in one pass: the last write of a
+    reversed pass is each code's first label."""
+    return dict(zip(reversed(codes), reversed(labels))).values()
+
+
 def generate_ids_set(
     instance: Instance,
     on: Sequence[str],
-    groups: dict[tuple, list[int]],
+    ranked: Sequence[tuple],
+    groups: Mapping[tuple, Sequence[int]],
     cfg: SampleConfig,
 ) -> set[tuple]:
     """Join values selected by the attribute tree of one side.
 
-    `groups` maps each candidate join value to the ids of the rows carrying
-    it; the tree walks only those rows. Each candidate is ranked once
-    (`_rank`, with the value's own order as a tie-break only when two
-    candidates share a crc32), and a branch of more than `n_b` values
-    keeps its `n_b` lowest ranked. A side whose tree would be empty,
-    because it has no non-join attribute or `n_v` leaves out every one,
-    selects every candidate value, so that the other side's selection
-    decides.
+    `ranked` lists the candidate join values in rank order (`rank_order`)
+    and `groups` maps each to the ids of the rows carrying it; the tree
+    reads only those rows. They are laid out once in rank order, each
+    labelled by its value's position there, and every retained attribute
+    keeps, per code, the first `n_b` distinct labels of that layout: all
+    of a branch of at most `n_b` values, else its `n_b` lowest ranked. A
+    side whose tree would be empty, because it has no non-join attribute
+    or `n_v` leaves out every one, selects every candidate value, so that
+    the other side's selection decides.
     """
     on_set = set(on)
     nonjoin = [a for a in instance.attr_names if a not in on_set]
     if len(nonjoin) <= cfg.n_v:
-        return set(groups)
-    rows: list[int] = []
-    labels: list[tuple] = []  # each row's join value
-    for value, group in groups.items():
-        rows += group
-        labels += [value] * len(group)
-
-    def distinct(attr: str) -> int:
-        col = instance.columns[instance.ordinal(attr)]
-        return len(set(map(col.__getitem__, rows)))
-
-    ranked = sorted(nonjoin, key=lambda a: (distinct(a), a))
-    retained = ranked[: len(ranked) - cfg.n_v]
-    rank: dict[tuple, int | tuple] = {v: _rank(cfg.seed, v) for v in groups}
-    if len(set(rank.values())) < len(rank):  # a crc32 collision
-        rank = {v: (r, _value_sort_key(v)) for v, r in rank.items()}
-    out: set[tuple] = set()
-    for attr in retained:
-        col = instance.columns[instance.ordinal(attr)]
-        by_value: dict[int, list[tuple]] = {}
-        for code, value in set(zip(map(col.__getitem__, rows), labels)):
-            by_value.setdefault(code, []).append(value)
-        for branch in by_value.values():
-            if len(branch) > cfg.n_b:
-                branch = heapq.nsmallest(cfg.n_b, branch, key=rank.__getitem__)
-            out.update(branch)
-    return out
+        return set(ranked)
+    members = list(map(groups.__getitem__, ranked))
+    rows = list(chain.from_iterable(members))
+    sizes = map(len, members)
+    labels = list(chain.from_iterable(map(repeat, range(len(ranked)), sizes)))
+    codes = {
+        a: list(map(instance.columns[instance.ordinal(a)].__getitem__, rows))
+        for a in nonjoin
+    }
+    by_distinct = sorted(nonjoin, key=lambda a: (len(set(codes[a])), a))
+    picked: set[int] = set()
+    for attr in by_distinct[: len(by_distinct) - cfg.n_v]:
+        if cfg.n_b == 1:
+            picked.update(_first_label(codes[attr], labels))
+        else:
+            picked.update(_first_labels(codes[attr], labels, cfg.n_b))
+    return set(map(ranked.__getitem__, picked))
 
 
 def selective_sampling(context: JoinContext, cfg: SampleConfig) -> set[tuple]:
-    """Join values selected on both sides, restricted to the shared ones."""
+    """Join values selected on both sides, restricted to the shared ones,
+    which both sides rank once together."""
     profile, spec = context.profile, context.spec
+    ranked = rank_order(profile.shared, cfg.seed)
     picked_left = generate_ids_set(
-        context.left,
-        spec.left_on,
-        {v: profile.left_groups[v] for v in profile.shared},
-        cfg,
+        context.left, spec.left_on, ranked, profile.left_groups, cfg
     )
     picked_right = generate_ids_set(
-        context.right,
-        spec.right_on,
-        {v: profile.right_groups[v] for v in profile.shared},
-        cfg,
+        context.right, spec.right_on, ranked, profile.right_groups, cfg
     )
     return picked_left & picked_right
 

@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 
 from conftest import counterexamples_refuted_on_join
-from joinfd import discovery
+from joinfd import context as context_module, discovery
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
 from joinfd.errors import InternalInvariantError
 from joinfd.fds import fd
 from joinfd.fixtures import FixtureProfile, make_fixture
-from joinfd.joins import JoinKind, JoinSpec, join
+from joinfd.joins import JoinKind, JoinProfile, JoinSpec, join, join_attr_directions
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 
@@ -256,3 +256,42 @@ def test_a_row_outside_every_group_is_an_error():
     ctx.profile.left_groups[("2",)].clear()
     with pytest.raises(InternalInvariantError):
         ctx._row_groups("left")
+
+
+def test_inner_directions_hold_without_a_scan(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].kind)
+        return join_attr_directions(*args, **kwargs)
+
+    monkeypatch.setattr(context_module, "join_attr_directions", spy)
+    for kind in JoinKind:
+        prof = FixtureProfile(
+            left_rows=12, right_rows=12, left_attrs=3, right_attrs=3,
+            dangling_fraction=0.3, duplicate_fraction=0.3, op=kind,
+        )
+        left, right, spec = make_fixture(prof, seed=3)
+        got = JoinContext(left, right, spec).directions()
+        assert got == join_attr_directions(left, right, spec), kind
+        if kind is JoinKind.INNER:
+            run_pipeline(left, right, spec, strategy="selective")
+    assert JoinKind.INNER not in calls
+
+
+def test_each_side_layout_is_worked_out_once(monkeypatch):
+    sides = []
+    rows = JoinProfile.rows
+
+    def spy(self, side, values):
+        sides.append(side)
+        return rows(self, side, values)
+
+    monkeypatch.setattr(JoinProfile, "rows", spy)
+    prof = FixtureProfile(
+        left_rows=40, right_rows=40, left_attrs=3, right_attrs=3,
+        dangling_fraction=0.3, duplicate_fraction=0.3,
+    )
+    left, right, spec = make_fixture(prof, seed=6)
+    run_pipeline(left, right, spec, strategy="selective")
+    assert sorted(sides) == ["left", "right"]

@@ -15,8 +15,11 @@ from joinfd.pipeline import run_pipeline
 from joinfd.relation import Instance, loads_csv
 from joinfd.sample import (
     SampleConfig,
+    _first_label,
+    _first_labels,
     generate_ids_set,
     micro_join_batch,
+    rank_order,
     selective_sampling,
 )
 
@@ -27,12 +30,18 @@ def _k_equi(left, right):
     return JoinContext(left, right, JoinSpec.equi(["k"], ["k"]))
 
 
-def _groups(inst):
-    """Join value -> row ids, keyed on the first column."""
+def _groups(inst, on=("k",)):
+    """Join value -> row ids, keyed on the `on` columns."""
+    ords = [inst.ordinal(a) for a in on]
     groups = {}
     for r, row in enumerate(inst.raw_rows()):
-        groups.setdefault((row[0],), []).append(r)
+        groups.setdefault(tuple(row[o] for o in ords), []).append(r)
     return groups
+
+
+def _select(inst, on, groups, cfg):
+    """`generate_ids_set` over every value of `groups`, ranked by `cfg`."""
+    return generate_ids_set(inst, on, rank_order(groups, cfg.seed), groups, cfg)
 
 
 def test_config_validation():
@@ -58,7 +67,7 @@ def test_key_unique_sides_select_every_shared_value():
 
 def test_single_constant_attribute_keeps_one_representative():
     inst = loads_csv("k,a\n1,c\n2,c\n3,c", name="L")
-    got = generate_ids_set(inst, ["k"], _groups(inst), SampleConfig(n_b=1, seed=4))
+    got = _select(inst, ["k"], _groups(inst), SampleConfig(n_b=1, seed=4))
     assert len(got) == 1
 
 
@@ -66,7 +75,7 @@ def test_leaving_out_every_attribute_selects_every_value():
     # n_v empties the left tree: that side selects every value and the
     # right side's tree decides, so the micro-join is not empty
     inst = loads_csv("k,a\n1,x\n2,y", name="L")
-    got = generate_ids_set(inst, ["k"], _groups(inst), SampleConfig(n_b=1, n_v=1))
+    got = _select(inst, ["k"], _groups(inst), SampleConfig(n_b=1, n_v=1))
     assert got == {("1",), ("2",)}
     left = loads_csv("k,a\n1,x\n2,y\n2,y\n3,x", name="L")
     right = loads_csv("k,b,c\n1,p,u\n2,q,u\n3,q,v", name="R")
@@ -86,7 +95,7 @@ def test_branch_contribution_property():
         prof = FixtureProfile(left_rows=14, right_rows=14, left_attrs=4, right_attrs=3)
         left, _, _ = make_fixture(prof, seed=seed)
         cfg = SampleConfig(n_b=2, n_v=1, seed=seed)
-        got = generate_ids_set(left, ["k"], _groups(left), cfg)
+        got = _select(left, ["k"], _groups(left), cfg)
         all_values = {(row[0],) for row in left.raw_rows()}
         assert got <= all_values
         # recompute one branch by hand: every attribute value contributes
@@ -257,7 +266,7 @@ def test_key_only_side_selects_every_shared_value():
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.INNER)
     context = JoinContext(left, right, spec)
     groups = {v: context.profile.right_groups[v] for v in context.profile.shared}
-    picked_right = generate_ids_set(right, ["k"], groups, SampleConfig())
+    picked_right = _select(right, ["k"], groups, SampleConfig())
     assert selective_sampling(context, SampleConfig()) == picked_right != set()
 
 
@@ -281,11 +290,8 @@ def test_selection_matches_the_two_sort_reference(n_b, n_v):
         )
         cfg = SampleConfig(n_b=n_b, n_v=n_v, seed=seed)
         for inst, on in ((left, ["k"]), (right, ["k"]), (composite, ["k0", "k1"])):
-            groups = {}
-            for r, row in enumerate(inst.raw_rows()):
-                key = tuple(row[inst.ordinal(a)] for a in on)
-                groups.setdefault(key, []).append(r)
-            got = generate_ids_set(inst, on, groups, cfg)
+            groups = _groups(inst, on)
+            got = _select(inst, on, groups, cfg)
             assert got == reference_ids_set(inst, on, groups, cfg), (seed, on)
 
 
@@ -307,9 +313,67 @@ def test_crc32_ties_break_on_the_value_itself(monkeypatch, n_b):
             [[rng.choice(domain) for _ in range(2)] + [str(rng.randrange(2))]
              for _ in range(30)],
         )
-        groups = {}
-        for r, row in enumerate(inst.raw_rows()):
-            groups.setdefault(tuple(row[:2]), []).append(r)
+        groups = _groups(inst, ["k0", "k1"])
         cfg = SampleConfig(n_b=n_b, seed=seed)
-        got = generate_ids_set(inst, ["k0", "k1"], groups, cfg)
+        got = _select(inst, ["k0", "k1"], groups, cfg)
         assert got == reference_ids_set(inst, ["k0", "k1"], groups, cfg)
+
+
+def _tall_pair(seed):
+    """A pair shaped like the benchmark's tall-inner workload."""
+    prof = FixtureProfile(
+        left_rows=400, right_rows=400, left_attrs=3, right_attrs=3,
+        dangling_fraction=0.3, duplicate_fraction=0.3,
+        domain_low=3, domain_high=200,
+    )
+    return make_fixture(prof, seed=seed)
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+@pytest.mark.parametrize("n_v", [0, 1])
+@pytest.mark.parametrize("n_b", [1, 2, 3])
+def test_selection_matches_the_reference_on_tall_sides(monkeypatch, n_b, n_v, coarse):
+    if coarse:  # three rank values among hundreds of candidates
+        crc = sample._rank
+
+        def coarse_rank(seed, value):
+            return crc(seed, value) % 3
+
+        monkeypatch.setattr(sample, "_rank", coarse_rank)
+        monkeypatch.setattr(conftest, "_rank", coarse_rank)  # read by reference_ids_set
+    for seed in range(3):
+        left, right, spec = _tall_pair(seed)
+        profile = JoinContext(left, right, spec).profile
+        cfg = SampleConfig(n_b=n_b, n_v=n_v, seed=seed)
+        ranked = rank_order(profile.shared, cfg.seed)
+        for inst, groups in ((left, profile.left_groups), (right, profile.right_groups)):
+            candidates = {v: groups[v] for v in profile.shared}
+            got = generate_ids_set(inst, ["k"], ranked, groups, cfg)
+            assert got == reference_ids_set(inst, ["k"], candidates, cfg), seed
+
+
+def test_each_shared_value_is_ranked_once_per_selection(monkeypatch):
+    calls = []
+    crc = sample._rank
+
+    def counted(seed, value):
+        calls.append(value)
+        return crc(seed, value)
+
+    monkeypatch.setattr(sample, "_rank", counted)
+    left, right, spec = _tall_pair(4)
+    context = JoinContext(left, right, spec)
+    for cfg in (SampleConfig(), SampleConfig(n_b=2, seed=5)):
+        calls.clear()
+        selective_sampling(context, cfg)
+        assert sorted(calls) == sorted(context.profile.shared)
+
+
+def test_first_label_pass_matches_the_generic_one():
+    rng = random.Random(87)
+    for trial in range(200):
+        n = rng.randrange(0, 60)
+        # codes include the null code; labels are nondecreasing
+        codes = [rng.randrange(-1, rng.randint(1, 8)) for _ in range(n)]
+        labels = sorted(rng.randrange(rng.randint(1, 30)) for _ in range(n))
+        assert set(_first_label(codes, labels)) == set(_first_labels(codes, labels, 1))
