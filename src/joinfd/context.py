@@ -122,18 +122,11 @@ class JoinContext:
     # -- join structure ------------------------------------------------------
 
     def directions(self) -> tuple[bool, bool]:
-        """(left join attrs determine right ones, and the converse).
-
-        Both hold on an inner join, whose join values pair only with
-        themselves; outer padding can break either one.
-        """
+        """(left join attrs determine right ones, and the converse)."""
         if self._directions is None:
-            if self.spec.kind is JoinKind.INNER:
-                self._directions = (True, True)
-            else:
-                self._directions = join_attr_directions(
-                    self.left, self.right, self.spec, self.profile
-                )
+            self._directions = join_attr_directions(
+                self.left, self.right, self.spec, self.profile
+            )
         return self._directions
 
     def pads_left(self) -> bool:

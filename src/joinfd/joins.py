@@ -341,9 +341,12 @@ def join_attr_directions(
     """Whether the left join columns determine the right ones on the join,
     and vice versa.
 
-    On inner joins both directions trivially hold; outer padding can break
-    either one. Computed from value pairs alone.
+    A join that pads neither side (inner and both semi-joins) pairs every
+    join value only with itself, so both directions hold without a scan;
+    outer padding can break either one. Computed from value pairs alone.
     """
+    if spec.kind not in PADS_LEFT_ATTRS and spec.kind not in PADS_RIGHT_ATTRS:
+        return True, True
     if profile is None:
         profile = join_profile(left, right, spec)
     null_key = (None,) * len(spec.left_on)

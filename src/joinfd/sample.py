@@ -89,12 +89,6 @@ def _first_labels(codes: Sequence[int], labels: Sequence[int], n_b: int) -> list
     return kept
 
 
-def _first_label(codes: Sequence[int], labels: Sequence[int]) -> Iterable[int]:
-    """`_first_labels` for `n_b` = 1, in one pass: the last write of a
-    reversed pass is each code's first label."""
-    return dict(zip(reversed(codes), reversed(labels))).values()
-
-
 def generate_ids_set(
     instance: Instance,
     on: Sequence[str],
@@ -129,10 +123,7 @@ def generate_ids_set(
     by_distinct = sorted(nonjoin, key=lambda a: (len(set(codes[a])), a))
     picked: set[int] = set()
     for attr in by_distinct[: len(by_distinct) - cfg.n_v]:
-        if cfg.n_b == 1:
-            picked.update(_first_label(codes[attr], labels))
-        else:
-            picked.update(_first_labels(codes[attr], labels, cfg.n_b))
+        picked.update(_first_labels(codes[attr], labels, cfg.n_b))
     return set(map(ranked.__getitem__, picked))
 
 

@@ -8,13 +8,21 @@ from pathlib import Path
 import pytest
 
 from conftest import counterexamples_refuted_on_join
-from joinfd import context as context_module, discovery
+from joinfd import discovery
 from joinfd.context import JoinContext
 from joinfd.discovery import holds
 from joinfd.errors import InternalInvariantError
 from joinfd.fds import fd
 from joinfd.fixtures import FixtureProfile, make_fixture
-from joinfd.joins import JoinKind, JoinProfile, JoinSpec, join, join_attr_directions
+from joinfd.joins import (
+    PADS_LEFT_ATTRS,
+    PADS_RIGHT_ATTRS,
+    JoinKind,
+    JoinProfile,
+    JoinSpec,
+    join,
+    join_attr_directions,
+)
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 
@@ -258,14 +266,7 @@ def test_a_row_outside_every_group_is_an_error():
         ctx._row_groups("left")
 
 
-def test_inner_directions_hold_without_a_scan(monkeypatch):
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args[2].kind)
-        return join_attr_directions(*args, **kwargs)
-
-    monkeypatch.setattr(context_module, "join_attr_directions", spy)
+def test_directions_skip_the_scan_on_joins_that_pad_neither_side():
     for kind in JoinKind:
         prof = FixtureProfile(
             left_rows=12, right_rows=12, left_attrs=3, right_attrs=3,
@@ -273,10 +274,12 @@ def test_inner_directions_hold_without_a_scan(monkeypatch):
         )
         left, right, spec = make_fixture(prof, seed=3)
         got = JoinContext(left, right, spec).directions()
-        assert got == join_attr_directions(left, right, spec), kind
-        if kind is JoinKind.INNER:
-            run_pipeline(left, right, spec, strategy="selective")
-    assert JoinKind.INNER not in calls
+        if kind in PADS_LEFT_ATTRS or kind in PADS_RIGHT_ATTRS:
+            assert got == join_attr_directions(left, right, spec), kind
+        else:
+            # a profile without attributes: a scan would fail on it
+            assert join_attr_directions(left, right, spec, object()) == (True, True)
+            assert got == (True, True), kind
 
 
 def test_each_side_layout_is_worked_out_once(monkeypatch):

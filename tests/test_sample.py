@@ -15,8 +15,6 @@ from joinfd.pipeline import run_pipeline
 from joinfd.relation import Instance, loads_csv
 from joinfd.sample import (
     SampleConfig,
-    _first_label,
-    _first_labels,
     generate_ids_set,
     micro_join_batch,
     rank_order,
@@ -367,13 +365,3 @@ def test_each_shared_value_is_ranked_once_per_selection(monkeypatch):
         calls.clear()
         selective_sampling(context, cfg)
         assert sorted(calls) == sorted(context.profile.shared)
-
-
-def test_first_label_pass_matches_the_generic_one():
-    rng = random.Random(87)
-    for trial in range(200):
-        n = rng.randrange(0, 60)
-        # codes include the null code; labels are nondecreasing
-        codes = [rng.randrange(-1, rng.randint(1, 8)) for _ in range(n)]
-        labels = sorted(rng.randrange(rng.randint(1, 30)) for _ in range(n))
-        assert set(_first_label(codes, labels)) == set(_first_labels(codes, labels, 1))
