@@ -16,7 +16,7 @@ from dataclasses import fields
 
 from .discovery import discover_fds
 from .errors import GuardError, InputError, InternalInvariantError, JoinFdError
-from .fds import Afd, FdSet, FunctionalDependency
+from .fds import FdSet, FunctionalDependency
 from .fixtures import FixtureProfile, make_fixture
 from .joins import JoinKind, JoinSpec, coverage
 from .metrics import evaluate
@@ -61,20 +61,20 @@ def _load_table(path: str, args) -> Instance:
     )
 
 
-def _load_entries(path: str) -> list[tuple[FunctionalDependency, float, int]]:
-    """Each entry of an FD/AFD JSON file as (dependency, error, degree)."""
+def _load_fd_file(path: str) -> FdSet:
+    """The exact entries (error 0) of an FD/AFD JSON file; every entry is
+    checked."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
         doc = doc.get("fds", [])
     if not isinstance(doc, list):
         raise InputError(f"{path}: expected a list of dependencies")
-    out = []
+    out = FdSet()
     for entry in doc:
         try:
             lhs, rhs = entry["lhs"], entry["rhs"]
             error = float(entry.get("error", 0))
-            degree = int(entry.get("degree", 0)) or 1
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: malformed entry {entry!r} ({exc!r})") from None
         if not isinstance(rhs, str) or not (
@@ -87,20 +87,9 @@ def _load_entries(path: str) -> list[tuple[FunctionalDependency, float, int]]:
             raise InputError(f"{path}: entry {entry!r} is a trivial dependency")
         if not 0 <= error <= 1:
             raise InputError(f"{path}: entry {entry!r} has an error outside [0, 1]")
-        out.append((FunctionalDependency(frozenset(lhs), rhs), error, degree))
+        if error == 0:
+            out.add(FunctionalDependency(frozenset(lhs), rhs))
     return out
-
-
-def _load_fd_file(path: str) -> FdSet:
-    return FdSet(d for d, error, _ in _load_entries(path) if error == 0)
-
-
-def _load_afd_file(path: str) -> list[Afd]:
-    return [
-        Afd(d, error=error, degree=degree)
-        for d, error, degree in _load_entries(path)
-        if error > 0
-    ]
 
 
 def _add_csv_options(parser) -> None:
@@ -152,24 +141,19 @@ def _cmd_join_discover(args) -> dict:
     right = _load_table(args.right, args)
     spec = _spec_from_args(args)
     left_fds = right_fds = None
-    left_afds = right_afds = None
     if args.afds:
         paths = args.afds.split(",")
         if len(paths) != 2:
             raise InputError("--afds expects two comma-separated files: left,right")
         left_fds, right_fds = _load_fd_file(paths[0]), _load_fd_file(paths[1])
-        left_afds, right_afds = _load_afd_file(paths[0]), _load_afd_file(paths[1])
     report = run_pipeline(
         left,
         right,
         spec,
         strategy=args.strategy,
-        epsilon=args.epsilon,
         sample_cfg=SampleConfig(n_b=args.nb, n_v=args.nv, seed=args.seed),
         left_fds=left_fds,
         right_fds=right_fds,
-        left_afds=left_afds,
-        right_afds=right_afds,
     )
     return report.to_json()
 
@@ -250,11 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("join-discover", help="mine the join of two tables")
     _add_join_options(p)
     p.add_argument("--strategy", default="selective", choices=["selective", "sampling", "oracle"])
-    p.add_argument("--epsilon", type=_epsilon, default=0.0)
     p.add_argument("--nb", type=int, default=1, help="sample tuples per branch")
     p.add_argument("--nv", type=int, default=0, help="most-distinct attributes to skip")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--afds", help="precomputed FD/AFD JSON files: left.json,right.json")
+    p.add_argument(
+        "--afds",
+        help="precomputed FD JSON files, left.json,right.json; only entries "
+        "with error 0 are read",
+    )
     p.set_defaults(func=_cmd_join_discover)
 
     p = sub.add_parser("coverage", help="join coverage report")

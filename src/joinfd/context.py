@@ -22,7 +22,7 @@ materialized, which is the frugality evidence the report exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .discovery import _PartitionCache, holds, lattice_bits
@@ -55,15 +55,7 @@ class Counters:
     sample_join_rows: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "candidates_validated": self.candidates_validated,
-            "candidates_refuted": self.candidates_refuted,
-            "candidates_implied": self.candidates_implied,
-            "partial_joins_built": self.partial_joins_built,
-            "partial_join_rows": self.partial_join_rows,
-            "full_join_rows": self.full_join_rows,
-            "sample_join_rows": self.sample_join_rows,
-        }
+        return asdict(self)
 
 
 class JoinContext:

@@ -1,24 +1,18 @@
-"""Stripped partitions, the g3 error measure, and violating-tuple extraction.
+"""Stripped partitions.
 
 A stripped partition keeps only the equivalence classes of size >= 2 under an
 attribute set; singleton classes can never witness an FD violation, so they
 are dropped. A partition is built by refining a coarser one attribute at a
-time, starting from the single all-rows class. The error of a candidate
-dependency is the minimum fraction of rows whose removal makes it hold,
-computed class by class as "everything outside one largest consistent
-subclass".
+time, starting from the single all-rows class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable
 
 from .relation import AttrRef, Instance
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .fds import FunctionalDependency
 
 
 @dataclass(frozen=True)
@@ -28,14 +22,6 @@ class StrippedPartition:
     attrs: frozenset[str]
     classes: tuple[tuple[int, ...], ...]
     size: int  # rows in `classes`, what refining this partition reads
-
-
-@dataclass(frozen=True)
-class ViolationSet:
-    """A minimum set of rows whose removal makes `fd` hold."""
-
-    fd: "FunctionalDependency"
-    tuple_ids: frozenset[int]
 
 
 def refine(
@@ -82,50 +68,3 @@ def build_partition(instance: Instance, attrs: Iterable[AttrRef]) -> StrippedPar
     for ordinal in instance.ordinals(attrs):
         part = refine(part, instance, instance.schema[ordinal])
     return part
-
-
-def _class_violations(
-    instance: Instance, classes: Iterable[Sequence[int]], rhs_ord: int
-) -> tuple[int, list[int]]:
-    """Per lhs-class: rows outside one largest rhs-consistent subclass.
-
-    Ties between equally large subclasses are broken toward the one whose
-    smallest row id is smallest, so results are deterministic.
-    """
-    rhs_col = instance.columns[rhs_ord]
-    total = 0
-    removed: list[int] = []
-    for cls in classes:
-        sub: dict[int, list[int]] = {}
-        for t in cls:
-            sub.setdefault(rhs_col[t], []).append(t)
-        if len(sub) == 1:
-            continue
-        keep = max(sub.values(), key=lambda g: (len(g), -g[0]))
-        total += len(cls) - len(keep)
-        for group in sub.values():
-            if group is not keep:
-                removed.extend(group)
-    return total, removed
-
-
-def g3_error(instance: Instance, lhs: Iterable[AttrRef], rhs: AttrRef) -> float:
-    """Minimum fraction of rows to remove so that lhs -> rhs holds.
-
-    Zero iff the dependency holds; an empty instance yields zero by the
-    vacuous-satisfaction convention.
-    """
-    if instance.row_count == 0:
-        return 0.0
-    part = build_partition(instance, lhs)
-    rhs_ord = instance.ordinal(rhs)
-    count, _ = _class_violations(instance, part.classes, rhs_ord)
-    return count / instance.row_count
-
-
-def violating_tuples(instance: Instance, fd: "FunctionalDependency") -> ViolationSet:
-    """The deterministic minimum row set whose removal makes `fd` hold."""
-    part = build_partition(instance, fd.lhs)
-    rhs_ord = instance.ordinal(fd.rhs)
-    _, removed = _class_violations(instance, part.classes, rhs_ord)
-    return ViolationSet(fd, frozenset(removed))

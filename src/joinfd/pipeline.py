@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from .context import Counters, JoinContext
 from .discovery import _PartitionCache, discover_fds, holds
 from .errors import InputError, InternalInvariantError
-from .fds import Afd, FdSet, FunctionalDependency, mask_bits, remove_implied
+from .fds import FdSet, FunctionalDependency, mask_bits, remove_implied
 from .infer import infer_join_fds
 from .joins import CoverageReport, JoinKind, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
@@ -160,20 +160,17 @@ def run_pipeline(
     right: Instance,
     spec: JoinSpec,
     strategy: str = "selective",
-    epsilon: float = 0.0,
     sample_cfg: SampleConfig | None = None,
     left_fds: FdSet | None = None,
     right_fds: FdSet | None = None,
-    left_afds: list[Afd] | None = None,
-    right_afds: list[Afd] | None = None,
 ) -> DiscoveryReport:
     """Discover the dependencies of join(left, right, spec) per `strategy`.
 
-    The frugal strategies mine an input table's own dependency set (stage 0)
-    only where the run has one: the caller gave it, its side is padded (the
-    members padding breaks are reported as `violated_fds`), or `epsilon` > 0
-    asks for approximate dependencies. Elsewhere upstaging mines each side's
-    join rows once, and `single_tables` times only the stage-0 work done.
+    The frugal strategies use an input table's own dependency set only
+    where the caller gave it or its side is padded, and stage 0 mines it
+    only for a padded side without one (the members padding breaks are
+    reported as `violated_fds`); `single_tables` times that work. Upstaging
+    mines each side's join rows once either way.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
@@ -216,29 +213,18 @@ def run_pipeline(
             timings=timings,
         )
 
-    # stage 0: an input's own dependency set, where the run has one and
-    # the caller did not give it: a padded side reports the members that
-    # padding breaks, and an error budget asks for approximate ones
+    # stage 0: a padded side's input dependency set, unless the caller gave
+    # it; upstaging reports the members that padding breaks
     t0 = time.perf_counter()
-    if left_fds is None and (epsilon > 0 or left_afds or context.pads_left()):
-        left_fds, found_afds = discover_fds(left, epsilon)
-        if epsilon > 0 and left_afds is None:
-            left_afds = found_afds
-    if right_fds is None and (epsilon > 0 or right_afds or context.pads_right()):
-        right_fds, found_afds = discover_fds(right, epsilon)
-        if epsilon > 0 and right_afds is None:
-            right_afds = found_afds
+    if left_fds is None and context.pads_left():
+        left_fds, _ = discover_fds(left)
+    if right_fds is None and context.pads_right():
+        right_fds, _ = discover_fds(right)
     timings["single_tables"] = time.perf_counter() - t0
 
     # stage 1: preserved and upstaged dependencies per side
     t0 = time.perf_counter()
-    up = upstage(
-        context,
-        left_fds=left_fds,
-        right_fds=right_fds,
-        left_afds=left_afds,
-        right_afds=right_afds,
-    )
+    up = upstage(context, left_fds=left_fds, right_fds=right_fds)
     timings["upstage"] = time.perf_counter() - t0
     warnings: list[str] = []
     violated: list[str] = []
@@ -339,7 +325,6 @@ def run_left_deep(
     tables: list[Instance],
     specs: list[JoinSpec],
     strategy: str = "selective",
-    epsilon: float = 0.0,
     sample_cfg: SampleConfig | None = None,
 ) -> DiscoveryReport:
     """Chain binary joins left-deep: ((t0 ? t1) ? t2) ...
@@ -364,7 +349,6 @@ def run_left_deep(
             nxt,
             spec,
             strategy=strategy,
-            epsilon=epsilon,
             sample_cfg=sample_cfg,
             left_fds=current_fds,
         )

@@ -13,9 +13,9 @@ per direction, is kept too: the library's must be closure-equal to it.
 So is the single-table search that walks the lattice once per rhs: the
 library's one walk for every rhs must return exactly what it does. So is
 the upstaging stage that mines every input table whole and then re-mines
-each side's join rows for what the input's set does not imply: reports
-made with it must be closure-equal to the library's, which mines each
-side's rows once.
+each side's join rows for what the input's set does not imply, pruning
+the reference search with that set: reports made with it must be
+closure-equal to the library's, which mines each side's rows once, whole.
 `recorded_contexts` and `counterexamples_refuted_on_join` check the
 validator's counterexamples against the materialized join.
 """
@@ -26,13 +26,7 @@ import pytest
 
 from joinfd import pipeline
 from joinfd.context import JoinContext
-from joinfd.discovery import (
-    discover_fds,
-    discover_new_fds,
-    holds,
-    minimal_variants,
-    walk,
-)
+from joinfd.discovery import _PartitionCache, discover_fds, holds, walk
 from joinfd.fds import (
     Afd,
     FdSet,
@@ -53,7 +47,7 @@ from joinfd.joins import (
 )
 from joinfd.relation import Instance, loads_csv
 from joinfd.sample import _rank, _value_sort_key
-from joinfd.upstage import UpstageResult, upstaged_afds
+from joinfd.upstage import UpstageResult, upstage
 
 
 @pytest.fixture
@@ -375,21 +369,35 @@ def reference_search(cache, known=(), epsilon=0.0) -> tuple[FdSet, list]:
     return exact, afds
 
 
-def reference_upstage(
-    context, left_fds=None, right_fds=None, left_afds=None, right_afds=None
-) -> UpstageResult:
+def stage0_sets(context) -> dict:
+    """The input set of each padded side, mined as `run_pipeline`'s stage 0
+    does, as keyword arguments of `upstage.upstage`."""
+    return {
+        f"{side}_fds": discover_fds(inst)[0]
+        for side, inst, padded in (
+            ("left", context.left, context.pads_left()),
+            ("right", context.right, context.pads_right()),
+        )
+        if padded
+    }
+
+
+def stage0_upstage(context) -> UpstageResult:
+    """`upstage.upstage` handed what stage 0 hands it."""
+    return upstage(context, **stage0_sets(context))
+
+
+def reference_upstage(context, left_fds=None, right_fds=None) -> UpstageResult:
     """`upstage.upstage` mining every input table whole when no set is
     given, then each side's join rows again for what the surviving members
-    and promoted approximate dependencies do not imply; every member that
+    do not imply, by `reference_search` pruned with them; every member that
     holds on the side's rows is preserved."""
-    profile = context.profile
     out: dict[str, FdSet] = {}
     preserved: dict[str, FdSet] = {}
-    for side, inst, afds, fds in (
-        ("left", context.left, left_afds, left_fds),
-        ("right", context.right, right_afds, right_fds),
+    for side, inst, fds in (
+        ("left", context.left, left_fds),
+        ("right", context.right, right_fds),
     ):
-        run_discovery_path = not afds or fds is not None
         if fds is None:
             fds, _ = discover_fds(inst)
         sub = context.side_subinstance(side)
@@ -397,28 +405,12 @@ def reference_upstage(
             out[side] = preserved[side] = FdSet()
             continue
         padded = context.pads_left() if side == "left" else context.pads_right()
-
-        def valid(d: FunctionalDependency) -> bool:
-            return holds(sub, d)
-
-        survivors = FdSet(d for d in fds if not padded or valid(d))
+        survivors = FdSet(d for d in fds if not padded or holds(sub, d))
         preserved[side] = survivors
         if not padded and sub.row_count == inst.row_count:
             out[side] = FdSet()
             continue
-        new = FdSet()
-        if afds:
-            dangling = (
-                profile.dangling_left if side == "left" else profile.dangling_right
-            )
-            promoted = upstaged_afds(inst, set(profile.rows(side, dangling)), afds)
-            for d in promoted:
-                if valid(d):
-                    for minimal in minimal_variants(d, valid):
-                        new.add(minimal)
-        if run_discovery_path:
-            for d in discover_new_fds(sub, survivors.union(new)):
-                new.add(d)
+        new, _ = reference_search(_PartitionCache(sub), survivors)
         out[side] = remove_implied(new)
     left_up, right_up = FdSet(), FdSet()
     for d in out["left"]:

@@ -143,7 +143,7 @@ def test_criterion_4_upstage_promotion():
         )
         left, right, spec = make_fixture(profile, seed=seed)
         afd = planted_afd(profile)
-        result = upstage(JoinContext(left, right, spec), left_afds=[afd])
+        result = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
         renamed = afd.fd.rename(left_name_map(left, right, spec))
         if positive:

@@ -38,14 +38,11 @@ def test_discover_with_epsilon(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
-@pytest.mark.parametrize("command", ["discover", "join-discover"])
+@pytest.mark.parametrize("command", ["discover"])
 def test_out_of_range_epsilon_exits_2(tables, capsys, command, value):
-    left, right = tables
-    argv = [command, str(left)]
-    if command == "join-discover":
-        argv = [command, "--left", str(left), "--right", str(right), "--on", "pid=pid"]
+    left, _ = tables
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--epsilon", value])
+        main([command, str(left), "--epsilon", value])
     assert exc.value.code == 2
     assert "expects a number in [0, 1]" in capsys.readouterr().err
 
@@ -141,10 +138,14 @@ def test_join_discover_with_injected_afds(tables, tmp_path, capsys):
         ],
     )
     assert code == 0
-    assert any(
-        d["lhs"] == ["patients.flag"] and d["rhs"] == "patients.date"
-        for d in doc["fds"]
-    )
+    # the approximate entry is not read; the join's rows upstage it, and the
+    # cover may represent it through visits.ward
+    from joinfd.fds import FunctionalDependency, fd, implies
+
+    reported = [
+        FunctionalDependency(frozenset(d["lhs"]), d["rhs"]) for d in doc["fds"]
+    ]
+    assert implies(reported, fd(["patients.flag"], "patients.date"))
 
 
 def test_coverage_command(tables, capsys):

@@ -10,8 +10,8 @@ are first requested decides how many `refine` builds and how many rows it
 reads: both counts must come out the same too. The inner pair dangles rows
 on both sides, so upstaging tests each side's mined dependencies on the
 input, and on each side some fail there and are upstaged. So must the
-output of the single-table searches run directly on a wide join, given a
-known set as a plain set, and the number of partitions they build.
+output of the single-table searches run directly on a wide join, and the
+number of partitions they build.
 """
 
 import json
@@ -85,8 +85,7 @@ joined = join(*wide)
 built[0] = 0
 exact, afds = discovery.discover_fds(joined, 0.1)
 out.append([str(d) for d in exact] + [str(a.fd) for a in afds])
-known = set(list(exact)[::2])
-out.append([str(d) for d in discovery.discover_new_fds(joined, known)])
+out.append([str(d) for d in discovery.discover_new_fds(joined)])
 out.append(built[0])
 print(json.dumps(out))
 """

@@ -2,19 +2,12 @@ import random
 
 from itertools import permutations
 
-import pytest
-
 from joinfd.fds import fd
-from joinfd.discovery import holds
-from joinfd.partition import (
-    build_partition,
-    g3_error,
-    refine,
-    violating_tuples,
-)
+from joinfd.discovery import _PartitionCache, holds
+from joinfd.partition import build_partition, refine
 from joinfd.relation import loads_csv, take_rows
 
-from conftest import brute_force_min_removals, random_instance
+from conftest import brute_force_min_removals, brute_force_violations, random_instance
 
 
 def test_key_column_strips_to_nothing():
@@ -117,66 +110,65 @@ def test_partition_of_fewer_than_two_rows_is_empty():
         assert part.classes == () and part.size == 0
 
 
+def _violations(inst, lhs, rhs):
+    """The g3 count of lhs -> rhs, read off the partition of lhs."""
+    cache = _PartitionCache(inst)
+    return cache.error_count(cache.mask(lhs), inst.ordinal(rhs))
+
+
 def test_error_zero_iff_dependency_holds():
     rng = random.Random(13)
     for _ in range(60):
         inst = random_instance(rng, n_attrs=3)
         d = fd(["c0"], "c2")
-        assert (g3_error(inst, d.lhs, d.rhs) == 0) == holds(inst, d)
+        assert (_violations(inst, d.lhs, d.rhs) == 0) == holds(inst, d)
 
 
 def test_error_half_when_one_of_two_rows_must_go():
     inst = loads_csv("x,y\na,1\na,2")
     assert brute_force_min_removals(inst, ["x"], "y") == 1
-    assert g3_error(inst, ["x"], "y") == 0.5
+    assert _violations(inst, ["x"], "y") == 1
 
 
 def test_degree_one_of_five_rows():
-    # one violating row out of five: error 1/5, like a flag column almost
-    # determining a date column
+    # one violating row out of five, like a flag column almost determining
+    # a date column
     inst = loads_csv("flag,date\n1,d1\n1,d1\n0,\n0,\n0,d9", null_tokens=[""])
-    assert g3_error(inst, ["flag"], "date") == pytest.approx(0.2)
-    assert len(violating_tuples(inst, fd(["flag"], "date")).tuple_ids) == 1
+    assert _violations(inst, ["flag"], "date") == 1
 
 
 def test_empty_instance_error_is_zero():
     inst = loads_csv("a,b\n1,2")
     empty = take_rows(inst, [])
-    assert g3_error(empty, ["a"], "b") == 0.0
+    assert _violations(empty, ["a"], "b") == 0
 
 
 def test_violators_empty_when_dependency_holds():
     inst = loads_csv("a,b\nx,1\nx,1\ny,2")
-    assert violating_tuples(inst, fd(["a"], "b")).tuple_ids == frozenset()
+    assert _violations(inst, ["a"], "b") == 0
 
 
 def test_minority_row_is_the_violator():
     inst = loads_csv("x,y\na,1\na,1\na,2")
-    assert violating_tuples(inst, fd(["x"], "y")).tuple_ids == {2}
-
-
-def test_tie_breaks_toward_smallest_row_id():
-    inst = loads_csv("x,y\na,1\na,2")
-    assert violating_tuples(inst, fd(["x"], "y")).tuple_ids == {1}
+    assert _violations(inst, ["x"], "y") == 1
+    assert brute_force_violations(inst, ["x"], "y") == 1
 
 
 def test_violation_count_matches_error_exactly():
     rng = random.Random(17)
     for _ in range(80):
         inst = random_instance(rng, n_attrs=3)
-        d = fd(["c1"], "c0")
-        v = violating_tuples(inst, d)
-        assert len(v.tuple_ids) == g3_error(inst, d.lhs, d.rhs) * inst.row_count
+        want = brute_force_violations(inst, ["c1"], "c0")
+        assert _violations(inst, ["c1"], "c0") == want
 
 
 def test_removing_violators_makes_dependency_hold():
+    # the count is the fewest rows whose removal makes the dependency hold
     rng = random.Random(19)
     for _ in range(80):
-        inst = random_instance(rng, n_attrs=3)
-        d = fd(["c0", "c1"], "c2")
-        v = violating_tuples(inst, d)
-        kept = [r for r in range(inst.row_count) if r not in v.tuple_ids]
-        assert holds(take_rows(inst, kept), d)
+        inst = random_instance(rng, n_attrs=3, n_rows=rng.randint(2, 7))
+        want = brute_force_min_removals(inst, ["c0", "c1"], "c2")
+        assert _violations(inst, ["c0", "c1"], "c2") == want
 
 
 def test_error_matches_exhaustive_minimum_removals():
@@ -184,4 +176,4 @@ def test_error_matches_exhaustive_minimum_removals():
     for _ in range(30):
         inst = random_instance(rng, n_attrs=3, n_rows=rng.randint(2, 7))
         want = brute_force_min_removals(inst, ["c0"], "c1")
-        assert g3_error(inst, ["c0"], "c1") * inst.row_count == want
+        assert _violations(inst, ["c0"], "c1") == want

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from conftest import reference_upstage
+from conftest import reference_upstage, stage0_sets, stage0_upstage
 from joinfd import discovery, pipeline
 from joinfd import upstage as upstage_module
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds, holds
-from joinfd.errors import InputError, InternalInvariantError
-from joinfd.fds import Afd, FdSet, closure_equal, fd, implies
+from joinfd.errors import InternalInvariantError
+from joinfd.fds import FdSet, closure_equal, fd, implies
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
 from joinfd.joins import JoinKind, JoinSpec, join, left_name_map
 from joinfd.pipeline import run_pipeline
@@ -38,8 +38,7 @@ def test_dangling_violator_promotes_the_dependency():
     )
     right = loads_csv("k,ward\np1,w\np2,w\np3,w\np4,w", name="R")
     spec = JoinSpec.equi(["k"], ["k"])
-    afd = Afd(fd(["flag"], "date"), error=0.2, degree=1)
-    got = upstage(JoinContext(left, right, spec), left_afds=[afd])
+    got = upstage(JoinContext(left, right, spec))
     assert fd(["flag"], "date") in got.left_upstaged
     joined = join(left, right, spec)
     assert holds(joined, fd(["flag"], "date").rename(left_name_map(left, right, spec)))
@@ -50,20 +49,10 @@ def test_surviving_violator_blocks_promotion():
         "k,flag,date\np1,0,d1\np2,0,d1\np3,1,d2\np4,1,d2\np5,1,dX", name="L"
     )
     right = loads_csv("k,ward\np1,w\np2,w\np3,w\np4,w\np5,w", name="R")
-    afd = Afd(fd(["flag"], "date"), error=0.2, degree=1)
-    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])), left_afds=[afd])
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
     assert fd(["flag"], "date") not in got.left_upstaged
-
-
-def test_exact_input_rejected_by_afd_path():
-    left = loads_csv("k,a,b\n1,x,p\n2,y,q", name="L")
-    right = loads_csv("k\n1", name="R")
-    exact_as_afd = Afd(fd(["a"], "b"), error=0.5, degree=1)
-    with pytest.raises(InputError, match="exact"):
-        upstage(
-            JoinContext(left, right, JoinSpec.equi(["k"], ["k"])),
-            left_afds=[exact_as_afd],
-        )
+    on_join = got.left_preserved.union(got.left_upstaged)
+    assert not implies(on_join, fd(["flag"], "date"))
 
 
 def test_no_filtering_means_no_new_fds():
@@ -114,7 +103,7 @@ def test_promotion_and_blocking_match_the_oracle():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         afd = planted_afd(prof)
-        got = upstage(JoinContext(left, right, spec), left_afds=[afd])
+        got = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
         renamed = afd.fd.rename(left_name_map(left, right, spec))
         if positive:
@@ -137,7 +126,7 @@ def test_upstaged_fds_hold_on_the_join():
             op=list(JoinKind)[seed % 6],
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        got = upstage(JoinContext(left, right, spec))
+        got = stage0_upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
         lmap = left_name_map(left, right, spec)
         from joinfd.joins import right_name_map
@@ -152,7 +141,8 @@ def test_upstaged_fds_hold_on_the_join():
 
 
 def test_afd_path_agrees_with_discovery_path():
-    # every promotable approximate dependency is also found by rediscovery
+    # the planted approximate dependency is upstaged whether or not the
+    # input's own set is given, and both splits cover the side's rows
     for seed in range(20):
         prof = FixtureProfile(
             left_rows=12, right_rows=12, left_attrs=3, right_attrs=2,
@@ -161,18 +151,24 @@ def test_afd_path_agrees_with_discovery_path():
         left, right, spec = make_fixture(prof, seed=seed)
         afd = planted_afd(prof)
         exact, _ = discover_fds(left)
-        via_afds = upstage(JoinContext(left, right, spec), left_afds=[afd])
+        via_afds = upstage(JoinContext(left, right, spec))
         via_discovery = upstage(JoinContext(left, right, spec), left_fds=exact)
         pool = list(via_discovery.left_upstaged) + list(exact)
         for d in via_afds.left_upstaged:
             assert implies(pool, d)
+        assert implies(via_afds.left_upstaged, afd.fd)
+        assert implies(via_discovery.left_upstaged.union(exact), afd.fd)
+        assert closure_equal(
+            via_afds.left_preserved.union(via_afds.left_upstaged),
+            via_discovery.left_preserved.union(via_discovery.left_upstaged),
+        )
 
 
 def test_preserved_side_of_outer_join_never_upstages():
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.LEFT_OUTER)
-    got = upstage(JoinContext(left, right, spec))
+    got = stage0_upstage(JoinContext(left, right, spec))
     assert len(got.left_upstaged) == 0  # left rows all survive a left outer
 
 
@@ -196,14 +192,18 @@ def _fixture_pairs():
 
 
 def test_reports_match_mining_every_input_whole(monkeypatch):
+    violated = {"selective": 0, "sampling": 0}
     for left, right, spec in _fixture_pairs():
-        for strategy in ("selective", "sampling"):
+        for strategy in violated:
             got = run_pipeline(left, right, spec, strategy=strategy)
             with monkeypatch.context() as patched:
                 patched.setattr(pipeline, "upstage", reference_upstage)
                 want = run_pipeline(left, right, spec, strategy=strategy)
             assert closure_equal(got.fds, want.fds), (spec, strategy)
             assert got.violated_fds == want.violated_fds, (spec, strategy)
+            violated[strategy] += bool(got.violated_fds)
+    # padding breaks some input member on some pair, for both strategies
+    assert all(violated.values()), violated
 
 
 def test_side_local_output_is_preserved_iff_an_input_member():
@@ -246,7 +246,7 @@ def test_preserved_are_input_members_and_cover_the_side_rows():
     # input need not be minimal there
     for left, right, spec in _fixture_pairs():
         context = JoinContext(left, right, spec)
-        got = upstage(context)
+        got = stage0_upstage(context)
         for side, inst, kept, upstaged in (
             ("left", left, got.left_preserved, got.left_upstaged),
             ("right", right, got.right_preserved, got.right_upstaged),
@@ -269,7 +269,7 @@ def mined_inputs(monkeypatch):
         seen.append(instance.name)
         return discover_fds(instance, epsilon)
 
-    for module in (discovery, pipeline, upstage_module):
+    for module in (discovery, pipeline):
         monkeypatch.setattr(module, "discover_fds", spy)
     return seen
 
@@ -300,9 +300,6 @@ def test_one_sided_outer_join_mines_only_the_padded_input(mined_inputs):
         rep = run_pipeline(left, right, spec, strategy=strategy)
         assert [n for n in mined_inputs if n in ("L", "R")] == ["R"], strategy
         assert rep.violated_fds == ["right: {} -> c"], strategy
-    mined_inputs.clear()
-    run_pipeline(left, right, spec, epsilon=0.1)
-    assert [n for n in mined_inputs if n in ("L", "R")] == ["L", "R"]
 
 
 def test_dropped_preserved_dependency_still_raises(monkeypatch):
@@ -319,3 +316,49 @@ def test_dropped_preserved_dependency_still_raises(monkeypatch):
     monkeypatch.setattr(pipeline, "upstage", lossy)
     with pytest.raises(InternalInvariantError, match="right table no longer holds"):
         run_pipeline(left, right, spec)
+
+
+def test_each_mined_side_is_searched_once_without_a_known_set(monkeypatch):
+    # upstaging mines each side's join rows once, whole: one search per side
+    # that is neither dropped nor its own input with a set, handed only that
+    # side's partitions
+    searched = []
+    real = discovery._search
+
+    def spy(*args, **kwargs):
+        searched.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(discovery, "_search", spy)
+    own_inputs = 0
+    for i, (left, right, spec) in enumerate(_fixture_pairs()):
+        context = JoinContext(left, right, spec)
+        sets = stage0_sets(context)
+        if i % 2:  # as a caller who gives both sets
+            sets = {
+                "left_fds": discover_fds(left)[0],
+                "right_fds": discover_fds(right)[0],
+            }
+        mined = []
+        for side, inst in (("left", left), ("right", right)):
+            sub = context.side_subinstance(side)
+            if sub is inst and f"{side}_fds" in sets:
+                own_inputs += 1
+            elif sub is not None:
+                mined.append(((context.side_partitions(side),), {}))
+        searched.clear()
+        upstage(context, **sets)
+        assert searched == mined, spec
+    assert own_inputs > 0
+
+
+def test_padded_side_without_its_input_set_raises():
+    for kind, missing in (
+        (JoinKind.LEFT_OUTER, "right"),
+        (JoinKind.RIGHT_OUTER, "left"),
+        (JoinKind.FULL_OUTER, "left"),
+    ):
+        left, right, spec = _dangling_pair(kind)
+        context = JoinContext(left, right, spec)
+        with pytest.raises(InternalInvariantError, match=f"padded {missing} side"):
+            upstage(context)
