@@ -62,12 +62,12 @@ def _load_table(path: str, args) -> Instance:
 
 
 def _load_fd_file(path: str) -> FdSet:
-    """The exact entries (error 0) of an FD/AFD JSON file; every entry is
-    checked."""
+    """The dependencies of an FD JSON file: a list of entries, or a report
+    holding one under "fds". Every entry must be exact (error 0)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
-        doc = doc.get("fds", [])
+        doc = doc.get("fds")
     if not isinstance(doc, list):
         raise InputError(f"{path}: expected a list of dependencies")
     out = FdSet()
@@ -85,10 +85,9 @@ def _load_fd_file(path: str) -> FdSet:
             )
         if rhs in lhs:
             raise InputError(f"{path}: entry {entry!r} is a trivial dependency")
-        if not 0 <= error <= 1:
-            raise InputError(f"{path}: entry {entry!r} has an error outside [0, 1]")
-        if error == 0:
-            out.add(FunctionalDependency(frozenset(lhs), rhs))
+        if error != 0:
+            raise InputError(f"{path}: entry {entry!r} is not exact (error {error})")
+        out.add(FunctionalDependency(frozenset(lhs), rhs))
     return out
 
 
@@ -140,20 +139,12 @@ def _cmd_join_discover(args) -> dict:
     left = _load_table(args.left, args)
     right = _load_table(args.right, args)
     spec = _spec_from_args(args)
-    left_fds = right_fds = None
-    if args.afds:
-        paths = args.afds.split(",")
-        if len(paths) != 2:
-            raise InputError("--afds expects two comma-separated files: left,right")
-        left_fds, right_fds = _load_fd_file(paths[0]), _load_fd_file(paths[1])
     report = run_pipeline(
         left,
         right,
         spec,
         strategy=args.strategy,
         sample_cfg=SampleConfig(n_b=args.nb, n_v=args.nv, seed=args.seed),
-        left_fds=left_fds,
-        right_fds=right_fds,
     )
     return report.to_json()
 
@@ -237,11 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nb", type=int, default=1, help="sample tuples per branch")
     p.add_argument("--nv", type=int, default=0, help="most-distinct attributes to skip")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--afds",
-        help="precomputed FD JSON files, left.json,right.json; only entries "
-        "with error 0 are read",
-    )
     p.set_defaults(func=_cmd_join_discover)
 
     p = sub.add_parser("coverage", help="join coverage report")

@@ -1,7 +1,8 @@
 """Shared state for the pipeline stages working over one join.
 
 The context owns the value-level join profile, name mapping between side
-attributes and join-result attributes, the per-side sub-instances (the join's
+attributes and join-result attributes, each input table's own dependency
+set (mined on first use), the per-side sub-instances (the join's
 row set restricted to one side's columns, with one padding row per dangling
 join value of the other side under outer padding), a cache of partial joins
 keyed by kept attribute sets, and the validator's caches: each sub-instance
@@ -25,9 +26,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .discovery import _PartitionCache, holds, lattice_bits
+from .discovery import _PartitionCache, discover_fds, holds, lattice_bits
 from .errors import InternalInvariantError, JoinSpecError
-from .fds import FunctionalDependency
+from .fds import FdSet, FunctionalDependency
 from .joins import (
     JoinKind,
     JoinProfile,
@@ -87,6 +88,7 @@ class JoinContext:
         self._partials: dict[tuple[frozenset, frozenset], Instance] = {}
         self._directions: tuple[bool, bool] | None = None
         self._sides: dict[str, Instance | None] = {}
+        self._input_fds: dict[str, FdSet] = {}
         self._layouts: dict[str, tuple[Sequence[int], list[tuple]] | None] = {}
         # validator caches, see check_fd
         self._groups: dict[str, list[int]] = {}
@@ -96,20 +98,6 @@ class JoinContext:
         self.join_bits: dict[str, int] = lattice_bits(self.owner)
         self.agree_sets: dict[str, list[int]] = {}
         self._agree_columns: list[tuple[int, str, Sequence[int]]] = []
-
-    # -- schema ------------------------------------------------------------
-
-    def split(self, attrs) -> tuple[set[str], set[str]]:
-        """Split join-result attribute names into per-side base names."""
-        left_base: set[str] = set()
-        right_base: set[str] = set()
-        for name in attrs:
-            try:
-                side, base = self.owner[name]
-            except KeyError:
-                raise JoinSpecError(f"unknown join attribute {name!r}") from None
-            (left_base if side == "left" else right_base).add(base)
-        return left_base, right_base
 
     # -- join structure ------------------------------------------------------
 
@@ -132,6 +120,14 @@ class JoinContext:
         if self.spec.kind in SEMI_KINDS:
             return None
         return self.profile.rows_for(self.spec.kind)
+
+    def input_fds(self, side: str) -> FdSet:
+        """The minimal exact dependencies of one side's input table, mined
+        on first use."""
+        if side not in self._input_fds:
+            inst = self.left if side == "left" else self.right
+            self._input_fds[side] = discover_fds(inst)[0]
+        return self._input_fds[side]
 
     def side_subinstance(self, side: str) -> Instance | None:
         """The join's row set restricted to one side's attributes.
@@ -224,16 +220,18 @@ class JoinContext:
         self.counters.partial_join_rows += inst.row_count
         return inst
 
-    def carrier_for(self, fd: FunctionalDependency) -> Instance:
-        left_base, right_base = self.split(set(fd.lhs) | {fd.rhs})
-        return self.partial(left_base, right_base)
-
-    def holds_on_join(self, fd: FunctionalDependency, carrier: Instance | None = None) -> bool:
-        """Validate a dependency (join-result names) on a partial join."""
-        if carrier is None:
-            carrier = self.carrier_for(fd)
+    def holds_on_join(self, fd: FunctionalDependency) -> bool:
+        """Validate a dependency (join-result names) on the partial join
+        keeping its attributes."""
+        kept: dict[str, set[str]] = {"left": set(), "right": set()}
+        for name in fd.lhs | {fd.rhs}:
+            try:
+                side, base = self.owner[name]
+            except KeyError:
+                raise JoinSpecError(f"unknown join attribute {name!r}") from None
+            kept[side].add(base)
         self.counters.candidates_validated += 1
-        return holds(carrier, fd)
+        return holds(self.partial(kept["left"], kept["right"]), fd)
 
     # -- validation on side partitions (no materialization) ----------------
 

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .context import Counters, JoinContext
-from .discovery import _PartitionCache, discover_fds, holds
+from .discovery import _PartitionCache
 from .errors import InputError, InternalInvariantError
 from .fds import FdSet, FunctionalDependency, mask_bits, remove_implied
 from .infer import infer_join_fds
@@ -94,45 +94,35 @@ def _tag_from(final: FdSet, sources: FdSet) -> FdSet:
     return tagged
 
 
-def _tag_preserved(
-    final: FdSet,
-    context: JoinContext,
-    left_fds: FdSet | None,
-    right_fds: FdSet | None,
-) -> FdSet:
+def _tag_preserved(final: FdSet, context: JoinContext) -> FdSet:
     """`final` with each member that is a minimal dependency of an input
     tagged `preserved-left` or `preserved-right`, the left side first.
 
-    A caller-given input set is read by membership. Otherwise a member
-    whose names all map to that side is preserved iff it holds on the input
-    and no one-smaller lhs does there, tested on the side's partitions:
-    exactly the members of that side's mined dependency set.
+    A member whose names all map to that side is preserved iff it holds on
+    the input and no one-smaller lhs does there, tested on the side's
+    partitions: exactly the members of that side's mined dependency set.
     """
     sides = [
-        (instance, {qual: a for a, qual in names.items()}, given, preserved)
-        for instance, names, given, preserved in (
-            (context.left, context.lmap, left_fds, "preserved-left"),
-            (context.right, context.rmap, right_fds, "preserved-right"),
+        (instance, {qual: a for a, qual in names.items()}, preserved)
+        for instance, names, preserved in (
+            (context.left, context.lmap, "preserved-left"),
+            (context.right, context.rmap, "preserved-right"),
         )
     ]
     caches: dict[str, _PartitionCache] = {}
     tagged = FdSet()
     for d in final:  # sorted, so partitions are built in a fixed order
         tag = final.origins[d]
-        for instance, base, given, preserved in sides:
+        for instance, base, preserved in sides:
             if d.rhs not in base or not d.lhs <= base.keys():
                 continue
             local = d.rename(base)
-            if given is not None:
-                hit = local in given
-            else:
-                cache = caches.get(preserved) or _PartitionCache(instance)
-                caches[preserved] = cache
-                lhs, rhs = cache.mask(local.lhs), instance.ordinal(local.rhs)
-                hit = cache.holds(lhs, rhs) and not any(
-                    cache.holds(lhs ^ bit, rhs) for bit in mask_bits(lhs)
-                )
-            if hit:
+            cache = caches.get(preserved) or _PartitionCache(instance)
+            caches[preserved] = cache
+            lhs, rhs = cache.mask(local.lhs), instance.ordinal(local.rhs)
+            if cache.holds(lhs, rhs) and not any(
+                cache.holds(lhs ^ bit, rhs) for bit in mask_bits(lhs)
+            ):
                 tag = preserved
                 break
         tagged.add(d, tag)
@@ -161,25 +151,17 @@ def run_pipeline(
     spec: JoinSpec,
     strategy: str = "selective",
     sample_cfg: SampleConfig | None = None,
-    left_fds: FdSet | None = None,
-    right_fds: FdSet | None = None,
 ) -> DiscoveryReport:
     """Discover the dependencies of join(left, right, spec) per `strategy`.
 
-    The frugal strategies use an input table's own dependency set only
-    where the caller gave it or its side is padded, and stage 0 mines it
-    only for a padded side without one (the members padding breaks are
-    reported as `violated_fds`); `single_tables` times that work. Upstaging
-    mines each side's join rows once either way.
+    The frugal strategies work out every input dependency set they need
+    themselves: stage 0 mines an input table's own set only for a side that
+    an outer operator pads (`single_tables` times it), and upstaging
+    reports the members that padding breaks as `violated_fds`. Upstaging
+    mines each side's join rows once, whole.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    for instance, given in ((left, left_fds), (right, right_fds)):
-        for d in given or ():
-            if not holds(instance, d):
-                raise InputError(
-                    f"provided dependency {d} does not hold on {instance.name!r}"
-                )
     context = JoinContext(left, right, spec)
     timings: dict[str, float] = {}
     started = time.perf_counter()
@@ -202,7 +184,7 @@ def run_pipeline(
         t0 = time.perf_counter()
         final = oracle_join_fds(left, right, spec, context=context)
         timings["oracle"] = time.perf_counter() - t0
-        tagged = _tag_preserved(final, context, left_fds, right_fds)
+        tagged = _tag_preserved(final, context)
         timings["total"] = time.perf_counter() - started
         return DiscoveryReport(
             strategy=strategy,
@@ -213,27 +195,24 @@ def run_pipeline(
             timings=timings,
         )
 
-    # stage 0: a padded side's input dependency set, unless the caller gave
-    # it; upstaging reports the members that padding breaks
+    # stage 0: a padded side's input dependency set; upstaging reports the
+    # members that padding breaks
     t0 = time.perf_counter()
-    if left_fds is None and context.pads_left():
-        left_fds, _ = discover_fds(left)
-    if right_fds is None and context.pads_right():
-        right_fds, _ = discover_fds(right)
+    pads = {"left": context.pads_left(), "right": context.pads_right()}
+    padded = [side for side in pads if pads[side]]
+    for side in padded:
+        context.input_fds(side)
     timings["single_tables"] = time.perf_counter() - t0
 
     # stage 1: preserved and upstaged dependencies per side
     t0 = time.perf_counter()
-    up = upstage(context, left_fds=left_fds, right_fds=right_fds)
+    up = upstage(context)
     timings["upstage"] = time.perf_counter() - t0
     warnings: list[str] = []
     violated: list[str] = []
-    for side, inst, given, survived in (
-        ("left", left, left_fds, up.left_preserved),
-        ("right", right, right_fds, up.right_preserved),
-    ):
-        sub_exists = context.side_subinstance(side) is not None
-        dropped = [d for d in given or () if sub_exists and d not in survived]
+    for side in padded:
+        survived = up.left_preserved if side == "left" else up.right_preserved
+        dropped = [d for d in context.input_fds(side) if d not in survived]
         # natural-join padding rows are null outside the merged key columns,
         # where they carry the other side's join values: without any null in
         # the data they can still agree with a row on a lhs within those
@@ -330,8 +309,8 @@ def run_left_deep(
     """Chain binary joins left-deep: ((t0 ? t1) ? t2) ...
 
     Each intermediate join is materialized so the next binary step has a
-    left input; its dependency cover is carried forward, skipping
-    single-table rediscovery. Every counter and per-stage timing of the
+    left input, and each step is a plain `run_pipeline` that mines its own
+    inputs as it needs them. Every counter and per-stage timing of the
     earlier steps accumulates into the final report, and every intermediate
     join counts as a full join: a chain is not frugal.
     """
@@ -340,25 +319,16 @@ def run_left_deep(
     if len(tables) < 2 or len(specs) != len(tables) - 1:
         raise InputError("left-deep run needs n tables and n-1 join specs")
     current = tables[0]
-    current_fds: FdSet | None = None
     report: DiscoveryReport | None = None
     carried, carried_timings = Counters(), {}
     for step, (nxt, spec) in enumerate(zip(tables[1:], specs)):
         report = run_pipeline(
-            current,
-            nxt,
-            spec,
-            strategy=strategy,
-            sample_cfg=sample_cfg,
-            left_fds=current_fds,
+            current, nxt, spec, strategy=strategy, sample_cfg=sample_cfg
         )
         _carry(report, carried, carried_timings)
         if step < len(specs) - 1:
             current = join(current, nxt, spec)
             report.counters.full_join_rows += current.row_count
             carried, carried_timings = report.counters, report.timings
-            # a sampled cover may overclaim; keep only what the materialized
-            # intermediate actually satisfies
-            current_fds = FdSet(d for d in report.fds if holds(current, d))
     assert report is not None
     return report

@@ -47,7 +47,7 @@ from joinfd.joins import (
 )
 from joinfd.relation import Instance, loads_csv
 from joinfd.sample import _rank, _value_sort_key
-from joinfd.upstage import UpstageResult, upstage
+from joinfd.upstage import UpstageResult
 
 
 @pytest.fixture
@@ -369,37 +369,15 @@ def reference_search(cache, known=(), epsilon=0.0) -> tuple[FdSet, list]:
     return exact, afds
 
 
-def stage0_sets(context) -> dict:
-    """The input set of each padded side, mined as `run_pipeline`'s stage 0
-    does, as keyword arguments of `upstage.upstage`."""
-    return {
-        f"{side}_fds": discover_fds(inst)[0]
-        for side, inst, padded in (
-            ("left", context.left, context.pads_left()),
-            ("right", context.right, context.pads_right()),
-        )
-        if padded
-    }
-
-
-def stage0_upstage(context) -> UpstageResult:
-    """`upstage.upstage` handed what stage 0 hands it."""
-    return upstage(context, **stage0_sets(context))
-
-
-def reference_upstage(context, left_fds=None, right_fds=None) -> UpstageResult:
-    """`upstage.upstage` mining every input table whole when no set is
-    given, then each side's join rows again for what the surviving members
-    do not imply, by `reference_search` pruned with them; every member that
-    holds on the side's rows is preserved."""
+def reference_upstage(context) -> UpstageResult:
+    """`upstage.upstage` mining every input table whole, then each side's
+    join rows again for what the surviving members do not imply, by
+    `reference_search` pruned with them; every member that holds on the
+    side's rows is preserved."""
     out: dict[str, FdSet] = {}
     preserved: dict[str, FdSet] = {}
-    for side, inst, fds in (
-        ("left", context.left, left_fds),
-        ("right", context.right, right_fds),
-    ):
-        if fds is None:
-            fds, _ = discover_fds(inst)
+    for side, inst in (("left", context.left), ("right", context.right)):
+        fds, _ = discover_fds(inst)
         sub = context.side_subinstance(side)
         if sub is None:
             out[side] = preserved[side] = FdSet()

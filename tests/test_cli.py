@@ -118,34 +118,21 @@ def test_join_discover_oracle_and_compare(tables, tmp_path, capsys):
     assert cmp_doc["recall"] == 1.0
 
 
-def test_join_discover_with_injected_afds(tables, tmp_path, capsys):
+def test_afds_option_is_gone(tables, tmp_path):
+    # the pipeline mines every input dependency set it needs itself
     left, right = tables
-    fd_doc = [
-        {"lhs": ["flag"], "rhs": "date", "error": 0.2, "degree": 1},
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    argv = [
+        "join-discover",
+        "--left", str(left),
+        "--right", str(right),
+        "--on", "pid=pid",
+        "--afds", f"{empty},{empty}",
     ]
-    lpath = tmp_path / "l.json"
-    lpath.write_text(json.dumps(fd_doc))
-    rpath = tmp_path / "r.json"
-    rpath.write_text(json.dumps([]))
-    code, doc = _run(
-        capsys,
-        [
-            "join-discover",
-            "--left", str(left),
-            "--right", str(right),
-            "--on", "pid=pid",
-            "--afds", f"{lpath},{rpath}",
-        ],
-    )
-    assert code == 0
-    # the approximate entry is not read; the join's rows upstage it, and the
-    # cover may represent it through visits.ward
-    from joinfd.fds import FunctionalDependency, fd, implies
-
-    reported = [
-        FunctionalDependency(frozenset(d["lhs"]), d["rhs"]) for d in doc["fds"]
-    ]
-    assert implies(reported, fd(["patients.flag"], "patients.date"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_coverage_command(tables, capsys):
@@ -223,62 +210,36 @@ def test_null_token_flag(tmp_path, capsys):
     assert doc["rows"] == 2
 
 
-@pytest.mark.parametrize("strategy", ["selective", "sampling", "oracle"])
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_fd_file_dependency_that_does_not_hold_exits_2(
-    tables, tmp_path, capsys, strategy, side
-):
-    left, right = tables
-    wrong = {
-        "left": {"lhs": ["flag"], "rhs": "date"},
-        "right": {"lhs": [], "rhs": "ward"},
-    }
-    files = []
-    for name in ("left", "right"):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps([wrong[name]] if name == side else []))
-        files.append(str(path))
-    argv = [
-        "join-discover",
-        "--left", str(left),
-        "--right", str(right),
-        "--on", "pid=pid",
-        "--strategy", strategy,
-        "--afds", ",".join(files),
-    ]
-    assert main(argv) == 2
-    assert "does not hold" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "entry",
     [
         {"lhs": ["pid"], "rhs": "pid"},
         {"lhs": ["flag"], "rhs": "date", "error": 2},
         {"rhs": "date"},
+        {"lhs": ["flag"], "rhs": "date", "error": 0.2},
     ],
-    ids=["trivial", "error-above-1", "no-lhs"],
+    ids=["compare-trivial", "compare-error-above-1", "compare-no-lhs",
+         "compare-nonzero-error"],
 )
-@pytest.mark.parametrize("command", ["join-discover", "compare"])
-def test_malformed_fd_file_entry_exits_2(tables, tmp_path, capsys, entry, command):
-    left, right = tables
+def test_malformed_fd_file_entry_exits_2(tmp_path, capsys, entry):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([entry]))
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
-    if command == "compare":
-        argv = ["compare", "--truth", str(empty), "--candidate", str(bad)]
-    else:
-        argv = [
-            "join-discover",
-            "--left", str(left),
-            "--right", str(right),
-            "--on", "pid=pid",
-            "--afds", f"{bad},{empty}",
-        ]
+    argv = ["compare", "--truth", str(empty), "--candidate", str(bad)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and entry["rhs"] in err
+
+
+def test_fd_file_object_without_fds_exits_2(tmp_path, capsys):
+    # an object is read as a report, whose dependencies are its "fds" list
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"deps": [{"lhs": ["flag"], "rhs": "date"}]}))
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    assert main(["compare", "--truth", str(empty), "--candidate", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

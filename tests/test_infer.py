@@ -6,8 +6,9 @@ from joinfd.fds import FdSet, fd, implies
 from joinfd.infer import _minimal_determiners, infer, infer_join_fds, refine
 from joinfd.joins import JoinKind, JoinSpec, join
 from joinfd.relation import loads_csv
+from joinfd.upstage import upstage
 
-from conftest import random_rules, reference_minimal_determiners, stage0_upstage
+from conftest import random_rules, reference_minimal_determiners
 
 
 def test_single_transitivity_step():
@@ -74,7 +75,7 @@ def test_inferred_fds_hold_on_the_full_join():
         left, right, spec = make_fixture(prof, seed=seed)
         if spec.kind in (JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI):
             continue
-        up = stage0_upstage(JoinContext(left, right, spec))
+        up = upstage(JoinContext(left, right, spec))
         sigma_l = up.left_preserved.union(up.left_upstaged)
         sigma_r = up.right_preserved.union(up.right_upstaged)
         got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
@@ -164,7 +165,7 @@ def test_refine_never_emits_a_violated_dependency():
             dangling_fraction=0.25,
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        up = stage0_upstage(JoinContext(left, right, spec))
+        up = upstage(JoinContext(left, right, spec))
         sigma_l = up.left_preserved.union(up.left_upstaged)
         sigma_r = up.right_preserved.union(up.right_upstaged)
         got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
@@ -185,7 +186,7 @@ def test_refined_output_implies_inferred_input():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         context = JoinContext(left, right, spec)
-        up = stage0_upstage(context)
+        up = upstage(context)
         sigma_l = up.left_preserved.union(up.left_upstaged)
         sigma_r = up.right_preserved.union(up.right_upstaged)
         raw = infer(

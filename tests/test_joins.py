@@ -16,7 +16,7 @@ from joinfd.joins import (
     partial_join,
     right_name_map,
 )
-from joinfd.fds import closure_equal
+from joinfd.fds import closure_equal, implies
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_left_deep
 from joinfd.relation import Instance, loads_csv, project, take_rows
@@ -287,9 +287,11 @@ def test_left_deep_chain_over_a_code_level_intermediate():
         assert got.raw_rows() == reference_join(want_middle, c, second).raw_rows()
         if kind in (JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI):
             continue
-        report = run_left_deep([a, b, c], [first, second], strategy="selective")
         want = oracle_join_fds(want_middle, c, second)
+        report = run_left_deep([a, b, c], [first, second], strategy="selective")
         assert closure_equal(report.fds, want), (first, second)
+        sampled = run_left_deep([a, b, c], [first, second], strategy="sampling")
+        assert all(implies(sampled.fds, d) for d in want), (first, second)
 
 
 def _decoded_per_row(instance, attrs):

@@ -12,13 +12,14 @@ from joinfd.mine import _anchors, discover, discover_selective
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
+from joinfd.upstage import upstage
 
-from conftest import random_rules, reference_anchors, reference_mine, stage0_upstage
+from conftest import random_rules, reference_anchors, reference_mine
 
 
 def _stage12(left, right, spec):
     context = JoinContext(left, right, spec)
-    up = stage0_upstage(context)
+    up = upstage(context)
     sigma_l = up.left_preserved.union(up.left_upstaged)
     sigma_r = up.right_preserved.union(up.right_upstaged)
     inferred = infer_join_fds(context, sigma_l, sigma_r)

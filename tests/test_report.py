@@ -286,7 +286,7 @@ def test_left_deep_chain_counts_intermediates_as_full_joins():
 
     intermediate = join(a, b, spec_ab)
     first = run_pipeline(a, b, spec_ab)
-    last = run_pipeline(intermediate, c, spec_bc, left_fds=first.fds)
+    last = run_pipeline(intermediate, c, spec_bc)
     rep = run_left_deep([a, b, c], [spec_ab, spec_bc])
     assert rep.counters.full_join_rows == intermediate.row_count > 0
     assert rep.counters.partial_join_rows == (

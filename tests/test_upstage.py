@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import reference_upstage, stage0_sets, stage0_upstage
+from conftest import reference_upstage
+from joinfd import context as context_module
 from joinfd import discovery, pipeline
 from joinfd import upstage as upstage_module
 from joinfd.context import JoinContext
@@ -58,8 +59,7 @@ def test_surviving_violator_blocks_promotion():
 def test_no_filtering_means_no_new_fds():
     left = loads_csv("k,a\n1,x\n2,y", name="L")
     right = loads_csv("k,b\n1,p\n2,q", name="R")
-    exact, _ = discover_fds(left)
-    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])), left_fds=exact)
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
     assert len(got.left_upstaged) == 0
 
 
@@ -69,9 +69,7 @@ def test_dangled_duplicate_reveals_key():
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
     exact, _ = discover_fds(left)
-    got = upstage(
-        JoinContext(left, right, JoinSpec.equi(["k"], ["k"])), left_fds=exact
-    ).left_upstaged
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"]))).left_upstaged
     assert implies(list(got) + list(exact), fd(["a"], "b"))
 
 
@@ -84,7 +82,7 @@ def test_known_dependencies_never_reappear():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         exact, _ = discover_fds(left)
-        got = upstage(JoinContext(left, right, spec), left_fds=exact).left_upstaged
+        got = upstage(JoinContext(left, right, spec)).left_upstaged
         for d in got:
             assert not implies(exact, d)
 
@@ -126,7 +124,7 @@ def test_upstaged_fds_hold_on_the_join():
             op=list(JoinKind)[seed % 6],
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        got = stage0_upstage(JoinContext(left, right, spec))
+        got = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
         lmap = left_name_map(left, right, spec)
         from joinfd.joins import right_name_map
@@ -140,35 +138,11 @@ def test_upstaged_fds_hold_on_the_join():
                 assert holds(joined, d.rename(rmap))
 
 
-def test_afd_path_agrees_with_discovery_path():
-    # the planted approximate dependency is upstaged whether or not the
-    # input's own set is given, and both splits cover the side's rows
-    for seed in range(20):
-        prof = FixtureProfile(
-            left_rows=12, right_rows=12, left_attrs=3, right_attrs=2,
-            dangling_fraction=0.25, planted_afd_degree=1, upstage_positive=True,
-        )
-        left, right, spec = make_fixture(prof, seed=seed)
-        afd = planted_afd(prof)
-        exact, _ = discover_fds(left)
-        via_afds = upstage(JoinContext(left, right, spec))
-        via_discovery = upstage(JoinContext(left, right, spec), left_fds=exact)
-        pool = list(via_discovery.left_upstaged) + list(exact)
-        for d in via_afds.left_upstaged:
-            assert implies(pool, d)
-        assert implies(via_afds.left_upstaged, afd.fd)
-        assert implies(via_discovery.left_upstaged.union(exact), afd.fd)
-        assert closure_equal(
-            via_afds.left_preserved.union(via_afds.left_upstaged),
-            via_discovery.left_preserved.union(via_discovery.left_upstaged),
-        )
-
-
 def test_preserved_side_of_outer_join_never_upstages():
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.LEFT_OUTER)
-    got = stage0_upstage(JoinContext(left, right, spec))
+    got = upstage(JoinContext(left, right, spec))
     assert len(got.left_upstaged) == 0  # left rows all survive a left outer
 
 
@@ -246,7 +220,7 @@ def test_preserved_are_input_members_and_cover_the_side_rows():
     # input need not be minimal there
     for left, right, spec in _fixture_pairs():
         context = JoinContext(left, right, spec)
-        got = stage0_upstage(context)
+        got = upstage(context)
         for side, inst, kept, upstaged in (
             ("left", left, got.left_preserved, got.left_upstaged),
             ("right", right, got.right_preserved, got.right_upstaged),
@@ -269,7 +243,7 @@ def mined_inputs(monkeypatch):
         seen.append(instance.name)
         return discover_fds(instance, epsilon)
 
-    for module in (discovery, pipeline):
+    for module in (discovery, context_module):
         monkeypatch.setattr(module, "discover_fds", spy)
     return seen
 
@@ -308,8 +282,8 @@ def test_dropped_preserved_dependency_still_raises(monkeypatch):
     left, right, spec = _dangling_pair(JoinKind.LEFT_OUTER)
     real = upstage_module.upstage
 
-    def lossy(context, **sets):
-        got = real(context, **sets)
+    def lossy(context):
+        got = real(context)
         got.right_preserved = FdSet(d for d in got.right_preserved if not d.lhs)
         return got
 
@@ -320,8 +294,8 @@ def test_dropped_preserved_dependency_still_raises(monkeypatch):
 
 def test_each_mined_side_is_searched_once_without_a_known_set(monkeypatch):
     # upstaging mines each side's join rows once, whole: one search per side
-    # that is neither dropped nor its own input with a set, handed only that
-    # side's partitions
+    # that is not dropped, handed only that side's partitions; a padded
+    # side's input set is the context's, mined before as stage 0 does
     searched = []
     real = discovery._search
 
@@ -331,34 +305,20 @@ def test_each_mined_side_is_searched_once_without_a_known_set(monkeypatch):
 
     monkeypatch.setattr(discovery, "_search", spy)
     own_inputs = 0
-    for i, (left, right, spec) in enumerate(_fixture_pairs()):
+    for left, right, spec in _fixture_pairs():
         context = JoinContext(left, right, spec)
-        sets = stage0_sets(context)
-        if i % 2:  # as a caller who gives both sets
-            sets = {
-                "left_fds": discover_fds(left)[0],
-                "right_fds": discover_fds(right)[0],
-            }
         mined = []
-        for side, inst in (("left", left), ("right", right)):
+        for side, inst, padded in (
+            ("left", left, context.pads_left()),
+            ("right", right, context.pads_right()),
+        ):
+            if padded:
+                context.input_fds(side)
             sub = context.side_subinstance(side)
-            if sub is inst and f"{side}_fds" in sets:
-                own_inputs += 1
-            elif sub is not None:
+            if sub is not None:
+                own_inputs += sub is inst
                 mined.append(((context.side_partitions(side),), {}))
         searched.clear()
-        upstage(context, **sets)
+        upstage(context)
         assert searched == mined, spec
     assert own_inputs > 0
-
-
-def test_padded_side_without_its_input_set_raises():
-    for kind, missing in (
-        (JoinKind.LEFT_OUTER, "right"),
-        (JoinKind.RIGHT_OUTER, "left"),
-        (JoinKind.FULL_OUTER, "left"),
-    ):
-        left, right, spec = _dangling_pair(kind)
-        context = JoinContext(left, right, spec)
-        with pytest.raises(InternalInvariantError, match=f"padded {missing} side"):
-            upstage(context)
