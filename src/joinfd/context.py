@@ -115,6 +115,12 @@ class JoinContext:
     def pads_right(self) -> bool:
         return self.spec.kind in PADS_RIGHT_ATTRS and bool(self.profile.dangling_left)
 
+    def dropped_side(self) -> str | None:
+        """The side whose attributes a semi-join leaves out, else None."""
+        return {JoinKind.LEFT_SEMI: "right", JoinKind.RIGHT_SEMI: "left"}.get(
+            self.spec.kind
+        )
+
     def result_rows(self) -> int | None:
         """Closed-form row count of the join, or None for semi-joins."""
         if self.spec.kind in SEMI_KINDS:
@@ -171,14 +177,14 @@ class JoinContext:
     def _layout(self, side: str) -> tuple[Sequence[int], list[tuple]] | None:
         kind, profile = self.spec.kind, self.profile
         if side == "left":
-            dropped, inst, padded = JoinKind.RIGHT_SEMI, self.left, self.pads_left()
+            inst, padded = self.left, self.pads_left()
             preserved, dangling = kind in PADS_RIGHT_ATTRS, profile.dangling_right
         elif side == "right":
-            dropped, inst, padded = JoinKind.LEFT_SEMI, self.right, self.pads_right()
+            inst, padded = self.right, self.pads_right()
             preserved, dangling = kind in PADS_LEFT_ATTRS, profile.dangling_left
         else:  # pragma: no cover
             raise InternalInvariantError(f"unknown side {side!r}")
-        if kind is dropped:
+        if side == self.dropped_side():
             return None
         if preserved:  # every row survives an outer join that preserves its side
             rows: Sequence[int] = range(inst.row_count)

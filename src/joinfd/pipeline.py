@@ -103,11 +103,14 @@ def _tag_preserved(final: FdSet, context: JoinContext) -> FdSet:
     partitions: exactly the members of that side's mined dependency set.
     """
     sides = [
-        (instance, {qual: a for a, qual in names.items()}, preserved)
-        for instance, names, preserved in (
-            (context.left, context.lmap, "preserved-left"),
-            (context.right, context.rmap, "preserved-right"),
+        (instance, {qual: a for a, qual in names.items()}, f"preserved-{side}")
+        for side, instance, names in (
+            ("left", context.left, context.lmap),
+            ("right", context.right, context.rmap),
         )
+        # a semi-join's dropped side has no attributes in the result, though
+        # its base names can match the kept side's
+        if side != context.dropped_side()
     ]
     caches: dict[str, _PartitionCache] = {}
     tagged = FdSet()

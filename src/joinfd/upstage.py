@@ -9,7 +9,14 @@ whose join value has no partner on the other side. There are two rules.
 On a row subset of the input, each mined dependency that holds on the input
 is preserved: a minimal dependency of the subset that holds on the input is
 minimal there too. A side that is its own input (unpadded, every row
-survives) preserves all of them and upstages nothing.
+survives) preserves all of them and upstages nothing. The subset keeps or
+drops all rows of a join value, and rows that agree on every join attribute
+of the side carry one join value. So a mined dependency whose lhs holds all
+of them, which holds on the subset, holds on the input iff it holds among
+the rows of each dropped value: only those rows are tested, without
+partitioning the input. A lhs missing a join attribute can meet a dropped
+row with a kept one, so it is tested on the input's partitions, built once
+per side when first needed.
 
 A side that an outer operator pads with nulls is no row subset, since a
 smaller lhs may hold on the input and be broken by padding. There the
@@ -21,6 +28,7 @@ upstaged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .context import JoinContext
 from .discovery import _PartitionCache, discover_new_fds
@@ -36,14 +44,28 @@ class UpstageResult:
     right_preserved: FdSet = field(default_factory=FdSet)
 
 
+def _holds_within(
+    rows: Sequence[int], lhs: list[Sequence[int]], rhs: Sequence[int]
+) -> bool:
+    """Do the given rows that agree on every `lhs` column agree on `rhs`?"""
+    seen: dict[tuple, int] = {}
+    for r in rows:
+        if seen.setdefault(tuple(col[r] for col in lhs), rhs[r]) != rhs[r]:
+            return False
+    return True
+
+
 def upstage(context: JoinContext) -> UpstageResult:
     """Run the upstaging stage on both sides of the join.
 
     Per side, the side's rows are mined once, whole. On a row subset of the
     input, the mined members that hold on the input are preserved, and all
-    of them on a side that is its own input. On a padded side, the members
-    of the input's set (`context.input_fds`) that hold on the side's rows
-    are preserved, and the mined members they do not imply are upstaged.
+    of them on a side that is its own input; a member whose lhs holds every
+    join attribute of the side is tested within each dropped join value's
+    rows alone, any other on the input's partitions. On a padded side, the
+    members of the input's set (`context.input_fds`) that hold on the
+    side's rows are preserved, and the mined members they do not imply are
+    upstaged.
     """
     out: dict[str, FdSet] = {}
     preserved: dict[str, FdSet] = {}
@@ -81,10 +103,34 @@ def upstage(context: JoinContext) -> UpstageResult:
             # subset's minimal dependency that holds on the whole input is
             # minimal there too, since any smaller lhs holding there would
             # hold on the subset
-            cache = _PartitionCache(inst)
             kept, new = FdSet(), FdSet()
+            profile = context.profile
+            on = set(context.spec.left_on if side == "left" else context.spec.right_on)
+            # rows agreeing on every join attribute carry one join value, and
+            # the subset keeps or drops all rows of a value: a member whose
+            # lhs holds them all can fail on the input only among the rows of
+            # one dropped value with two or more, taken in first-row order so
+            # that the work does not follow the hash seed; there is none when
+            # the dropped rows are as many as the dropped values
+            dropped = []
+            values = profile.dangling_left if side == "left" else profile.dangling_right
+            if inst.row_count - sub.row_count > len(values):
+                dropped = [
+                    rows
+                    for v, rows in profile.groups(side).items()
+                    if len(rows) > 1 and v not in profile.shared
+                ]
+            cache = None  # the input's partitions, for any other lhs
             for d in mined:
-                on_input = cache.holds(cache.mask(d.lhs), inst.ordinal(d.rhs))
+                rhs = inst.ordinal(d.rhs)
+                if on <= d.lhs:
+                    lhs = [inst.columns[o] for o in inst.ordinals(d.lhs)]
+                    on_input = all(
+                        _holds_within(rows, lhs, inst.columns[rhs]) for rows in dropped
+                    )
+                else:
+                    cache = cache or _PartitionCache(inst)
+                    on_input = cache.holds(cache.mask(d.lhs), rhs)
                 (kept if on_input else new).add(d)
             out[side] = remove_implied(new)
         preserved[side] = kept

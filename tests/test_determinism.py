@@ -9,8 +9,10 @@ refined from the smallest cached parent, so the order in which partitions
 are first requested decides how many `refine` builds and how many rows it
 reads: both counts must come out the same too. The inner pair dangles rows
 on both sides, so upstaging tests each side's mined dependencies on the
-input, and on each side some fail there and are upstaged. So must the
-output of the single-table searches run directly on a wide join, and the
+input, and on each side some fail there and are upstaged. The last inner
+pair's dangling join values carry several rows each, so a member whose lhs
+holds the join key is tested within each dropped value's rows; on each side
+some hold there and some do not. So must the output of the single-table searches run directly on a wide join, and the
 number of partitions they build.
 """
 
@@ -22,11 +24,12 @@ from pathlib import Path
 
 PROBE = """
 import json
+import random
 from joinfd import discovery
 from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, join
 from joinfd.pipeline import run_pipeline
-from joinfd.relation import loads_csv
+from joinfd.relation import Instance, loads_csv
 
 left = loads_csv(
     "k0,k1,a0,a1\\nx,y,p,∅\\nx,y,q,u\\ny,∅,p,u\\n∅,x,q,v\\nz,z,∅,v\\ny,∅,r,u\\nw,x,p,v",
@@ -55,6 +58,19 @@ pairs = [
         seed=10,
     ),
 ]
+rng = random.Random(34)
+
+def side(name, keys):
+    rng.shuffle(keys)
+    rows = [(k, *(f"v{rng.randrange(d)}" for d in (2, 3, 5))) for k in keys]
+    return Instance.from_rows(["k", *(f"{name.lower()}{i}" for i in range(3))], rows, name=name)
+
+shared = [f"s{i % 5}" for i in range(12)]
+pairs.append((
+    side("L", shared + [f"dl{i % 3}" for i in range(7)]),
+    side("R", shared[:11] + [f"dr{i % 3}" for i in range(7)]),
+    JoinSpec.equi(["k"], ["k"]),
+))
 read = [0]
 built = [0]
 refine = discovery.refine
@@ -107,5 +123,14 @@ def test_reports_do_not_depend_on_the_hash_seed():
     assert [doc["strategy"] for doc in docs[:3]] == ["selective", "sampling", "oracle"]
     assert all(doc["counters"]["candidates_validated"] > 0 for doc in docs[::3])
     assert rows_read > 0 and built > 0
+    # the last pair keeps and upstages members whose lhs holds the join key
+    tags = {
+        (name, doc["origin"])
+        for doc in docs[-3]["fds"]
+        for name in doc["lhs"]
+        if name.endswith(".k")
+    }
+    assert {("L.k", "preserved-left"), ("L.k", "upstaged-left")} <= tags
+    assert {("R.k", "preserved-right"), ("R.k", "upstaged-right")} <= tags
     assert searched and new and searches_built > 0
     assert runs[0] == runs[1] == runs[2]

@@ -101,7 +101,11 @@ def test_oracle_tags_each_minimal_input_dependency_as_preserved():
             )
             spec = JoinSpec.natural_join(left, right, list(JoinKind)[seed % 6])
         rep = run_pipeline(left, right, spec, strategy="oracle")
-        sigma_l, sigma_r = discover_fds(left)[0], discover_fds(right)[0]
+        # a semi-join's dropped side has no attributes in the result
+        sigma_l, sigma_r = (
+            FdSet() if spec.kind is dropped else discover_fds(inst)[0]
+            for inst, dropped in ((left, JoinKind.RIGHT_SEMI), (right, JoinKind.LEFT_SEMI))
+        )
         preserved_l = {x.rename(left_name_map(left, right, spec)) for x in sigma_l}
         preserved_r = {x.rename(right_name_map(left, right, spec)) for x in sigma_r}
         for d in rep.fds:
@@ -114,6 +118,27 @@ def test_oracle_tags_each_minimal_input_dependency_as_preserved():
             assert rep.fds.origins[d] == expected, (seed, d)
             seen.add(expected)
     assert seen == {"preserved-left", "preserved-right", "mined"}
+
+
+@pytest.mark.parametrize("kind", [JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI])
+@pytest.mark.parametrize("natural", [False, True])
+def test_semi_join_origins_ignore_the_dropped_side(kind, natural):
+    # k0 is constant on the kept side's surviving rows but not on its input,
+    # so {} -> k0 is upstaged; the dropped side, where k0 is constant too,
+    # has no attribute in the result and preserves nothing
+    kept = loads_csv("k0,b\n1,p\n2,q\n1,r", name="K")
+    dropped = loads_csv("k0,a\n1,x\n1,y", name="D")
+    left, right = (kept, dropped) if kind is JoinKind.LEFT_SEMI else (dropped, kept)
+    if natural:
+        spec = JoinSpec.natural_join(left, right, kind)
+    else:
+        spec = JoinSpec.equi(["k0"], ["k0"], kind)
+    side = "left" if kind is JoinKind.LEFT_SEMI else "right"
+    for strategy in ("selective", "sampling"):
+        rep = run_pipeline(left, right, spec, strategy=strategy)
+        assert rep.fds.origins[fd([], "k0")] == f"upstaged-{side}", strategy
+    rep = run_pipeline(left, right, spec, strategy="oracle")
+    assert rep.fds.origins[fd([], "k0")] == "mined"
 
 
 def test_untagged_stage_output_is_an_internal_error(

@@ -138,6 +138,68 @@ def test_upstaged_fds_hold_on_the_join():
                 assert holds(joined, d.rename(rmap))
 
 
+def test_a_dropped_value_breaks_a_member_holding_the_join_key():
+    # a, k -> b holds on the rows of k = 1 and 2; the two rows of the dropped
+    # value k = 3 break it on the input, so the join made it exact
+    right = loads_csv("k,c\n1,m\n2,n", name="R")
+    left = loads_csv("k,a,b\n1,x,p\n1,y,q\n2,x,q\n2,y,p\n3,x,p\n3,x,q", name="L")
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
+    assert fd(["a", "k"], "b") in got.left_upstaged
+    assert fd(["a", "k"], "b") not in got.left_preserved
+    # the same dropped rows, consistent with the member: it holds on the input
+    left = loads_csv("k,a,b\n1,x,p\n1,y,q\n2,x,q\n2,y,p\n3,x,p\n3,y,q", name="L")
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
+    assert fd(["a", "k"], "b") in got.left_preserved
+    assert fd(["a", "k"], "b") not in got.left_upstaged
+
+
+def test_a_dropped_row_breaks_a_member_missing_a_join_attribute():
+    # the dropped row meets a kept row on the lhs: no join value's rows alone
+    # can show it, so the input's partitions decide
+    right = loads_csv("k,c\n1,m\n2,n", name="R")
+    left = loads_csv("k,a,b\n1,x,p\n2,y,q\n3,x,q", name="L")
+    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
+    assert fd(["a"], "b") in got.left_upstaged
+    # a lhs with part of a composite key: the dropped value (1, 3) has one
+    # row, which breaks a, k0 -> b against the kept row of (1, 1)
+    left = loads_csv("k0,k1,a,b\n1,1,x,p\n1,2,y,q\n2,1,x,q\n1,3,x,q", name="L")
+    right = loads_csv("k0,k1,c\n1,1,m\n1,2,n\n2,1,m", name="R")
+    spec = JoinSpec.equi(["k0", "k1"], ["k0", "k1"])
+    got = upstage(JoinContext(left, right, spec))
+    assert fd(["a", "k0"], "b") in got.left_upstaged
+    assert fd(["k0", "k1"], "b") in got.left_preserved
+
+
+def test_input_partitions_only_for_a_lhs_missing_a_join_attribute(monkeypatch):
+    # a row-subset side builds its input's partitions at most once, and only
+    # when a mined member's lhs lacks one of the side's join attributes
+    built = []
+
+    def spy(instance):
+        built.append(instance)
+        return discovery._PartitionCache(instance)
+
+    monkeypatch.setattr(upstage_module, "_PartitionCache", spy)
+    fallbacks = 0
+    for left, right, spec in _fixture_pairs():
+        context = JoinContext(left, right, spec)
+        want = []
+        for side, inst, on, padded in (
+            ("left", left, spec.left_on, context.pads_left()),
+            ("right", right, spec.right_on, context.pads_right()),
+        ):
+            sub = context.side_subinstance(side)
+            if sub is None or sub is inst or padded:
+                continue
+            if any(not set(on) <= d.lhs for d in discover_fds(sub)[0]):
+                want.append(inst)
+        built.clear()
+        upstage(context)
+        assert built == want, spec
+        fallbacks += len(want)
+    assert fallbacks > 0
+
+
 def test_preserved_side_of_outer_join_never_upstages():
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
