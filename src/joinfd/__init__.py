@@ -1,7 +1,7 @@
 """Functional dependency discovery over joined tables, without the full join."""
 
 from .discovery import discover_fds, holds
-from .fds import Afd, FdSet, FunctionalDependency, fd, implies, minimal_cover
+from .fds import FdSet, FunctionalDependency, fd, implies, minimal_cover
 from .joins import JoinKind, JoinSpec, coverage, join, partial_join
 from .metrics import evaluate
 from .oracle import oracle_join_fds
@@ -10,7 +10,6 @@ from .relation import Instance, load_csv, loads_csv, project
 from .sample import SampleConfig
 
 __all__ = [
-    "Afd",
     "DiscoveryReport",
     "FdSet",
     "FunctionalDependency",

@@ -45,13 +45,6 @@ def _parse_on(text: str) -> tuple[list[str], list[str]]:
     return lx, ry
 
 
-def _epsilon(text: str) -> float:
-    value = float(text)
-    if not 0 <= value <= 1:  # nan too
-        raise argparse.ArgumentTypeError(f"expects a number in [0, 1], got {text!r}")
-    return value
-
-
 def _load_table(path: str, args) -> Instance:
     return load_csv(
         path,
@@ -123,15 +116,11 @@ def _spec_from_args(args) -> JoinSpec:
 
 def _cmd_discover(args) -> dict:
     table = _load_table(args.csv, args)
-    exact, afds = discover_fds(table, args.epsilon)
     return {
         "table": table.name,
         "rows": table.row_count,
         "attributes": list(table.attr_names),
-        "fds": exact.to_json(),
-        "afds": [
-            dict(a.fd.to_json(error=a.error), degree=a.degree) for a in afds
-        ],
+        "fds": discover_fds(table).to_json(),
     }
 
 
@@ -218,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="mine one table")
     p.add_argument("csv")
-    p.add_argument("--epsilon", type=_epsilon, default=0.0)
     _add_csv_options(p)
     p.set_defaults(func=_cmd_discover)
 

@@ -132,7 +132,7 @@ class JoinContext:
         on first use."""
         if side not in self._input_fds:
             inst = self.left if side == "left" else self.right
-            self._input_fds[side] = discover_fds(inst)[0]
+            self._input_fds[side] = discover_fds(inst)
         return self._input_fds[side]
 
     def side_subinstance(self, side: str) -> Instance | None:

@@ -14,20 +14,15 @@ walk judges no superset of it for any rhs (TANE's rhs+ rule, Huhtala et
 al., Comput. J. 1999). Each partition is refined from the cached
 one-smaller subset whose classes hold the fewest rows (a walk has judged
 them all), and a candidate is tested exactly by scanning lhs classes until
-one disagrees on the rhs. With a nonzero error budget the search also
-reports approximate dependencies that are minimal under the budget (g3
-counts), and keeps expanding below them because exact dependencies may
-still appear there; a dead mask has the g3 error of its subset without A,
-so the rule prunes no approximate one either.
+one disagrees on the rhs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 from typing import Callable, Collection, Iterable
 
-from .fds import Afd, FdSet, FunctionalDependency, mask_bits
+from .fds import FdSet, FunctionalDependency, mask_bits
 from .partition import StrippedPartition, build_partition, refine
 from .relation import Instance
 
@@ -133,15 +128,6 @@ class _PartitionCache:
                     return False
         return True
 
-    def error_count(self, lhs: int, rhs_ord: int) -> int:
-        """g3 count: per lhs class, the rows outside its most frequent rhs
-        value, the fewest rows whose removal makes lhs -> rhs hold."""
-        rhs_col = self.instance.columns[rhs_ord]
-        count = 0
-        for cls in self.get(lhs).classes:
-            count += len(cls) - max(Counter(rhs_col[t] for t in cls).values())
-        return count
-
 
 def _next_level(kept: Collection[int]) -> list[int]:
     """Apriori step: in descending order, the unions of two same-size kept
@@ -185,77 +171,51 @@ def walk(level: list[int], verdict: Callable[[int], bool]) -> None:
         level = _next_level({m for m in level if not verdict(m)})
 
 
-def _search(
-    cache: _PartitionCache, epsilon: float = 0.0
-) -> tuple[FdSet, list[Afd]]:
-    """The minimal exact dependencies, and with a nonzero `epsilon` the
-    minimal approximate ones, for every rhs in one walk over lhs masks.
+def _search(cache: _PartitionCache) -> FdSet:
+    """The minimal exact dependencies for every rhs, in one walk over lhs
+    masks.
 
     Each mask carries the rhs bits still open there: those open at all its
     one-smaller subsets, less its own bits. An open rhs A is a hit when
     lhs -> A holds; a hit closes A and makes lhs | A dead. Since lhs -> A
     holds, A is redundant in every lhs containing lhs | A, which has the
-    same partition as the lhs without A and so the same g3 error for every
-    rhs: no such lhs is minimal, exact or within the budget. A dead mask
-    and one with nothing open end their branch, and a partition is built
-    only for a mask with an open rhs left to scan.
+    same partition as the lhs without A: no such lhs is minimal for any
+    rhs. A dead mask and one with nothing open end their branch, and a
+    partition is built only for a mask with an open rhs left to scan.
     """
-    instance = cache.instance
-    n = instance.row_count
     name = {bit: a for a, bit in cache.bits.items()}
-    rhs_ord = {bit: instance.ordinal(a) for bit, a in name.items()}
+    rhs_ord = {bit: cache.instance.ordinal(a) for bit, a in name.items()}
     exact = FdSet()
-    afds: list[Afd] = []
-    # per judged mask, the rhs bits still open there, and (with a budget)
-    # those some subset of it, itself included, is within the budget for
+    # per judged mask, the rhs bits still open there
     open_at: dict[int, int] = {}
-    within_at: dict[int, int] = {}
     # X | A for every hit X -> A: A is redundant in any lhs containing it
     dead: set[int] = set()
     everything = sum(name)
-    budget = epsilon > 0
 
     def verdict(lhs: int) -> bool:
         if lhs in dead:
             return True
         still = everything & ~lhs
-        within = 0
         for bit in mask_bits(lhs):
             still &= open_at[lhs ^ bit]
-            if budget:
-                within |= within_at[lhs ^ bit]
         for goal in mask_bits(still):
             if cache.holds(lhs, rhs_ord[goal]):
                 exact.add(FunctionalDependency(cache.names(lhs), name[goal]))
                 still ^= goal
                 dead.add(lhs | goal)
-            elif budget and not within & goal:
-                count = cache.error_count(lhs, rhs_ord[goal])
-                if count <= epsilon * n:
-                    within |= goal
-                    fd = FunctionalDependency(cache.names(lhs), name[goal])
-                    afds.append(Afd(fd, count / n, count))
         open_at[lhs] = still
-        within_at[lhs] = within
         return not still
 
     # the empty lhs asks for a constant column (vacuously constant when
     # there are no rows)
     if not verdict(0):
         walk(list(name), verdict)
-    afds.sort(key=lambda a: a.fd.sort_key())
-    return exact, afds
+    return exact
 
 
-def discover_fds(
-    instance: Instance, epsilon: float = 0.0
-) -> tuple[FdSet, list[Afd]]:
-    """All minimal exact dependencies, plus minimal approximate ones.
-
-    Exact results are complete regardless of epsilon. An approximate result
-    has 0 < error <= epsilon and no lhs subset within the budget.
-    """
-    return _search(_PartitionCache(instance), epsilon=epsilon)
+def discover_fds(instance: Instance) -> FdSet:
+    """All minimal exact dependencies of `instance`."""
+    return _search(_PartitionCache(instance))
 
 
 def discover_new_fds(
@@ -264,8 +224,8 @@ def discover_new_fds(
     """All minimal exact dependencies of `instance`, on the partitions in
     `cache` that other readers share; by default the search builds its own.
 
-    This is `discover_fds` without an error budget. The benchmark's tracer
+    This is `discover_fds` with a shared cache. The benchmark's tracer
     resolves `discover_new_fds` by name to time upstaging's mining, so it
     stays until the benchmark drops that name.
     """
-    return _search(cache or _PartitionCache(instance))[0]
+    return _search(cache or _PartitionCache(instance))

@@ -41,8 +41,8 @@ class FunctionalDependency:
             mapping.get(self.rhs, self.rhs),
         )
 
-    def to_json(self, error: float = 0.0, origin: str | None = None) -> dict:
-        doc: dict = {"lhs": sorted(self.lhs), "rhs": self.rhs, "error": error}
+    def to_json(self, origin: str | None = None) -> dict:
+        doc: dict = {"lhs": sorted(self.lhs), "rhs": self.rhs, "error": 0.0}
         if origin is not None:
             doc["origin"] = origin
         return doc
@@ -51,21 +51,6 @@ class FunctionalDependency:
 def fd(lhs: Iterable[str], rhs: str) -> FunctionalDependency:
     """Shorthand constructor used heavily in tests."""
     return FunctionalDependency(frozenset(lhs), rhs)
-
-
-@dataclass(frozen=True)
-class Afd:
-    """An approximate dependency: its error fraction and violation count."""
-
-    fd: FunctionalDependency
-    error: float
-    degree: int
-
-    def __post_init__(self):
-        if not 0 < self.error <= 1:
-            raise InternalInvariantError(
-                f"approximate dependency must have error in (0, 1]: {self}"
-            )
 
 
 class FdSet:

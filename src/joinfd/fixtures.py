@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .errors import InputError
-from .fds import Afd, FunctionalDependency
+from .fds import FunctionalDependency
 from .joins import JoinKind, JoinSpec
 from .relation import Instance
 
@@ -162,12 +162,8 @@ def _plant_afd(profile, rng, left_k, left_data) -> None:
         left_data[1][r] = f"broken{i}"
 
 
-def planted_afd(profile: FixtureProfile) -> Afd:
-    """The dependency description matching make_fixture's planted violators."""
+def planted_afd(profile: FixtureProfile) -> FunctionalDependency:
+    """The dependency a0 -> a1 that make_fixture's planted violators break."""
     if not profile.planted_afd_degree:
-        raise InputError("profile plants no approximate dependency")
-    return Afd(
-        FunctionalDependency(frozenset(["a0"]), "a1"),
-        error=profile.planted_afd_degree / profile.left_rows,
-        degree=profile.planted_afd_degree,
-    )
+        raise InputError("profile plants no near-dependency")
+    return FunctionalDependency(frozenset(["a0"]), "a1")

@@ -62,7 +62,6 @@ def oracle_join_fds(
         )
     if joined.row_count == 0:
         return FdSet()  # vacuous: callers flag this instead of emitting everything
-    exact, _ = discover_fds(joined)
-    cover = remove_implied(exact)
+    cover = remove_implied(discover_fds(joined))
     cover.origins = dict.fromkeys(cover.as_set(), "mined")
     return cover

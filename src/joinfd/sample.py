@@ -168,10 +168,9 @@ def micro_join_batch(
     if micro.row_count == 0:
         context.warnings.append("sample micro-join is empty; no dependencies mined")
         return None, FdSet()
-    fds, _ = discover_fds(micro)
     # every lhs is minimal on the micro-join: dropping implied members
     # leaves its minimal cover
-    return micro, remove_implied(fds)
+    return micro, remove_implied(discover_fds(micro))
 
 
 def discover_sampled(context: JoinContext, cfg: SampleConfig) -> FdSet:

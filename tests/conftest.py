@@ -28,13 +28,11 @@ from joinfd import pipeline
 from joinfd.context import JoinContext
 from joinfd.discovery import _PartitionCache, discover_fds, holds, walk
 from joinfd.fds import (
-    Afd,
     FdSet,
     FunctionalDependency,
     Rules,
     compile_rules,
     implies,
-    mask_bits,
     remove_implied,
 )
 from joinfd.joins import (
@@ -152,53 +150,6 @@ def brute_force_violations(instance: Instance, lhs, rhs) -> int:
         counts = groups.setdefault(key, {})
         counts[row[idx[rhs]]] = counts.get(row[idx[rhs]], 0) + 1
     return sum(sum(c.values()) - max(c.values()) for c in groups.values())
-
-
-def brute_force_afds(instance: Instance, epsilon: float) -> dict:
-    """Minimal approximate dependencies by exhaustive enumeration.
-
-    X -> A is reported, with its violation count, exactly when
-    0 < count <= epsilon * n and every proper subset of X, the empty one
-    included, is over that budget.
-    """
-    n = instance.row_count
-    names = list(instance.attr_names)
-    out = {}
-    for rhs in names:
-        others = [a for a in names if a != rhs]
-        count = {
-            frozenset(combo): brute_force_violations(instance, combo, rhs)
-            for size in range(len(others) + 1)
-            for combo in combinations(others, size)
-        }
-        for lhs, c in count.items():
-            proper = [s for s in count if s < lhs]
-            if 0 < c <= epsilon * n and all(count[s] > epsilon * n for s in proper):
-                out[FunctionalDependency(lhs, rhs)] = c
-    return out
-
-
-def brute_force_min_removals(instance: Instance, lhs, rhs) -> int:
-    """Smallest number of rows to delete so lhs -> rhs holds; exhaustive."""
-    rows = instance.raw_rows()
-    names = list(instance.attr_names)
-    idx = {a: i for i, a in enumerate(names)}
-
-    def ok(kept_rows) -> bool:
-        seen = {}
-        for row in kept_rows:
-            key = tuple(row[idx[a]] for a in lhs)
-            if seen.setdefault(key, row[idx[rhs]]) != row[idx[rhs]]:
-                return False
-        return True
-
-    n = len(rows)
-    for k in range(n + 1):
-        for removal in combinations(range(n), k):
-            kept = [rows[i] for i in range(n) if i not in set(removal)]
-            if ok(kept):
-                return k
-    return n
 
 
 def reference_closure(attrs, fds) -> frozenset:
@@ -321,12 +272,11 @@ def reference_mine(context, i_is_left, anchors, pool) -> FdSet:
     return out
 
 
-def reference_search(cache, known=(), epsilon=0.0) -> tuple[FdSet, list]:
+def reference_search(cache, known=()) -> FdSet:
     """`discovery._search` as one walk of the lattice per rhs, from the
     empty set, pruning only above that rhs's own hits and what `known` plus
     that rhs's finds imply."""
     instance = cache.instance
-    n = instance.row_count
     rules = Rules()
     if known:
         rules.mask(sorted(cache.bits, reverse=True))
@@ -334,14 +284,10 @@ def reference_search(cache, known=(), epsilon=0.0) -> tuple[FdSet, list]:
             rules.add(d)
     check = bool(rules.rules)
     exact = FdSet()
-    afds: list[Afd] = []
     for rhs in instance.attr_names:
         rhs_ord = instance.ordinal(rhs)
         goal = cache.bits[rhs]
         found: list[int] = []
-        # each judged non-dependency -> whether some subset of it, itself
-        # included, is within the error budget
-        budget: dict[int, bool] = {}
 
         def verdict(lhs: int) -> bool:
             if check:
@@ -352,21 +298,11 @@ def reference_search(cache, known=(), epsilon=0.0) -> tuple[FdSet, list]:
                 exact.add(FunctionalDependency(cache.names(lhs), rhs))
                 found.append(lhs)
                 return True
-            if epsilon > 0:
-                within = any(budget[lhs ^ bit] for bit in mask_bits(lhs))
-                if not within:
-                    count = cache.error_count(lhs, rhs_ord)
-                    within = count <= epsilon * n
-                    if within:
-                        fd = FunctionalDependency(cache.names(lhs), rhs)
-                        afds.append(Afd(fd, count / n, count))
-                budget[lhs] = within
             return False
 
         if not verdict(0):
             walk([bit for bit in cache.bits.values() if bit != goal], verdict)
-    afds.sort(key=lambda a: a.fd.sort_key())
-    return exact, afds
+    return exact
 
 
 def reference_upstage(context) -> UpstageResult:
@@ -377,7 +313,7 @@ def reference_upstage(context) -> UpstageResult:
     out: dict[str, FdSet] = {}
     preserved: dict[str, FdSet] = {}
     for side, inst in (("left", context.left), ("right", context.right)):
-        fds, _ = discover_fds(inst)
+        fds = discover_fds(inst)
         sub = context.side_subinstance(side)
         if sub is None:
             out[side] = preserved[side] = FdSet()
@@ -388,7 +324,7 @@ def reference_upstage(context) -> UpstageResult:
         if not padded and sub.row_count == inst.row_count:
             out[side] = FdSet()
             continue
-        new, _ = reference_search(_PartitionCache(sub), survivors)
+        new = reference_search(_PartitionCache(sub), survivors)
         out[side] = remove_implied(new)
     left_up, right_up = FdSet(), FdSet()
     for d in out["left"]:

@@ -79,7 +79,7 @@ def test_criterion_2_preservation():
         ):
             if absent:
                 continue
-            exact, _ = discover_fds(inst)
+            exact = discover_fds(inst)
             for d in exact:
                 if not d.lhs and pads:
                     continue  # null padding may break constants, by design
@@ -109,7 +109,7 @@ def test_criterion_3_four_row_tables_exactly():
     ]
     assert [tuple(r[i] for i in (0, 1, 3, 4)) for r in joined.raw_rows()] == printed
 
-    exact, _ = discover_fds(right)
+    exact = discover_fds(right)
     assert exact == {fd(["Y", "B"], "C"), fd(["Y", "C"], "B")}
 
     report = run_pipeline(left, right, spec)
@@ -142,18 +142,18 @@ def test_criterion_4_upstage_promotion():
             upstage_positive=positive,
         )
         left, right, spec = make_fixture(profile, seed=seed)
-        afd = planted_afd(profile)
+        planted = planted_afd(profile)
         result = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
-        renamed = afd.fd.rename(left_name_map(left, right, spec))
+        renamed = planted.rename(left_name_map(left, right, spec))
         if positive:
-            assert afd.fd in result.left_upstaged or implies(
-                result.left_upstaged, afd.fd
+            assert planted in result.left_upstaged or implies(
+                result.left_upstaged, planted
             ), f"seed {seed}: planted dependency not promoted"
             assert holds(joined, renamed), f"seed {seed}: oracle disagrees"
             promoted += 1
         else:
-            assert afd.fd not in result.left_upstaged, f"seed {seed}: bad promotion"
+            assert planted not in result.left_upstaged, f"seed {seed}: bad promotion"
             assert not holds(joined, renamed)
             blocked += 1
     assert promoted == blocked == 50

@@ -99,8 +99,7 @@ wide = make_fixture(
 )
 joined = join(*wide)
 built[0] = 0
-exact, afds = discovery.discover_fds(joined, 0.1)
-out.append([str(d) for d in exact] + [str(a.fd) for a in afds])
+out.append([str(d) for d in discovery.discover_fds(joined)])
 out.append([str(d) for d in discovery.discover_new_fds(joined)])
 out.append(built[0])
 print(json.dumps(out))

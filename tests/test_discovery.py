@@ -19,7 +19,6 @@ from joinfd.joins import join
 from joinfd.relation import loads_csv, take_rows
 
 from conftest import (
-    brute_force_afds,
     brute_force_fds,
     model_implies,
     random_instance,
@@ -56,16 +55,14 @@ def test_empty_lhs_means_constant_column():
 
 def test_key_determines_everything():
     inst = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p\n4,z,z")
-    exact, _ = discover_fds(inst)
+    exact = discover_fds(inst)
     for other in ("a", "b"):
         assert fd(["k"], other) in exact
 
 
 def test_proof_table_exact_set():
     right = loads_csv("Y,B,C\n0,0,0\n1,0,0\n1,1,1\n2,1,0")
-    exact, afds = discover_fds(right, 0.0)
-    assert exact == {fd(["Y", "B"], "C"), fd(["Y", "C"], "B")}
-    assert afds == []
+    assert discover_fds(right) == {fd(["Y", "B"], "C"), fd(["Y", "C"], "B")}
 
 
 def test_matches_brute_force_enumeration():
@@ -78,7 +75,7 @@ def test_matches_brute_force_enumeration():
             n_rows=rng.randint(2, 30),
             null_share=rng.choice([0.0, 0.25]),
         )
-        exact, _ = discover_fds(inst)
+        exact = discover_fds(inst)
         assert exact == brute_force_fds(inst)
 
 
@@ -107,67 +104,19 @@ def test_new_fds_skip_what_the_same_level_found_implies():
     # known set: c -> b holds, but known c -> a and the a -> b found just
     # before it imply it
     inst = loads_csv("a,b,c\n1,x,p\n1,x,q\n2,y,r")
-    new, _ = reference_search(_PartitionCache(inst), FdSet([fd(["c"], "a")]))
+    new = reference_search(_PartitionCache(inst), FdSet([fd(["c"], "a")]))
     assert new == {fd(["a"], "b"), fd(["b"], "a")}
-
-
-def test_afds_match_brute_force_budget_definition():
-    rng = random.Random(28)
-    for _ in range(150):
-        inst = random_instance(
-            rng,
-            n_attrs=rng.randint(2, 5),
-            n_rows=rng.randint(1, 20),
-            null_share=rng.choice([0.0, 0.0, 0.3]),
-        )
-        epsilon = rng.choice([0.1, 0.2, 0.3, 0.5])
-        _, afds = discover_fds(inst, epsilon)
-        got = {a.fd: a.degree for a in afds}
-        assert got == brute_force_afds(inst, epsilon)
-        for a in afds:
-            assert a.error == a.degree / inst.row_count
 
 
 def test_soundness_and_minimality():
     rng = random.Random(22)
     for _ in range(40):
         inst = random_instance(rng, n_attrs=4)
-        exact, _ = discover_fds(inst)
+        exact = discover_fds(inst)
         for d in exact:
             assert holds(inst, d)
             for a in d.lhs:
                 assert not holds(inst, fd(d.lhs - {a}, d.rhs))
-
-
-def test_afd_degree_one_in_five_rows():
-    inst = loads_csv("flag,date\n1,d1\n1,d1\n0,d7\n0,d7\n0,d9")
-    exact, afds = discover_fds(inst, epsilon=0.2)
-    entries = [a for a in afds if a.fd == fd(["flag"], "date")]
-    assert len(entries) == 1
-    assert entries[0].degree == 1
-    assert entries[0].error == 0.2
-
-
-def test_afds_minimal_under_budget():
-    rng = random.Random(25)
-    for _ in range(30):
-        inst = random_instance(rng, n_attrs=3, n_rows=rng.randint(4, 15))
-        _, afds = discover_fds(inst, epsilon=0.3)
-        budget = {a.fd for a in afds}
-        for a in afds:
-            assert 0 < a.error <= 0.3
-            for attr in a.fd.lhs:
-                smaller = fd(a.fd.lhs - {attr}, a.fd.rhs)
-                assert smaller not in budget
-
-
-def test_exact_results_unaffected_by_epsilon():
-    rng = random.Random(26)
-    for _ in range(25):
-        inst = random_instance(rng, n_attrs=4)
-        with_eps, _ = discover_fds(inst, epsilon=0.25)
-        without, _ = discover_fds(inst, epsilon=0.0)
-        assert with_eps == without
 
 
 def _random_families(rng, count):
@@ -290,7 +239,7 @@ def test_partition_classes_do_not_depend_on_request_order():
 
 def test_vacuous_instance_reports_constants():
     inst = take_rows(loads_csv("a,b\n1,2"), [])
-    exact, _ = discover_fds(inst)
+    exact = discover_fds(inst)
     assert exact == {fd([], "a"), fd([], "b")}
 
 
@@ -303,24 +252,15 @@ def test_search_matches_the_per_rhs_reference():
             n_rows=rng.randint(1, 30),
             null_share=rng.choice([0.0, 0.25]),
         )
-        for epsilon in (0.0, 0.1, 0.3):
-            got = _search(_PartitionCache(inst), epsilon)
-            want = reference_search(_PartitionCache(inst), epsilon=epsilon)
-            assert got[0] == want[0]
-            assert got[1] == want[1]
+        assert _search(_PartitionCache(inst)) == reference_search(_PartitionCache(inst))
 
 
-def _spied_search(monkeypatch, search, inst, epsilon):
+def _spied_search(monkeypatch, search, inst):
     """`search` on `inst`, with the masks whose partition it requested and
-    the (mask, rhs) pairs its exact scan and its error count judged."""
+    the (mask, rhs) pairs its scan judged."""
     requested: list[int] = []
     scanned: list[tuple[int, int]] = []
-    counted: list[tuple[int, int]] = []
-    get, scan, count = (
-        _PartitionCache.get,
-        _PartitionCache.holds,
-        _PartitionCache.error_count,
-    )
+    get, scan = _PartitionCache.get, _PartitionCache.holds
 
     def spy_get(self, mask):
         requested.append(mask)
@@ -330,23 +270,18 @@ def _spied_search(monkeypatch, search, inst, epsilon):
         scanned.append((lhs, rhs_ord))
         return scan(self, lhs, rhs_ord)
 
-    def spy_count(self, lhs, rhs_ord):
-        counted.append((lhs, rhs_ord))
-        return count(self, lhs, rhs_ord)
-
     monkeypatch.setattr(_PartitionCache, "get", spy_get)
     monkeypatch.setattr(_PartitionCache, "holds", spy_scan)
-    monkeypatch.setattr(_PartitionCache, "error_count", spy_count)
     cache = _PartitionCache(inst)
-    exact, _ = search(cache, epsilon=epsilon)
+    exact = search(cache)
     monkeypatch.undo()
-    return cache, exact, requested, scanned, counted
+    return cache, exact, requested, scanned
 
 
 def test_search_requests_no_partition_above_a_found_dependency(monkeypatch):
     # once X -> A is established, no lhs containing X | A is minimal for
     # any rhs, so no partition of one is requested; no (mask, rhs) pair is
-    # judged twice, by the scan or by the error count
+    # scanned twice
     rng = random.Random(32)
     per_rhs_requests_above = 0
     for i in range(80):
@@ -356,10 +291,7 @@ def test_search_requests_no_partition_above_a_found_dependency(monkeypatch):
             n_rows=rng.randint(2, 30),
             null_share=rng.choice([0.0, 0.25]),
         )
-        epsilon = rng.choice([0.0, 0.1, 0.3])
-        cache, exact, requested, scanned, counted = _spied_search(
-            monkeypatch, _search, inst, epsilon
-        )
+        cache, exact, requested, scanned = _spied_search(monkeypatch, _search, inst)
         dead = {cache.mask(d.lhs | {d.rhs}) for d in exact}
 
         def above(mask):
@@ -367,12 +299,8 @@ def test_search_requests_no_partition_above_a_found_dependency(monkeypatch):
 
         assert not any(map(above, requested)), inst.attr_names
         assert len(set(scanned)) == len(scanned)
-        assert len(set(counted)) == len(counted)
-        assert set(counted) <= set(scanned)
         # the walks per rhs do request such partitions
-        _, _, requested, _, _ = _spied_search(
-            monkeypatch, reference_search, inst, epsilon
-        )
+        _, _, requested, _ = _spied_search(monkeypatch, reference_search, inst)
         per_rhs_requests_above += sum(map(above, requested))
     assert per_rhs_requests_above > 0
 
@@ -395,7 +323,7 @@ def test_search_builds_few_partitions_on_a_wide_join(monkeypatch):
         return original(part, instance, attr)
 
     monkeypatch.setattr(discovery, "refine", spy)
-    exact, _ = discover_fds(joined)
+    exact = discover_fds(joined)
     assert len(joined.attr_names) == 10 and len(exact) == 27
     # one walk per rhs built 972 here
     assert len(built) <= 504

@@ -4,7 +4,6 @@ import pytest
 
 from joinfd.errors import InternalInvariantError
 from joinfd.fds import (
-    Afd,
     FdSet,
     FunctionalDependency,
     attribute_closure,
@@ -21,11 +20,6 @@ from conftest import model_implies, reference_closure, reference_remove_implied
 def test_trivial_dependency_rejected():
     with pytest.raises(InternalInvariantError):
         fd(["a", "b"], "a")
-
-
-def test_afd_requires_positive_error():
-    with pytest.raises(InternalInvariantError):
-        Afd(fd(["a"], "b"), error=0.0, degree=0)
 
 
 def test_transitivity():

@@ -41,8 +41,8 @@ def test_admission_style_chain():
     )
     right = loads_csv("pid,dob\n1,b1\n2,b2", name="PAT")
     spec = JoinSpec.equi(["pid"], ["pid"])
-    sigma_l, _ = discover_fds(left)
-    sigma_r, _ = discover_fds(right)
+    sigma_l = discover_fds(left)
+    sigma_r = discover_fds(right)
     got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
     assert implies(got.fds, fd(["ADM.admit"], "PAT.dob"))
     assert fd(["ADM.admit"], "PAT.pid") in got.fds
@@ -51,8 +51,8 @@ def test_admission_style_chain():
 
 def test_proof_tables_infer_nothing_for_the_mixed_rhs(pair_with_join_only_fd):
     left, right, spec = pair_with_join_only_fd
-    sigma_l, _ = discover_fds(left)
-    sigma_r, _ = discover_fds(right)
+    sigma_l = discover_fds(left)
+    sigma_r = discover_fds(right)
     got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
     # nothing with a pure left-side lhs can determine C: A does not
     # determine X on the left table
@@ -202,8 +202,8 @@ def test_output_stable_under_input_order():
     left = loads_csv("k,a,b\n1,x,p\n2,y,q\n3,y,q", name="L")
     right = loads_csv("k,c\n1,m\n2,n\n3,n", name="R")
     spec = JoinSpec.equi(["k"], ["k"])
-    sigma_l, _ = discover_fds(left)
-    sigma_r, _ = discover_fds(right)
+    sigma_l = discover_fds(left)
+    sigma_r = discover_fds(right)
     a = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
     shuffled_l = FdSet(list(sigma_l)[::-1])
     shuffled_r = FdSet(list(sigma_r)[::-1])

@@ -137,7 +137,7 @@ def test_every_single_table_fd_survives_the_join():
         ):
             if skip:
                 continue
-            exact, _ = discover_fds(inst)
+            exact = discover_fds(inst)
             for d in exact:
                 if not d.lhs:
                     continue  # padding can break constant columns

@@ -78,7 +78,7 @@ def test_mixed_anchor_skipped_when_extension_alone_works():
     left = loads_csv("X,A\n0,0\n1,1", name="L")
     right = loads_csv("Y,B,C\n0,0,0\n1,0,0\n1,1,1", name="R")
     spec = JoinSpec.equi(["X"], ["Y"])
-    sigma_r, _ = discover_fds(right)
+    sigma_r = discover_fds(right)
     assert implies(sigma_r, fd(["B"], "C"))
     anchors = _anchors(right.attr_names, ["Y"], sigma_r)
     assert ("C", frozenset(["B"])) not in anchors

@@ -7,7 +7,7 @@ from joinfd.discovery import _PartitionCache, holds
 from joinfd.partition import build_partition, refine
 from joinfd.relation import loads_csv, take_rows
 
-from conftest import brute_force_min_removals, brute_force_violations, random_instance
+from conftest import brute_force_violations, random_instance
 
 
 def test_key_column_strips_to_nothing():
@@ -110,10 +110,10 @@ def test_partition_of_fewer_than_two_rows_is_empty():
         assert part.classes == () and part.size == 0
 
 
-def _violations(inst, lhs, rhs):
-    """The g3 count of lhs -> rhs, read off the partition of lhs."""
+def _cache_holds(inst, lhs, rhs):
+    """The exact test of lhs -> rhs, read off the partition of lhs."""
     cache = _PartitionCache(inst)
-    return cache.error_count(cache.mask(lhs), inst.ordinal(rhs))
+    return cache.holds(cache.mask(lhs), inst.ordinal(rhs))
 
 
 def test_error_zero_iff_dependency_holds():
@@ -121,59 +121,61 @@ def test_error_zero_iff_dependency_holds():
     for _ in range(60):
         inst = random_instance(rng, n_attrs=3)
         d = fd(["c0"], "c2")
-        assert (_violations(inst, d.lhs, d.rhs) == 0) == holds(inst, d)
+        want = holds(inst, d)
+        assert (brute_force_violations(inst, d.lhs, d.rhs) == 0) == want
+        assert _cache_holds(inst, d.lhs, d.rhs) == want
 
 
 def test_error_half_when_one_of_two_rows_must_go():
     inst = loads_csv("x,y\na,1\na,2")
-    assert brute_force_min_removals(inst, ["x"], "y") == 1
-    assert _violations(inst, ["x"], "y") == 1
+    assert brute_force_violations(inst, ["x"], "y") == 1
+    assert not _cache_holds(inst, ["x"], "y")
+    for kept in ([0], [1]):
+        assert _cache_holds(take_rows(inst, kept), ["x"], "y")
 
 
 def test_degree_one_of_five_rows():
     # one violating row out of five, like a flag column almost determining
     # a date column
     inst = loads_csv("flag,date\n1,d1\n1,d1\n0,\n0,\n0,d9", null_tokens=[""])
-    assert _violations(inst, ["flag"], "date") == 1
+    assert brute_force_violations(inst, ["flag"], "date") == 1
+    assert not _cache_holds(inst, ["flag"], "date")
+    assert _cache_holds(take_rows(inst, range(4)), ["flag"], "date")
 
 
 def test_empty_instance_error_is_zero():
     inst = loads_csv("a,b\n1,2")
     empty = take_rows(inst, [])
-    assert _violations(empty, ["a"], "b") == 0
+    assert brute_force_violations(empty, ["a"], "b") == 0
+    assert _cache_holds(empty, ["a"], "b")
 
 
 def test_violators_empty_when_dependency_holds():
     inst = loads_csv("a,b\nx,1\nx,1\ny,2")
-    assert _violations(inst, ["a"], "b") == 0
+    assert brute_force_violations(inst, ["a"], "b") == 0
+    assert _cache_holds(inst, ["a"], "b")
 
 
 def test_minority_row_is_the_violator():
     inst = loads_csv("x,y\na,1\na,1\na,2")
-    assert _violations(inst, ["x"], "y") == 1
     assert brute_force_violations(inst, ["x"], "y") == 1
-
-
-def test_violation_count_matches_error_exactly():
-    rng = random.Random(17)
-    for _ in range(80):
-        inst = random_instance(rng, n_attrs=3)
-        want = brute_force_violations(inst, ["c1"], "c0")
-        assert _violations(inst, ["c1"], "c0") == want
+    assert _cache_holds(take_rows(inst, [0, 1]), ["x"], "y")
+    assert not _cache_holds(take_rows(inst, [0, 2]), ["x"], "y")
 
 
 def test_removing_violators_makes_dependency_hold():
-    # the count is the fewest rows whose removal makes the dependency hold
+    # keeping, per lhs group, only the rows of its most frequent rhs value
+    # drops as many rows as the g3 count and leaves a dependency that holds
     rng = random.Random(19)
     for _ in range(80):
         inst = random_instance(rng, n_attrs=3, n_rows=rng.randint(2, 7))
-        want = brute_force_min_removals(inst, ["c0", "c1"], "c2")
-        assert _violations(inst, ["c0", "c1"], "c2") == want
-
-
-def test_error_matches_exhaustive_minimum_removals():
-    rng = random.Random(23)
-    for _ in range(30):
-        inst = random_instance(rng, n_attrs=3, n_rows=rng.randint(2, 7))
-        want = brute_force_min_removals(inst, ["c0"], "c1")
-        assert _violations(inst, ["c0"], "c1") == want
+        groups = {}
+        for r, (c0, c1, c2) in enumerate(inst.raw_rows()):
+            groups.setdefault((c0, c1), {}).setdefault(c2, []).append(r)
+        kept = sorted(
+            r for by_rhs in groups.values() for r in max(by_rhs.values(), key=len)
+        )
+        want = brute_force_violations(inst, ["c0", "c1"], "c2")
+        assert inst.row_count - len(kept) == want
+        assert _cache_holds(inst, ["c0", "c1"], "c2") == (want == 0)
+        assert _cache_holds(take_rows(inst, kept), ["c0", "c1"], "c2")

@@ -13,7 +13,7 @@ from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_left_deep, run_pipeline
 from joinfd.relation import loads_csv
 
-from conftest import brute_force_fds, random_instance
+from conftest import brute_force_fds, brute_force_violations, random_instance
 
 
 def test_oracle_on_proof_tables_contains_the_mixed_rule(pair_with_join_only_fd):
@@ -103,7 +103,7 @@ def test_oracle_tags_each_minimal_input_dependency_as_preserved():
         rep = run_pipeline(left, right, spec, strategy="oracle")
         # a semi-join's dropped side has no attributes in the result
         sigma_l, sigma_r = (
-            FdSet() if spec.kind is dropped else discover_fds(inst)[0]
+            FdSet() if spec.kind is dropped else discover_fds(inst)
             for inst, dropped in ((left, JoinKind.RIGHT_SEMI), (right, JoinKind.LEFT_SEMI))
         )
         preserved_l = {x.rename(left_name_map(left, right, spec)) for x in sigma_l}
@@ -263,17 +263,14 @@ def test_clean_fixture_covers_exactly_one():
 
 
 def test_planted_violators_have_requested_degree():
-    from joinfd.discovery import _PartitionCache
-
     for seed in range(10):
         prof = FixtureProfile(
             left_rows=12, right_rows=12, left_attrs=3, right_attrs=2,
             dangling_fraction=0.25, planted_afd_degree=1,
         )
         left, _, _ = make_fixture(prof, seed=seed)
-        afd = planted_afd(prof)
-        cache = _PartitionCache(left)
-        assert cache.error_count(cache.mask(afd.fd.lhs), left.ordinal(afd.fd.rhs)) == 1
+        planted = planted_afd(prof)
+        assert brute_force_violations(left, planted.lhs, planted.rhs) == 1
 
 
 def test_contradictory_profile_rejected():

@@ -143,7 +143,7 @@ def test_micro_join_cover_is_minimal_cover_of_its_fds():
         JoinContext(left, right, spec), SampleConfig(n_b=1, seed=9)
     )
     assert micro is not None
-    assert cover == minimal_cover(discover_fds(micro)[0])
+    assert cover == minimal_cover(discover_fds(micro))
 
 
 def test_micro_join_is_submultiset_of_full_join():

@@ -68,7 +68,7 @@ def test_dangled_duplicate_reveals_key():
     # filter a becomes a key
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
-    exact, _ = discover_fds(left)
+    exact = discover_fds(left)
     got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"]))).left_upstaged
     assert implies(list(got) + list(exact), fd(["a"], "b"))
 
@@ -81,7 +81,7 @@ def test_known_dependencies_never_reappear():
             dangling_fraction=0.3,
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        exact, _ = discover_fds(left)
+        exact = discover_fds(left)
         got = upstage(JoinContext(left, right, spec)).left_upstaged
         for d in got:
             assert not implies(exact, d)
@@ -100,15 +100,15 @@ def test_promotion_and_blocking_match_the_oracle():
             upstage_positive=positive,
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        afd = planted_afd(prof)
+        planted = planted_afd(prof)
         got = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
-        renamed = afd.fd.rename(left_name_map(left, right, spec))
+        renamed = planted.rename(left_name_map(left, right, spec))
         if positive:
-            assert afd.fd in got.left_upstaged or implies(got.left_upstaged, afd.fd)
+            assert planted in got.left_upstaged or implies(got.left_upstaged, planted)
             assert holds(joined, renamed)
         else:
-            assert afd.fd not in got.left_upstaged
+            assert planted not in got.left_upstaged
             assert not holds(joined, renamed)
 
 
@@ -191,7 +191,7 @@ def test_input_partitions_only_for_a_lhs_missing_a_join_attribute(monkeypatch):
             sub = context.side_subinstance(side)
             if sub is None or sub is inst or padded:
                 continue
-            if any(not set(on) <= d.lhs for d in discover_fds(sub)[0]):
+            if any(not set(on) <= d.lhs for d in discover_fds(sub)):
                 want.append(inst)
         built.clear()
         upstage(context)
@@ -249,7 +249,7 @@ def test_side_local_output_is_preserved_iff_an_input_member():
     for left, right, spec in _fixture_pairs():
         context = JoinContext(left, right, spec)
         sides = [
-            (side, {qual: a for a, qual in names.items()}, discover_fds(inst)[0], sub)
+            (side, {qual: a for a, qual in names.items()}, discover_fds(inst), sub)
             for side, inst, names in (
                 ("left", left, context.lmap),
                 ("right", right, context.rmap),
@@ -290,9 +290,9 @@ def test_preserved_are_input_members_and_cover_the_side_rows():
             sub = context.side_subinstance(side)
             if sub is None:
                 continue
-            members = discover_fds(inst)[0]
+            members = discover_fds(inst)
             assert all(d in members for d in kept), (spec, side)
-            assert closure_equal(kept.union(upstaged), discover_fds(sub)[0])
+            assert closure_equal(kept.union(upstaged), discover_fds(sub))
 
 
 @pytest.fixture
@@ -301,9 +301,9 @@ def mined_inputs(monkeypatch):
     spied on wherever the package binds it."""
     seen: list[str] = []
 
-    def spy(instance, epsilon=0.0):
+    def spy(instance):
         seen.append(instance.name)
-        return discover_fds(instance, epsilon)
+        return discover_fds(instance)
 
     for module in (discovery, context_module):
         monkeypatch.setattr(module, "discover_fds", spy)
