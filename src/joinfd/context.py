@@ -24,6 +24,7 @@ materialized, which is the frugality evidence the report exposes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Sequence
 
 from .discovery import _PartitionCache, discover_fds, holds, lattice_bits
@@ -89,7 +90,7 @@ class JoinContext:
         self._directions: tuple[bool, bool] | None = None
         self._sides: dict[str, Instance | None] = {}
         self._input_fds: dict[str, FdSet] = {}
-        self._layouts: dict[str, tuple[Sequence[int], list[tuple]] | None] = {}
+        self._layouts: dict[str, tuple[Sequence[int], list[int]] | None] = {}
         # validator caches, see check_fd
         self._groups: dict[str, list[int]] = {}
         self._partitions: dict[str, _PartitionCache] = {}
@@ -157,24 +158,32 @@ class JoinContext:
                 sub = inst if len(rows) == inst.row_count else take_rows(inst, rows)
                 if pads and self.spec.natural:
                     on = self.spec.left_on if side == "left" else self.spec.right_on
-                    sub = append_padding(sub, [inst.ordinal(a) for a in on], pads)
+                    values = list(map(self.profile.values.__getitem__, pads))
+                    sub = append_padding(sub, [inst.ordinal(a) for a in on], values)
                 elif pads:
                     sub = append_padding(sub, (), [()] * len(pads))
             self._sides[side] = sub
         return self._sides[side]
 
-    def _side_rows(self, side: str) -> tuple[Sequence[int], list[tuple]] | None:
+    def _side_rows(self, side: str) -> tuple[Sequence[int], list[int]] | None:
         """Where the rows of `side_subinstance(side)` come from, in order.
 
         The ascending ids of the side's rows that survive the join, and the
-        other side's dangling join values it is padded for; None for the
-        dropped side of a semi-join. Worked out once per side.
+        group ids of the other side's dangling join values it is padded
+        for; None for the dropped side of a semi-join. Worked out once per
+        side.
         """
         if side not in self._layouts:
             self._layouts[side] = self._layout(side)
         return self._layouts[side]
 
-    def _layout(self, side: str) -> tuple[Sequence[int], list[tuple]] | None:
+    def _layout(self, side: str) -> tuple[Sequence[int], list[int]] | None:
+        """A side's surviving rows, picked by group id, and its padding ids.
+
+        Every row survives an outer join that preserves its side; otherwise
+        the rows survive whose id is shared, a shared id being below
+        `profile.n_shared`. Padding ids are in order of their value's text.
+        """
         kind, profile = self.spec.kind, self.profile
         if side == "left":
             inst, padded = self.left, self.pads_left()
@@ -186,16 +195,21 @@ class JoinContext:
             raise InternalInvariantError(f"unknown side {side!r}")
         if side == self.dropped_side():
             return None
-        if preserved:  # every row survives an outer join that preserves its side
+        if preserved:
             rows: Sequence[int] = range(inst.row_count)
         else:
-            rows = profile.rows(side, profile.shared)
-        pads = []
+            selected = map(profile.n_shared.__gt__, profile.ids(side))
+            rows = list(compress(range(inst.row_count), selected))
+        pads: list[int] = []
         if padded:
             # a null and the text "None" print alike: the null goes last
+            values = profile.values
             pads = sorted(
                 dangling,
-                key=lambda v: (tuple(str(x) for x in v), tuple(x is None for x in v)),
+                key=lambda g: (
+                    tuple(str(x) for x in values[g]),
+                    tuple(x is None for x in values[g]),
+                ),
             )
         return rows, pads
 
@@ -354,38 +368,25 @@ class JoinContext:
             kept.append(mask)
 
     def _row_groups(self, side: str) -> list[int]:
-        """Each row's group id in `side_subinstance(side)`.
+        """Each row's group id in `side_subinstance(side)`: the profile's id
+        of its join value, a padding row taking the id it pads for.
 
-        Group ids index the participating join values, the same on both
-        sides: the shared values, then the dangling ones an outer operator
-        pads, each in order of the first row carrying it (the order of the
-        profile's groups), so that the witnesses `check_fd` records do not
-        depend on set iteration order.
+        Both sides' sub-instances carry the same ids, the shared ones and
+        the dangling ones an outer operator pads, so the validator compares
+        groups across sides by id. Ids follow first-row order, so the
+        witnesses `check_fd` records do not depend on set iteration order.
         """
-        if not self._groups:
-            profile, shared = self.profile, self.profile.shared
-            values = [v for v in profile.left_groups if v in shared]
-            if self.pads_right():
-                values += [v for v in profile.left_groups if v not in shared]
-            if self.pads_left():
-                values += [v for v in profile.right_groups if v not in shared]
-            gid = {v: g for g, v in enumerate(values)}
-            for s in ("left", "right"):
-                layout = self._side_rows(s)
-                if layout is None:  # dropped side of a semi-join
-                    continue
-                groups = profile.groups(s)
-                label = [-1] * (self.left if s == "left" else self.right).row_count
-                for v, g in gid.items():
-                    for r in groups.get(v, ()):
-                        label[r] = g
-                rows, pads = layout
-                if not isinstance(rows, range):
-                    label = list(map(label.__getitem__, rows))
-                label += map(gid.__getitem__, pads)
-                if -1 in label:
-                    raise InternalInvariantError(f"a {s} row is in no join-value group")
-                self._groups[s] = label
+        if side not in self._groups:
+            rows, pads = self._side_rows(side)
+            ids = self.profile.ids(side)
+            if isinstance(rows, range):
+                labels = list(ids)
+            else:
+                labels = list(map(ids.__getitem__, rows))
+            labels += pads
+            if max(labels, default=-1) >= len(self.profile.values):
+                raise InternalInvariantError(f"a {side} row is in no join-value group")
+            self._groups[side] = labels
         return self._groups[side]
 
     def _links(

@@ -1,8 +1,12 @@
 """Join operators over instances, partial joins, and join coverage.
 
-Join keys are compared by decoded raw value, never by code, since codes are
-per-instance: each side's rows are grouped by their key code tuple, and each
-distinct tuple is decoded once. Null join values match null join values,
+Join keys are compared by raw value. Codes are per instance, so the join
+profile (`join_profile`) first recodes the right key columns into the left
+ones' code space, one dictionary entry at a time, then numbers the join
+values of both sides together and gives every input row one integer group
+id; only the distinct keys are decoded, once. The join, the coverage scores
+and every pipeline stage read those ids and the per-id row counts instead
+of hashing join values again. Null join values match null join values,
 consistent with the single-null-constant semantics. Outer operators pad the
 missing side with nulls; for natural joins the merged column takes whichever
 side is present. A join result is assembled from its inputs' code columns
@@ -19,7 +23,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, filterfalse, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import JoinSpecError
@@ -141,34 +146,10 @@ def right_name_map(left: Instance, right: Instance, spec: JoinSpec) -> dict[str,
     return mapping
 
 
-def _value_groups(instance: Instance, attrs: Sequence[str]) -> dict[tuple, list[int]]:
-    """Decoded join-value tuple over `attrs` -> ascending ids of its rows.
-
-    Rows are grouped by their code tuple, and the distinct tuples are
-    decoded a key column at a time; values come in order of their first row.
-    """
-    ords = [instance.ordinal(a) for a in attrs]
-    cols = [instance.columns[o] for o in ords]
-    # a single key column groups by its bare codes, saving a tuple per row
-    single = len(cols) == 1
-    by_codes: dict = {}
-    for r, codes in enumerate(cols[0] if single else zip(*cols)):
-        rows = by_codes.get(codes)
-        if rows is None:
-            by_codes[codes] = [r]
-        else:
-            rows.append(r)
-    # NULL_CODE is -1, so it selects the None appended to each dictionary
-    decoded = [
-        map((instance.dictionaries[o] + (None,)).__getitem__, codes)
-        for o, codes in zip(ords, [by_codes] if single else zip(*by_codes))
-    ]
-    return dict(zip(zip(*decoded), by_codes.values()))
-
-
-def _semi(side: Instance, groups: dict, partner_groups: dict) -> Instance:
-    """The rows of `side` with a partner, duplicates dropped, in row order."""
-    rows = sorted(r for v, rs in groups.items() if v in partner_groups for r in rs)
+def _semi(side: Instance, ids: Sequence[int], shared: int) -> Instance:
+    """The rows of `side` with a partner, those whose group id is below
+    `shared`, duplicates dropped, in row order."""
+    rows = compress(range(side.row_count), map(shared.__gt__, ids))
     contents = list(zip(*side.columns))
     first: dict[tuple, int] = {}
     for r in rows:
@@ -187,46 +168,44 @@ def join(
     codes and dictionaries. A natural merged column is the left one, whose
     dictionary grows by the right join values it lacks on the padding rows
     of dangling right rows. A given `profile` of the same triple supplies
-    both sides' join-value groups, which are otherwise computed here.
+    both sides' group ids, which are otherwise worked out here.
     """
     spec.validate(left, right)
     if profile is None:
-        lgroups = _value_groups(left, spec.left_on)
-        rgroups = _value_groups(right, spec.right_on)
-    else:
-        lgroups, rgroups = profile.left_groups, profile.right_groups
+        profile = join_profile(left, right, spec)
+    shared, rids = profile.n_shared, profile.right_ids
     if spec.kind is JoinKind.LEFT_SEMI:
-        return _semi(left, lgroups, rgroups)
+        return _semi(left, profile.left_ids, shared)
     if spec.kind is JoinKind.RIGHT_SEMI:
-        return _semi(right, rgroups, lgroups)
+        return _semi(right, rids, shared)
 
     names = result_schema(left, right, spec)
-    hits_of: list[list[int] | None] = [None] * left.row_count
-    for v, rows in lgroups.items():
-        hits = rgroups.get(v)
-        if hits is not None:
-            for i in rows:
-                hits_of[i] = hits
-    # the result's source rows per side; -1 selects a padding null
-    lrows: list[int] = []
-    rrows: list[int] = []
-    pads_right = spec.kind in PADS_RIGHT_ATTRS
-    for i, hits in enumerate(hits_of):
-        if hits is not None:
-            lrows.extend([i] * len(hits))
-            rrows.extend(hits)
-        elif pads_right:
-            lrows.append(i)
-            rrows.append(-1)
+    # per id, the right rows each left row carrying it pairs with: a shared
+    # id's right rows in ascending order, and a dangling one's padding null
+    # (-1) when the operator keeps the row, else none
+    by_id = sorted(range(right.row_count), key=rids.__getitem__)
+    hits: list[Sequence[int]] = []
+    start = 0
+    for n in profile.right_counts[:shared]:
+        hits.append(by_id[start : start + n])
+        start += n
+    pad = (-1,) if spec.kind in PADS_RIGHT_ATTRS else ()
+    hits += [pad] * len(profile.dangling_left)
+    # the result's source rows per side
+    hits_of = list(map(hits.__getitem__, profile.left_ids))
+    repeats = map(repeat, range(left.row_count), map(len, hits_of))
+    lrows = list(chain.from_iterable(repeats))
+    rrows = list(chain.from_iterable(hits_of))
     lpart = take_rows(left, lrows)
     if spec.kind in PADS_LEFT_ATTRS:
-        dangling = sorted(
-            (j, v) for v, rows in rgroups.items() if v not in lgroups for j in rows
-        )
-        rrows.extend(j for j, _ in dangling)
+        # the dangling right rows, in row order
+        is_dangling = map(profile.n_left.__le__, rids)
+        dangling = list(compress(range(right.row_count), is_dangling))
+        rrows += dangling
         if spec.natural:
             on = [left.ordinal(a) for a in spec.left_on]
-            lpart = append_padding(lpart, on, [v for _, v in dangling])
+            pads = [profile.values[rids[j]] for j in dangling]
+            lpart = append_padding(lpart, on, pads)
         else:
             lpart = append_padding(lpart, (), [()] * len(dangling))
     dropped = set(spec.right_on) if spec.natural else set()
@@ -280,30 +259,47 @@ def partial_join(
 
 @dataclass(frozen=True)
 class JoinProfile:
-    """Value-level structure of a prospective join.
+    """Value-level structure of a prospective join: one group id per row.
 
-    Each side's groups map a decoded join-value tuple to the ascending ids
-    of the rows carrying it; every row count is read off those groups.
+    Ids number the distinct join values of both sides together: the shared
+    values first, in order of their first left row, then the left-dangling
+    ones likewise, then the right-dangling ones in order of their first
+    right row. `left_ids[r]` and `right_ids[r]` are the ids of each side's
+    row r, `values[g]` is the decoded join value of id g, and
+    `left_counts[g]` and `right_counts[g]` are each side's rows carrying
+    it; every row count is read off those counts.
     """
 
-    left_groups: dict[tuple, list[int]]
-    right_groups: dict[tuple, list[int]]
-    shared: frozenset
-    dangling_left: frozenset
-    dangling_right: frozenset
+    left_ids: Sequence[int]
+    right_ids: Sequence[int]
+    values: Sequence[tuple]
+    left_counts: Sequence[int]
+    right_counts: Sequence[int]
+    n_shared: int
+    n_left: int
     inner_rows: int
 
-    def groups(self, side: str) -> dict[tuple, list[int]]:
-        return self.left_groups if side == "left" else self.right_groups
+    @property
+    def shared(self) -> range:
+        return range(self.n_shared)
 
-    def count(self, side: str, values: Iterable[tuple]) -> int:
-        """Rows of one side carrying any of `values`."""
-        groups = self.groups(side)
-        return sum(len(groups[v]) for v in values)
+    @property
+    def dangling_left(self) -> range:
+        return range(self.n_shared, self.n_left)
 
-    def rows(self, side: str, values: Iterable[tuple]) -> list[int]:
-        """Ascending ids of one side's rows carrying any of `values`."""
-        return sorted(chain.from_iterable(map(self.groups(side).__getitem__, values)))
+    @property
+    def dangling_right(self) -> range:
+        return range(self.n_left, len(self.values))
+
+    def ids(self, side: str) -> Sequence[int]:
+        return self.left_ids if side == "left" else self.right_ids
+
+    def counts(self, side: str) -> Sequence[int]:
+        return self.left_counts if side == "left" else self.right_counts
+
+    def count(self, side: str, ids: Iterable[int]) -> int:
+        """Rows of one side carrying any of `ids`."""
+        return sum(map(self.counts(side).__getitem__, ids))
 
     def rows_for(self, kind: JoinKind) -> int:
         if kind is JoinKind.INNER:
@@ -321,17 +317,69 @@ class JoinProfile:
         raise JoinSpecError(f"no closed-form row count for {kind}")
 
 
+def _common_codes(
+    left: Instance, right: Instance, spec: JoinSpec
+) -> tuple[Sequence, Sequence, list[tuple]]:
+    """Each row's join key on both sides in one code space, and per key
+    attribute the words that decode it.
+
+    Left codes stand. A right word takes its left code, or a code past the
+    left dictionary when the left lacks it, so two keys are equal iff their
+    values are. A key is a bare code for a single join attribute, else a
+    tuple of codes.
+    """
+    lcols, rcols, words = [], [], []
+    for a, b in zip(spec.left_on, spec.right_on):
+        lo, ro = left.ordinal(a), right.ordinal(b)
+        ldict, rdict = left.dictionaries[lo], right.dictionaries[ro]
+        code_of = dict(zip(ldict, range(len(ldict))))
+        shift = len(ldict)
+        # NULL_CODE is -1, so it selects the last entry: itself, and None
+        recode = [*map(code_of.get, rdict, range(shift, shift + len(rdict))), NULL_CODE]
+        lcols.append(left.columns[lo])
+        rcols.append(list(map(recode.__getitem__, right.columns[ro])))
+        words.append(ldict + rdict + (None,))
+    if len(lcols) == 1:
+        return lcols[0], rcols[0], words
+    return list(zip(*lcols)), list(zip(*rcols)), words
+
+
+def _counts(ids: Sequence[int], size: int) -> list[int]:
+    """How many of `ids` are each of 0..size-1."""
+    counts = [0] * size
+    for g in ids:
+        counts[g] += 1
+    return counts
+
+
 def join_profile(left: Instance, right: Instance, spec: JoinSpec) -> JoinProfile:
-    lg = _value_groups(left, spec.left_on)
-    rg = _value_groups(right, spec.right_on)
-    shared = frozenset(lg) & frozenset(rg)
+    """Number both sides' join values and label every row with its id.
+
+    Both sides' keys are put in one code space, so they meet on integer
+    codes, and only the distinct keys are decoded, once, in id order.
+    """
+    lkeys, rkeys, words = _common_codes(left, right, spec)
+    ldistinct, rdistinct = dict.fromkeys(lkeys), dict.fromkeys(rkeys)
+    keys = list(filter(rdistinct.__contains__, ldistinct))
+    n_shared = len(keys)
+    keys += filterfalse(rdistinct.__contains__, ldistinct)
+    n_left = len(keys)
+    keys += filterfalse(ldistinct.__contains__, rdistinct)
+    id_of = dict(zip(keys, range(len(keys))))
+    left_ids = list(map(id_of.__getitem__, lkeys))
+    right_ids = list(map(id_of.__getitem__, rkeys))
+    left_counts = _counts(left_ids, len(keys))
+    right_counts = _counts(right_ids, len(keys))
+    columns = [keys] if len(words) == 1 else zip(*keys)
     return JoinProfile(
-        left_groups=lg,
-        right_groups=rg,
-        shared=shared,
-        dangling_left=frozenset(lg) - shared,
-        dangling_right=frozenset(rg) - shared,
-        inner_rows=sum(len(lg[v]) * len(rg[v]) for v in shared),
+        left_ids=left_ids,
+        right_ids=right_ids,
+        values=list(zip(*[map(w.__getitem__, col) for w, col in zip(words, columns)])),
+        left_counts=left_counts,
+        right_counts=right_counts,
+        n_shared=n_shared,
+        n_left=n_left,
+        inner_rows=sum(map(mul, left_counts[:n_shared], right_counts)),
     )
 
 
@@ -350,11 +398,12 @@ def join_attr_directions(
     if profile is None:
         profile = join_profile(left, right, spec)
     null_key = (None,) * len(spec.left_on)
-    pairs = [(v, v) for v in profile.shared]
+    values = profile.values
+    pairs = [(v, v) for v in values[: profile.n_shared]]
     if spec.kind in PADS_RIGHT_ATTRS:
-        pairs += [(v, null_key) for v in profile.dangling_left]
+        pairs += [(v, null_key) for v in values[profile.n_shared : profile.n_left]]
     if spec.kind in PADS_LEFT_ATTRS:
-        pairs += [(null_key, w) for w in profile.dangling_right]
+        pairs += [(null_key, w) for w in values[profile.n_left :]]
 
     def functional(items) -> bool:
         seen: dict = {}
@@ -386,11 +435,11 @@ class CoverageReport:
 
     @property
     def per_value_left(self) -> tuple[dict, ...]:
-        return _per_value(self.profile.left_groups, self.profile.right_groups)
+        return _per_value(self.profile, "left")
 
     @property
     def per_value_right(self) -> tuple[dict, ...]:
-        return _per_value(self.profile.right_groups, self.profile.left_groups)
+        return _per_value(self.profile, "right")
 
     def to_json(self) -> dict:
         def side(cov: Fraction, entries) -> dict:
@@ -408,15 +457,20 @@ class CoverageReport:
         }
 
 
-def _per_value(own: dict, other: dict) -> tuple[dict, ...]:
+def _per_value(profile: JoinProfile, side: str) -> tuple[dict, ...]:
     # each value's ratio join_rows / side_rows is its partner count
+    own = profile.counts(side)
+    other = profile.counts("right" if side == "left" else "left")
+    values = profile.values
     entries = []
-    for value in sorted(own, key=lambda v: tuple(str(x) for x in v)):
-        side_rows = len(own[value])
-        partners = len(other.get(value, ()))
+    # the side's ids in order of their first row, then of their text
+    for g in sorted(
+        dict.fromkeys(profile.ids(side)), key=lambda g: tuple(str(x) for x in values[g])
+    ):
+        side_rows, partners = own[g], other[g]
         entries.append(
             {
-                "value": ["" if x is None else x for x in value],
+                "value": ["" if x is None else x for x in values[g]],
                 "side_rows": side_rows,
                 "join_rows": side_rows * partners,
                 "ratio": float(partners),
@@ -433,13 +487,13 @@ def profile_coverage(profile: JoinProfile) -> CoverageReport:
     distinct values.
     """
 
-    def score(own: dict, other: str) -> Fraction:
-        if not own:
+    def score(distinct: int, other: str) -> Fraction:
+        if not distinct:
             return Fraction(0)
-        return Fraction(profile.count(other, profile.shared), len(own))
+        return Fraction(profile.count(other, profile.shared), distinct)
 
-    cov_left = score(profile.left_groups, "right")
-    cov_right = score(profile.right_groups, "left")
+    cov_left = score(profile.n_left, "right")
+    cov_right = score(len(profile.values) - len(profile.dangling_left), "left")
     return CoverageReport(
         cov_left=cov_left,
         cov_right=cov_right,

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Sequence
 
 from .context import JoinContext
 from .discovery import discover_fds
 from .errors import InputError
-from .fds import FdSet, remove_implied
+from .fds import FdSet
 from .joins import PADS_LEFT_ATTRS, PADS_RIGHT_ATTRS, join
 from .relation import Instance, take_rows
 
@@ -66,14 +66,16 @@ def _rank(seed: int, value: tuple) -> int:
     return zlib.crc32(repr((seed, value)).encode())
 
 
-def rank_order(values: Iterable[tuple], seed: int) -> list[tuple]:
-    """Candidate join values in rank order: each ranked once (`_rank`),
-    with the value's own order as a tie-break only when two candidates
-    share a crc32."""
-    rank = {v: _rank(seed, v) for v in values}
-    if len(set(rank.values())) < len(rank):  # a crc32 collision
-        return sorted(rank, key=lambda v: (rank[v], _value_sort_key(v)))
-    return sorted(rank, key=rank.__getitem__)
+def rank_order(values: Sequence[tuple], seed: int) -> list[int]:
+    """Positions of the candidate join `values` in rank order: each value
+    ranked once (`_rank`), with the value's own order as a tie-break only
+    when two candidates share a crc32."""
+    rank = [_rank(seed, v) for v in values]
+    if len(set(rank)) < len(rank):  # a crc32 collision
+        return sorted(
+            range(len(rank)), key=lambda i: (rank[i], _value_sort_key(values[i]))
+        )
+    return sorted(range(len(rank)), key=rank.__getitem__)
 
 
 def _first_labels(codes: Sequence[int], labels: Sequence[int], n_b: int) -> list[int]:
@@ -92,30 +94,31 @@ def _first_labels(codes: Sequence[int], labels: Sequence[int], n_b: int) -> list
 def generate_ids_set(
     instance: Instance,
     on: Sequence[str],
-    ranked: Sequence[tuple],
-    groups: Mapping[tuple, Sequence[int]],
+    ids: Sequence[int],
+    ranked: Sequence[int],
     cfg: SampleConfig,
-) -> set[tuple]:
-    """Join values selected by the attribute tree of one side.
+) -> set[int]:
+    """Group ids selected by the attribute tree of one side.
 
-    `ranked` lists the candidate join values in rank order (`rank_order`)
-    and `groups` maps each to the ids of the rows carrying it; the tree
-    reads only those rows. They are laid out once in rank order, each
-    labelled by its value's position there, and every retained attribute
-    keeps, per code, the first `n_b` distinct labels of that layout: all
-    of a branch of at most `n_b` values, else its `n_b` lowest ranked. A
-    side whose tree would be empty, because it has no non-join attribute
-    or `n_v` leaves out every one, selects every candidate value, so that
-    the other side's selection decides.
+    `ids` gives each row of `instance` its group id, and `ranked` lists the
+    candidate ids in rank order (`rank_order`); the tree reads only the
+    rows of candidates. They are laid out once in rank order, by sorting
+    them on their id's rank, each labelled by that rank, and every retained
+    attribute keeps, per code, the first `n_b` distinct labels of that
+    layout: all of a branch of at most `n_b` ids, else its `n_b` lowest
+    ranked. A side whose tree would be empty, because it has no non-join
+    attribute or `n_v` leaves out every one, selects every candidate, so
+    that the other side's selection decides.
     """
     on_set = set(on)
     nonjoin = [a for a in instance.attr_names if a not in on_set]
     if len(nonjoin) <= cfg.n_v:
         return set(ranked)
-    members = list(map(groups.__getitem__, ranked))
-    rows = list(chain.from_iterable(members))
-    sizes = map(len, members)
-    labels = list(chain.from_iterable(map(repeat, range(len(ranked)), sizes)))
+    rank = dict(zip(ranked, range(len(ranked))))
+    rank_of = list(map(rank.get, ids))  # None outside the candidates
+    candidates = compress(range(len(ids)), map(rank.__contains__, ids))
+    rows = sorted(candidates, key=rank_of.__getitem__)  # stable: ascending per id
+    labels = list(map(rank_of.__getitem__, rows))
     codes = {
         a: list(map(instance.columns[instance.ordinal(a)].__getitem__, rows))
         for a in nonjoin
@@ -127,18 +130,23 @@ def generate_ids_set(
     return set(map(ranked.__getitem__, picked))
 
 
-def selective_sampling(context: JoinContext, cfg: SampleConfig) -> set[tuple]:
-    """Join values selected on both sides, restricted to the shared ones,
-    which both sides rank once together."""
+def selective_sampling(context: JoinContext, cfg: SampleConfig) -> set[int]:
+    """Shared group ids selected on both sides, which both sides rank once
+    together."""
     profile, spec = context.profile, context.spec
-    ranked = rank_order(profile.shared, cfg.seed)
+    ranked = rank_order(profile.values[: profile.n_shared], cfg.seed)
     picked_left = generate_ids_set(
-        context.left, spec.left_on, ranked, profile.left_groups, cfg
+        context.left, spec.left_on, profile.left_ids, ranked, cfg
     )
     picked_right = generate_ids_set(
-        context.right, spec.right_on, ranked, profile.right_groups, cfg
+        context.right, spec.right_on, profile.right_ids, ranked, cfg
     )
     return picked_left & picked_right
+
+
+def _rows_of(ids: Sequence[int], kept: Sequence[bool]) -> list[int]:
+    """The ascending rows whose group id is kept."""
+    return list(compress(range(len(ids)), map(kept.__getitem__, ids)))
 
 
 def micro_join_batch(
@@ -150,33 +158,38 @@ def micro_join_batch(
     Rows an outer operator keeps dangling are part of that operator's
     semantics, not of the shared value space, so they always participate,
     even when no shared value was selected; the micro-join is therefore a
-    sub-multiset of the full join result. Returns the micro-join (None when
-    it is empty) and the minimal cover of its dependencies.
+    sub-multiset of the full join result. Rows are picked by group id.
+    Returns the micro-join (None when it is empty) and its dependencies as
+    mined, each with a minimal lhs; the pipeline drops the implied members
+    of everything the stages found in one pass.
     """
-    ids = selective_sampling(context, cfg)
     spec, profile = context.spec, context.profile
-    left_values = set(ids)
-    right_values = set(ids)
+    # per id, whether each side keeps its rows: the selected ids, and the
+    # dangling ones an outer operator keeps
+    chosen = [False] * len(profile.values)
+    for g in selective_sampling(context, cfg):
+        chosen[g] = True
+    left_kept, right_kept = chosen[:], chosen
     if spec.kind in PADS_RIGHT_ATTRS:
-        left_values |= profile.dangling_left
+        for g in profile.dangling_left:
+            left_kept[g] = True
     if spec.kind in PADS_LEFT_ATTRS:
-        right_values |= profile.dangling_right
-    li = take_rows(context.left, profile.rows("left", left_values))
-    ri = take_rows(context.right, profile.rows("right", right_values))
+        for g in profile.dangling_right:
+            right_kept[g] = True
+    li = take_rows(context.left, _rows_of(profile.left_ids, left_kept))
+    ri = take_rows(context.right, _rows_of(profile.right_ids, right_kept))
     micro = join(li, ri, spec)
     context.counters.sample_join_rows += micro.row_count
     if micro.row_count == 0:
         context.warnings.append("sample micro-join is empty; no dependencies mined")
         return None, FdSet()
-    # every lhs is minimal on the micro-join: dropping implied members
-    # leaves its minimal cover
-    return micro, remove_implied(discover_fds(micro))
+    return micro, discover_fds(micro)
 
 
 def discover_sampled(context: JoinContext, cfg: SampleConfig) -> FdSet:
     """Sampling stage entry point; returns mined dependencies tagged sampled."""
-    _, cover = micro_join_batch(context, cfg)
+    _, fds = micro_join_batch(context, cfg)
     out = FdSet()
-    for d in cover:
+    for d in fds:
         out.add(d, "sampled")
     return out

@@ -28,6 +28,7 @@ upstaged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 from .context import JoinContext
@@ -53,6 +54,18 @@ def _holds_within(
         if seen.setdefault(tuple(col[r] for col in lhs), rhs[r]) != rhs[r]:
             return False
     return True
+
+
+def _rows_by_id(
+    ids: Sequence[int], counts: Sequence[int], dangling: range
+) -> list[list[int]]:
+    """The ascending rows of each dangling id that two or more rows carry,
+    in order of their first row, which is id order."""
+    multi = [g in dangling and n > 1 for g, n in enumerate(counts)]
+    by_id: dict[int, list[int]] = {}
+    for r in compress(range(len(ids)), map(multi.__getitem__, ids)):
+        by_id.setdefault(ids[r], []).append(r)
+    return list(by_id.values())
 
 
 def upstage(context: JoinContext) -> UpstageResult:
@@ -109,17 +122,14 @@ def upstage(context: JoinContext) -> UpstageResult:
             # rows agreeing on every join attribute carry one join value, and
             # the subset keeps or drops all rows of a value: a member whose
             # lhs holds them all can fail on the input only among the rows of
-            # one dropped value with two or more, taken in first-row order so
-            # that the work does not follow the hash seed; there is none when
-            # the dropped rows are as many as the dropped values
-            dropped = []
-            values = profile.dangling_left if side == "left" else profile.dangling_right
-            if inst.row_count - sub.row_count > len(values):
-                dropped = [
-                    rows
-                    for v, rows in profile.groups(side).items()
-                    if len(rows) > 1 and v not in profile.shared
-                ]
+            # one dropped value with two or more, picked by group id; there is
+            # none when the dropped rows are as many as the dropped values
+            dropped: list[list[int]] = []
+            dangling = (
+                profile.dangling_left if side == "left" else profile.dangling_right
+            )
+            if inst.row_count - sub.row_count > len(dangling):
+                dropped = _rows_by_id(profile.ids(side), profile.counts(side), dangling)
             cache = None  # the input's partitions, for any other lhs
             for d in mined:
                 rhs = inst.ordinal(d.rhs)

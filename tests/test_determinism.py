@@ -7,7 +7,9 @@ interpreter under three hash seeds, and everything it serializes except
 the timings must come out the same, counters included. A partition is
 refined from the smallest cached parent, so the order in which partitions
 are first requested decides how many `refine` builds and how many rows it
-reads: both counts must come out the same too. The inner pair dangles rows
+reads: both counts must come out the same too. A right outer join and a
+left semi-join on composite keys with nulls check the order of the
+right-dangling join values and the semi-join path. The inner pair dangles rows
 on both sides, so upstaging tests each side's mined dependencies on the
 input, and on each side some fail there and are upstaged. The last inner
 pair's dangling join values carry several rows each, so a member whose lhs
@@ -39,8 +41,16 @@ right = loads_csv(
     "k0,k1,b0,b1\\nx,y,s,m\\ny,∅,s,∅\\ny,∅,t,n\\n∅,x,t,m\\nv,v,s,n\\nx,y,∅,n",
     name="R", null_tokens=["∅"],
 )
+# several right join values without a partner, composite and null-bearing
+dangling = loads_csv(
+    "k0,k1,b0,b1\\nx,y,s,m\\nu,∅,s,∅\\n∅,∅,t,n\\n∅,x,t,m\\nv,v,s,n\\nu,∅,∅,n\\n∅,u,t,m",
+    name="R", null_tokens=["∅"],
+)
+on = ("k0", "k1")
 pairs = [
     (left, right, JoinSpec.natural_join(left, right, JoinKind.FULL_OUTER)),
+    (left, dangling, JoinSpec(JoinKind.RIGHT_OUTER, on, on)),
+    (left, dangling, JoinSpec(JoinKind.LEFT_SEMI, on, on)),
     make_fixture(
         FixtureProfile(
             left_rows=24, right_rows=24, left_attrs=4, right_attrs=4,
@@ -117,10 +127,16 @@ def test_reports_do_not_depend_on_the_hash_seed():
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         runs.append(json.loads(done.stdout))
-    # every pair mines something, so the walk order is exercised
+    # every pair but the semi-join mines something, so the walk order is
+    # exercised
     *docs, rows_read, built, searched, new, searches_built = runs[0]
     assert [doc["strategy"] for doc in docs[:3]] == ["selective", "sampling", "oracle"]
-    assert all(doc["counters"]["candidates_validated"] > 0 for doc in docs[::3])
+    assert [doc["operator"] for doc in docs[3:9:3]] == ["router", "lsemi"]
+    assert all(
+        doc["counters"]["candidates_validated"] > 0
+        for doc in docs[::3]
+        if doc["operator"] != "lsemi"
+    )
     assert rows_read > 0 and built > 0
     # the last pair keeps and upstages members whose lhs holds the join key
     tags = {

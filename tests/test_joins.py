@@ -8,7 +8,7 @@ from joinfd.errors import JoinSpecError
 from joinfd.joins import (
     JoinKind,
     JoinSpec,
-    _value_groups,
+    SEMI_KINDS,
     join,
     join_attr_directions,
     join_profile,
@@ -294,13 +294,13 @@ def test_left_deep_chain_over_a_code_level_intermediate():
         assert all(implies(sampled.fds, d) for d in want), (first, second)
 
 
-def _decoded_per_row(instance, attrs):
+def _decoded_keys(instance, attrs):
+    """Each row's join value over `attrs`, decoded cell by cell."""
     ords = [instance.ordinal(a) for a in attrs]
-    groups = {}
-    for r in range(instance.row_count):
-        value = tuple(instance.decode(o, instance.columns[o][r]) for o in ords)
-        groups.setdefault(value, []).append(r)
-    return groups
+    return [
+        tuple(instance.decode(o, instance.columns[o][r]) for o in ords)
+        for r in range(instance.row_count)
+    ]
 
 
 @pytest.mark.parametrize("attrs", [("k1", "k2"), ("k2",), ("k2", "a", "k1")])
@@ -320,8 +320,41 @@ def test_value_groups_decode_like_each_row(attrs):
         ],
         name="T",
     )
-    got = _value_groups(inst, attrs)
-    want = _decoded_per_row(inst, attrs)
-    assert got == want
-    assert list(got) == list(want)  # values in order of their first row
-    assert list(_value_groups(take_rows(inst, []), attrs)) == []
+    spec = JoinSpec.equi(attrs, attrs)
+    profile = join_profile(inst, inst, spec)
+    keys = _decoded_keys(inst, attrs)
+    assert [profile.values[g] for g in profile.left_ids] == keys
+    # values in order of their first row
+    assert profile.values == list(dict.fromkeys(keys))
+    assert profile.left_counts == [keys.count(v) for v in profile.values]
+    empty = take_rows(inst, [])
+    assert join_profile(empty, empty, spec).values == []
+
+
+def test_profile_ids_match_set_algebra_on_decoded_keys():
+    rng = random.Random(39)
+    for index in range(360):
+        left, right, spec = _tiny_pair(rng, index)
+        profile = join_profile(left, right, spec)
+        keys = {}
+        sides = (("left", left, spec.left_on), ("right", right, spec.right_on))
+        for side, inst, on in sides:
+            rows = _decoded_keys(inst, on)
+            # every row's id decodes to its key, and counts are row counts
+            assert [profile.values[g] for g in profile.ids(side)] == rows, spec
+            assert profile.counts(side) == [rows.count(v) for v in profile.values]
+            keys[side] = list(dict.fromkeys(rows))  # in first-row order
+        shared = [v for v in keys["left"] if v in keys["right"]]
+        values = profile.values
+        # shared ids in left first-row order, then each side's dangling ones
+        assert values[: profile.n_shared] == shared, spec
+        assert values[profile.n_shared : profile.n_left] == [
+            v for v in keys["left"] if v not in keys["right"]
+        ]
+        assert values[profile.n_left :] == [
+            v for v in keys["right"] if v not in keys["left"]
+        ]
+        for kind in JoinKind:
+            if kind not in SEMI_KINDS:
+                other = JoinSpec(kind, spec.left_on, spec.right_on, spec.natural)
+                assert profile.rows_for(kind) == join(left, right, other).row_count

@@ -7,9 +7,9 @@ from joinfd import sample
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds
 from joinfd.errors import InputError
-from joinfd.fds import FdSet, fd, implies, minimal_cover, closure_equal
+from joinfd.fds import FdSet, fd, implies, minimal_cover, closure_equal, remove_implied
 from joinfd.fixtures import FixtureProfile, make_fixture
-from joinfd.joins import JoinKind, JoinSpec, join
+from joinfd.joins import JoinKind, JoinSpec, join, join_profile
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import Instance, loads_csv
@@ -37,9 +37,22 @@ def _groups(inst, on=("k",)):
     return groups
 
 
-def _select(inst, on, groups, cfg):
-    """`generate_ids_set` over every value of `groups`, ranked by `cfg`."""
-    return generate_ids_set(inst, on, rank_order(groups, cfg.seed), groups, cfg)
+def _select(inst, on, cfg):
+    """The join values `generate_ids_set` selects among every join value of
+    `inst`, ranked by `cfg`. Joined with itself, `inst` shares them all."""
+    profile = join_profile(inst, inst, JoinSpec.equi(on, on))
+    ranked = rank_order(profile.values, cfg.seed)
+    return _values(profile, generate_ids_set(inst, on, profile.left_ids, ranked, cfg))
+
+
+def _values(profile, ids):
+    """The join values behind a set of group ids."""
+    return {profile.values[g] for g in ids}
+
+
+def _sampled(context, cfg):
+    """The join values `selective_sampling` selects."""
+    return _values(context.profile, selective_sampling(context, cfg))
 
 
 def test_config_validation():
@@ -52,20 +65,20 @@ def test_config_validation():
 def test_disjoint_join_values_select_nothing():
     left = loads_csv("k,a\n1,x", name="L")
     right = loads_csv("k,b\n2,p", name="R")
-    got = selective_sampling(_k_equi(left, right), SampleConfig())
+    got = _sampled(_k_equi(left, right), SampleConfig())
     assert got == set()
 
 
 def test_key_unique_sides_select_every_shared_value():
     left = loads_csv("k,a\n1,x\n2,y\n3,z", name="L")
     right = loads_csv("k,b\n1,p\n2,q\n9,r", name="R")
-    got = selective_sampling(_k_equi(left, right), SampleConfig(n_b=1))
+    got = _sampled(_k_equi(left, right), SampleConfig(n_b=1))
     assert got == {("1",), ("2",)}
 
 
 def test_single_constant_attribute_keeps_one_representative():
     inst = loads_csv("k,a\n1,c\n2,c\n3,c", name="L")
-    got = _select(inst, ["k"], _groups(inst), SampleConfig(n_b=1, seed=4))
+    got = _select(inst, ["k"], SampleConfig(n_b=1, seed=4))
     assert len(got) == 1
 
 
@@ -73,7 +86,7 @@ def test_leaving_out_every_attribute_selects_every_value():
     # n_v empties the left tree: that side selects every value and the
     # right side's tree decides, so the micro-join is not empty
     inst = loads_csv("k,a\n1,x\n2,y", name="L")
-    got = _select(inst, ["k"], _groups(inst), SampleConfig(n_b=1, n_v=1))
+    got = _select(inst, ["k"], SampleConfig(n_b=1, n_v=1))
     assert got == {("1",), ("2",)}
     left = loads_csv("k,a\n1,x\n2,y\n2,y\n3,x", name="L")
     right = loads_csv("k,b,c\n1,p,u\n2,q,u\n3,q,v", name="R")
@@ -93,7 +106,7 @@ def test_branch_contribution_property():
         prof = FixtureProfile(left_rows=14, right_rows=14, left_attrs=4, right_attrs=3)
         left, _, _ = make_fixture(prof, seed=seed)
         cfg = SampleConfig(n_b=2, n_v=1, seed=seed)
-        got = _select(left, ["k"], _groups(left), cfg)
+        got = _select(left, ["k"], cfg)
         all_values = {(row[0],) for row in left.raw_rows()}
         assert got <= all_values
         # recompute one branch by hand: every attribute value contributes
@@ -129,13 +142,13 @@ def test_selection_is_deterministic():
 def test_proof_tables_strict_sample(pair_with_join_only_fd):
     left, right, spec = pair_with_join_only_fd
     context = JoinContext(left, right, spec)
-    got = selective_sampling(context, SampleConfig(n_b=1, seed=0))
+    got = _sampled(context, SampleConfig(n_b=1, seed=0))
     shared = {("0",), ("1",), ("2",)}
     assert got <= shared
-    assert got == selective_sampling(context, SampleConfig(n_b=1, seed=0))
+    assert got == _sampled(context, SampleConfig(n_b=1, seed=0))
 
 
-def test_micro_join_cover_is_minimal_cover_of_its_fds():
+def test_micro_join_batch_returns_the_micro_joins_fds():
     prof = FixtureProfile(left_rows=16, right_rows=16, left_attrs=4, right_attrs=4,
                           duplicate_fraction=0.4)
     left, right, spec = make_fixture(prof, seed=9)
@@ -143,7 +156,7 @@ def test_micro_join_cover_is_minimal_cover_of_its_fds():
         JoinContext(left, right, spec), SampleConfig(n_b=1, seed=9)
     )
     assert micro is not None
-    assert cover == minimal_cover(discover_fds(micro))
+    assert cover == discover_fds(micro)
 
 
 def test_micro_join_is_submultiset_of_full_join():
@@ -254,7 +267,7 @@ def test_empty_selection_still_joins_dangling_rows():
     context = JoinContext(left, right, spec)
     micro, cover = micro_join_batch(context, SampleConfig())
     assert micro is not None and micro.row_count == 2
-    assert cover == oracle_join_fds(left, right, spec)
+    assert remove_implied(cover) == oracle_join_fds(left, right, spec)
     assert not context.warnings
 
 
@@ -263,8 +276,11 @@ def test_key_only_side_selects_every_shared_value():
     right = loads_csv("k,b\n1,p\n2,p\n2,q\n4,q", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.INNER)
     context = JoinContext(left, right, spec)
-    groups = {v: context.profile.right_groups[v] for v in context.profile.shared}
-    picked_right = _select(right, ["k"], groups, SampleConfig())
+    profile = context.profile
+    ranked = rank_order(profile.values[: profile.n_shared], 0)
+    picked_right = generate_ids_set(
+        right, ["k"], profile.right_ids, ranked, SampleConfig()
+    )
     assert selective_sampling(context, SampleConfig()) == picked_right != set()
 
 
@@ -288,9 +304,8 @@ def test_selection_matches_the_two_sort_reference(n_b, n_v):
         )
         cfg = SampleConfig(n_b=n_b, n_v=n_v, seed=seed)
         for inst, on in ((left, ["k"]), (right, ["k"]), (composite, ["k0", "k1"])):
-            groups = _groups(inst, on)
-            got = _select(inst, on, groups, cfg)
-            assert got == reference_ids_set(inst, on, groups, cfg), (seed, on)
+            want = reference_ids_set(inst, on, _groups(inst, on), cfg)
+            assert _select(inst, on, cfg) == want, (seed, on)
 
 
 @pytest.mark.parametrize("n_b", [1, 2])
@@ -313,7 +328,7 @@ def test_crc32_ties_break_on_the_value_itself(monkeypatch, n_b):
         )
         groups = _groups(inst, ["k0", "k1"])
         cfg = SampleConfig(n_b=n_b, seed=seed)
-        got = _select(inst, ["k0", "k1"], groups, cfg)
+        got = _select(inst, ["k0", "k1"], cfg)
         assert got == reference_ids_set(inst, ["k0", "k1"], groups, cfg)
 
 
@@ -343,10 +358,11 @@ def test_selection_matches_the_reference_on_tall_sides(monkeypatch, n_b, n_v, co
         left, right, spec = _tall_pair(seed)
         profile = JoinContext(left, right, spec).profile
         cfg = SampleConfig(n_b=n_b, n_v=n_v, seed=seed)
-        ranked = rank_order(profile.shared, cfg.seed)
-        for inst, groups in ((left, profile.left_groups), (right, profile.right_groups)):
-            candidates = {v: groups[v] for v in profile.shared}
-            got = generate_ids_set(inst, ["k"], ranked, groups, cfg)
+        shared = profile.values[: profile.n_shared]
+        ranked = rank_order(shared, cfg.seed)
+        for inst, ids in ((left, profile.left_ids), (right, profile.right_ids)):
+            candidates = {v: rows for v, rows in _groups(inst).items() if v in shared}
+            got = _values(profile, generate_ids_set(inst, ["k"], ids, ranked, cfg))
             assert got == reference_ids_set(inst, ["k"], candidates, cfg), seed
 
 
@@ -364,4 +380,5 @@ def test_each_shared_value_is_ranked_once_per_selection(monkeypatch):
     for cfg in (SampleConfig(), SampleConfig(n_b=2, seed=5)):
         calls.clear()
         selective_sampling(context, cfg)
-        assert sorted(calls) == sorted(context.profile.shared)
+        profile = context.profile
+        assert sorted(calls) == sorted(profile.values[: profile.n_shared])
