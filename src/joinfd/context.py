@@ -24,7 +24,6 @@ materialized, which is the frugality evidence the report exposes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import compress
 from typing import Sequence
 
 from .discovery import _PartitionCache, discover_fds, holds, lattice_bits
@@ -181,8 +180,8 @@ class JoinContext:
         """A side's surviving rows, picked by group id, and its padding ids.
 
         Every row survives an outer join that preserves its side; otherwise
-        the rows survive whose id is shared, a shared id being below
-        `profile.n_shared`. Padding ids are in order of their value's text.
+        the rows whose join value is shared survive. Padding ids are in
+        order of their value's text.
         """
         kind, profile = self.spec.kind, self.profile
         if side == "left":
@@ -198,8 +197,7 @@ class JoinContext:
         if preserved:
             rows: Sequence[int] = range(inst.row_count)
         else:
-            selected = map(profile.n_shared.__gt__, profile.ids(side))
-            rows = list(compress(range(inst.row_count), selected))
+            rows = profile.shared_rows(side)
         pads: list[int] = []
         if padded:
             # a null and the text "None" print alike: the null goes last

@@ -146,10 +146,9 @@ def right_name_map(left: Instance, right: Instance, spec: JoinSpec) -> dict[str,
     return mapping
 
 
-def _semi(side: Instance, ids: Sequence[int], shared: int) -> Instance:
-    """The rows of `side` with a partner, those whose group id is below
-    `shared`, duplicates dropped, in row order."""
-    rows = compress(range(side.row_count), map(shared.__gt__, ids))
+def _semi(side: Instance, rows: Sequence[int]) -> Instance:
+    """The given rows of `side`, those with a partner, duplicates dropped,
+    in row order."""
     contents = list(zip(*side.columns))
     first: dict[tuple, int] = {}
     for r in rows:
@@ -173,20 +172,20 @@ def join(
     spec.validate(left, right)
     if profile is None:
         profile = join_profile(left, right, spec)
-    shared, rids = profile.n_shared, profile.right_ids
     if spec.kind is JoinKind.LEFT_SEMI:
-        return _semi(left, profile.left_ids, shared)
+        return _semi(left, profile.shared_rows("left"))
     if spec.kind is JoinKind.RIGHT_SEMI:
-        return _semi(right, rids, shared)
+        return _semi(right, profile.shared_rows("right"))
 
     names = result_schema(left, right, spec)
     # per id, the right rows each left row carrying it pairs with: a shared
     # id's right rows in ascending order, and a dangling one's padding null
     # (-1) when the operator keeps the row, else none
+    rids = profile.right_ids
     by_id = sorted(range(right.row_count), key=rids.__getitem__)
     hits: list[Sequence[int]] = []
     start = 0
-    for n in profile.right_counts[:shared]:
+    for n in profile.right_counts[: profile.n_shared]:
         hits.append(by_id[start : start + n])
         start += n
     pad = (-1,) if spec.kind in PADS_RIGHT_ATTRS else ()
@@ -296,6 +295,12 @@ class JoinProfile:
 
     def counts(self, side: str) -> Sequence[int]:
         return self.left_counts if side == "left" else self.right_counts
+
+    def shared_rows(self, side: str) -> list[int]:
+        """Ascending rows of one side whose join value the other side has,
+        those whose id is below `n_shared`."""
+        ids = self.ids(side)
+        return list(compress(range(len(ids)), map(self.n_shared.__gt__, ids)))
 
     def count(self, side: str, ids: Iterable[int]) -> int:
         """Rows of one side carrying any of `ids`."""

@@ -5,11 +5,12 @@ attributes in ascending distinct-value order (skipping the most diverse ones)
 and keeping, for every attribute value, either the join values behind it or,
 when there are more than `n_b`, the `n_b` first in a seeded permutation of
 the shared join values. The permutation is computed once per selection and
-read by both sides. Each side lays its candidate rows out once in that
-order, labelled by their value's position, so an attribute's picks are the
+read by both sides. Join values are the profile's group ids throughout.
+Each side lays its candidate rows out once in that order, by sorting them
+on their id's rank, labelled by that rank, so an attribute's picks are the
 first `n_b` distinct labels per attribute value in one pass over its
-column. The two sides' selections are intersected, the selected rows
-joined, together with every row an outer operator keeps dangling, and
+column. The two sides' selections are intersected, the rows of the selected
+ids joined, together with every row an outer operator keeps dangling, and
 exact dependencies mined from that micro-join. The dependencies discovered
 this way imply the true join dependencies (tested with composite and
 null-bearing keys, natural joins and all six operators); they are only
