@@ -382,7 +382,7 @@ class JoinContext:
             else:
                 labels = list(map(ids.__getitem__, rows))
             labels += pads
-            if max(labels, default=-1) >= len(self.profile.values):
+            if max(labels, default=-1) >= len(self.profile.keys):
                 raise InternalInvariantError(f"a {side} row is in no join-value group")
             self._groups[side] = labels
         return self._groups[side]

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, filterfalse, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -198,8 +199,8 @@ def join(
     lpart = take_rows(left, lrows)
     if spec.kind in PADS_LEFT_ATTRS:
         # the dangling right rows, in row order
-        is_dangling = map(profile.n_left.__le__, rids)
-        dangling = list(compress(range(right.row_count), is_dangling))
+        n_left = profile.n_left
+        dangling = [j for j, g in enumerate(rids) if g >= n_left]
         rrows += dangling
         if spec.natural:
             on = [left.ordinal(a) for a in spec.left_on]
@@ -264,19 +265,28 @@ class JoinProfile:
     values first, in order of their first left row, then the left-dangling
     ones likewise, then the right-dangling ones in order of their first
     right row. `left_ids[r]` and `right_ids[r]` are the ids of each side's
-    row r, `values[g]` is the decoded join value of id g, and
-    `left_counts[g]` and `right_counts[g]` are each side's rows carrying
-    it; every row count is read off those counts.
+    row r, `keys[g]` is the key of id g in the code space both sides share
+    (see `_common_codes`), which `words` decodes, and `left_counts[g]` and
+    `right_counts[g]` are each side's rows carrying it; every row count is
+    read off those counts. `values[g]`, the decoded join value of id g, is
+    decoded on first read: many runs never read it.
     """
 
     left_ids: Sequence[int]
     right_ids: Sequence[int]
-    values: Sequence[tuple]
+    keys: Sequence
+    words: Sequence[tuple]
     left_counts: Sequence[int]
     right_counts: Sequence[int]
     n_shared: int
     n_left: int
     inner_rows: int
+
+    @cached_property
+    def values(self) -> list[tuple]:
+        columns = [self.keys] if len(self.words) == 1 else zip(*self.keys)
+        decoded = [map(w.__getitem__, col) for w, col in zip(self.words, columns)]
+        return list(zip(*decoded))
 
     @property
     def shared(self) -> range:
@@ -288,7 +298,7 @@ class JoinProfile:
 
     @property
     def dangling_right(self) -> range:
-        return range(self.n_left, len(self.values))
+        return range(self.n_left, len(self.keys))
 
     def ids(self, side: str) -> Sequence[int]:
         return self.left_ids if side == "left" else self.right_ids
@@ -299,8 +309,8 @@ class JoinProfile:
     def shared_rows(self, side: str) -> list[int]:
         """Ascending rows of one side whose join value the other side has,
         those whose id is below `n_shared`."""
-        ids = self.ids(side)
-        return list(compress(range(len(ids)), map(self.n_shared.__gt__, ids)))
+        n_shared = self.n_shared
+        return [r for r, g in enumerate(self.ids(side)) if g < n_shared]
 
     def count(self, side: str, ids: Iterable[int]) -> int:
         """Rows of one side carrying any of `ids`."""
@@ -361,7 +371,8 @@ def join_profile(left: Instance, right: Instance, spec: JoinSpec) -> JoinProfile
     """Number both sides' join values and label every row with its id.
 
     Both sides' keys are put in one code space, so they meet on integer
-    codes, and only the distinct keys are decoded, once, in id order.
+    codes; the profile decodes only the distinct keys, once, when first
+    asked for them.
     """
     lkeys, rkeys, words = _common_codes(left, right, spec)
     ldistinct, rdistinct = dict.fromkeys(lkeys), dict.fromkeys(rkeys)
@@ -375,11 +386,11 @@ def join_profile(left: Instance, right: Instance, spec: JoinSpec) -> JoinProfile
     right_ids = list(map(id_of.__getitem__, rkeys))
     left_counts = _counts(left_ids, len(keys))
     right_counts = _counts(right_ids, len(keys))
-    columns = [keys] if len(words) == 1 else zip(*keys)
     return JoinProfile(
         left_ids=left_ids,
         right_ids=right_ids,
-        values=list(zip(*[map(w.__getitem__, col) for w, col in zip(words, columns)])),
+        keys=keys,
+        words=words,
         left_counts=left_counts,
         right_counts=right_counts,
         n_shared=n_shared,
@@ -498,7 +509,7 @@ def profile_coverage(profile: JoinProfile) -> CoverageReport:
         return Fraction(profile.count(other, profile.shared), distinct)
 
     cov_left = score(profile.n_left, "right")
-    cov_right = score(len(profile.values) - len(profile.dangling_left), "left")
+    cov_right = score(len(profile.keys) - len(profile.dangling_left), "left")
     return CoverageReport(
         cov_left=cov_left,
         cov_right=cov_right,

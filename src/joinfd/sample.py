@@ -167,7 +167,7 @@ def micro_join_batch(
     spec, profile = context.spec, context.profile
     # per id, whether each side keeps its rows: the selected ids, and the
     # dangling ones an outer operator keeps
-    chosen = [False] * len(profile.values)
+    chosen = [False] * len(profile.keys)
     for g in selective_sampling(context, cfg):
         chosen[g] = True
     left_kept, right_kept = chosen[:], chosen
