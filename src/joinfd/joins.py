@@ -190,7 +190,7 @@ def join(
         hits.append(by_id[start : start + n])
         start += n
     pad = (-1,) if spec.kind in PADS_RIGHT_ATTRS else ()
-    hits += [pad] * len(profile.dangling_left)
+    hits += [pad] * (profile.n_left - profile.n_shared)
     # the result's source rows per side
     hits_of = list(map(hits.__getitem__, profile.left_ids))
     repeats = map(repeat, range(left.row_count), map(len, hits_of))
@@ -312,9 +312,9 @@ class JoinProfile:
         n_shared = self.n_shared
         return [r for r, g in enumerate(self.ids(side)) if g < n_shared]
 
-    def count(self, side: str, ids: Iterable[int]) -> int:
-        """Rows of one side carrying any of `ids`."""
-        return sum(map(self.counts(side).__getitem__, ids))
+    def count(self, side: str, ids: range) -> int:
+        """Rows of one side carrying an id of the range `ids`."""
+        return sum(self.counts(side)[ids.start : ids.stop])
 
     def rows_for(self, kind: JoinKind) -> int:
         if kind is JoinKind.INNER:
@@ -509,7 +509,7 @@ def profile_coverage(profile: JoinProfile) -> CoverageReport:
         return Fraction(profile.count(other, profile.shared), distinct)
 
     cov_left = score(profile.n_left, "right")
-    cov_right = score(len(profile.keys) - len(profile.dangling_left), "left")
+    cov_right = score(len(profile.keys) - profile.n_left + profile.n_shared, "left")
     return CoverageReport(
         cov_left=cov_left,
         cov_right=cov_right,
