@@ -182,15 +182,13 @@ def join(
     # per id, the right rows each left row carrying it pairs with: a shared
     # id's right rows in ascending order, and a dangling one's padding null
     # (-1) when the operator keeps the row, else none
-    rids = profile.right_ids
-    by_id = sorted(range(right.row_count), key=rids.__getitem__)
-    hits: list[Sequence[int]] = []
-    start = 0
-    for n in profile.right_counts[: profile.n_shared]:
-        hits.append(by_id[start : start + n])
-        start += n
+    rids, n_shared = profile.right_ids, profile.n_shared
+    hits: list[Sequence[int]] = [[] for _ in range(n_shared)]
+    for j, g in enumerate(rids):
+        if g < n_shared:
+            hits[g].append(j)
     pad = (-1,) if spec.kind in PADS_RIGHT_ATTRS else ()
-    hits += [pad] * (profile.n_left - profile.n_shared)
+    hits += [pad] * (profile.n_left - n_shared)
     # the result's source rows per side
     hits_of = list(map(hits.__getitem__, profile.left_ids))
     repeats = map(repeat, range(left.row_count), map(len, hits_of))

@@ -61,7 +61,9 @@ def _rows_by_id(
 ) -> list[list[int]]:
     """The ascending rows of each dangling id that two or more rows carry,
     in order of their first row, which is id order."""
-    multi = [g in dangling and n > 1 for g, n in enumerate(counts)]
+    multi = [False] * len(counts)
+    for g in dangling:
+        multi[g] = counts[g] > 1
     by_id: dict[int, list[int]] = {}
     for r in compress(range(len(ids)), map(multi.__getitem__, ids)):
         by_id.setdefault(ids[r], []).append(r)
