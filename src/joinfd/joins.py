@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, filterfalse, repeat
+from itertools import filterfalse
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -190,10 +190,12 @@ def join(
     pad = (-1,) if spec.kind in PADS_RIGHT_ATTRS else ()
     hits += [pad] * (profile.n_left - n_shared)
     # the result's source rows per side
-    hits_of = list(map(hits.__getitem__, profile.left_ids))
-    repeats = map(repeat, range(left.row_count), map(len, hits_of))
-    lrows = list(chain.from_iterable(repeats))
-    rrows = list(chain.from_iterable(hits_of))
+    lrows: list[int] = []
+    rrows: list[int] = []
+    for i, partners in enumerate(map(hits.__getitem__, profile.left_ids)):
+        if partners:
+            lrows.extend([i] * len(partners))
+            rrows.extend(partners)
     lpart = take_rows(left, lrows)
     if spec.kind in PADS_LEFT_ATTRS:
         # the dangling right rows, in row order
