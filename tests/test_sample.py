@@ -7,7 +7,7 @@ from joinfd import sample
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds
 from joinfd.errors import InputError
-from joinfd.fds import FdSet, fd, implies, minimal_cover, closure_equal, remove_implied
+from joinfd.fds import closure_equal, fd, implies, minimal_cover, remove_implied
 from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, join, join_profile
 from joinfd.oracle import oracle_join_fds
