@@ -126,8 +126,8 @@ def infer_join_fds(
 ) -> InferredFdSet:
     """Both inference directions, mapped into the join schema and refined.
 
-    `sigma_left` / `sigma_right` are the per-side dependency sets holding on
-    the join's row sets (preserved plus upstaged), in side-local names.
+    `sigma_left` / `sigma_right` are the per-side dependency sets mined on
+    the join's row sets by upstaging, in side-local names.
     Semi-joins have single-sided schemas, so nothing can be inferred.
     """
     spec = context.spec

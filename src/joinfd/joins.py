@@ -211,7 +211,8 @@ def join(
     dropped = set(spec.right_on) if spec.natural else set()
     keep = [a.ordinal for a in right.schema if a.name not in dropped]
     rcols = tuple(
-        tuple(map((right.columns[o] + (NULL_CODE,)).__getitem__, rrows)) for o in keep
+        tuple([col[r] for r in rrows])
+        for col in (right.columns[o] + (NULL_CODE,) for o in keep)
     )
     result_name = f"({left.name}*{right.name})" if (left.name or right.name) else ""
     return Instance(

@@ -5,8 +5,11 @@ sampling strategy swaps the mining stage for micro-join sampling; the oracle
 strategy materializes the join and mines it exhaustively. All strategies
 produce the same report shape: dependencies in join-result names tagged with
 the first stage that produced them, coverage, per-stage timings, and
-materialization counters. A single frugal run never records a full join;
-left-deep chains count their materialized intermediates as full joins.
+materialization counters. Which final dependencies an input already had is
+settled once, on the final set, by one rule for every strategy
+(`upstage.preserved_tags`), and its `preserved-*` tag overrides the stage's.
+A single frugal run never records a full join; left-deep chains count their
+materialized intermediates as full joins.
 """
 
 from __future__ import annotations
@@ -15,16 +18,15 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .context import Counters, JoinContext
-from .discovery import _PartitionCache
 from .errors import InputError, InternalInvariantError
-from .fds import FdSet, FunctionalDependency, mask_bits, remove_implied
+from .fds import FdSet, FunctionalDependency, remove_implied
 from .infer import infer_join_fds
 from .joins import CoverageReport, JoinKind, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
 from .oracle import oracle_join_fds
 from .relation import Instance, has_nulls
 from .sample import SampleConfig, discover_sampled
-from .upstage import upstage
+from .upstage import preserved_tags, upstage
 
 STRATEGIES = ("selective", "sampling", "oracle")
 
@@ -80,65 +82,11 @@ class DiscoveryReport:
         return doc
 
 
-def _tag_from(final: FdSet, sources: FdSet) -> FdSet:
-    """`final` with each member tagged as in `sources`, the union of the
-    stage outputs in priority order, whose first tag per member stands."""
-    tagged = FdSet()
-    for d in final.as_set():
-        tag = sources.origins.get(d)
-        if tag is None:
-            raise InternalInvariantError(
-                f"dependency {d} in the final set has no producing stage"
-            )
-        tagged.add(d, tag)
-    return tagged
-
-
-def _tag_preserved(final: FdSet, context: JoinContext) -> FdSet:
-    """`final` with each member that is a minimal dependency of an input
-    tagged `preserved-left` or `preserved-right`, the left side first.
-
-    A member whose names all map to that side is preserved iff it holds on
-    the input and no one-smaller lhs does there, tested on the side's
-    partitions: exactly the members of that side's mined dependency set.
-    """
-    sides = [
-        (instance, {qual: a for a, qual in names.items()}, f"preserved-{side}")
-        for side, instance, names in (
-            ("left", context.left, context.lmap),
-            ("right", context.right, context.rmap),
-        )
-        # a semi-join's dropped side has no attributes in the result, though
-        # its base names can match the kept side's
-        if side != context.dropped_side()
-    ]
-    caches: dict[str, _PartitionCache] = {}
-    tagged = FdSet()
-    for d in final:  # sorted, so partitions are built in a fixed order
-        tag = final.origins[d]
-        for instance, base, preserved in sides:
-            if d.rhs not in base or not d.lhs <= base.keys():
-                continue
-            local = d.rename(base)
-            cache = caches.get(preserved) or _PartitionCache(instance)
-            caches[preserved] = cache
-            lhs, rhs = cache.mask(local.lhs), instance.ordinal(local.rhs)
-            if cache.holds(lhs, rhs) and not any(
-                cache.holds(lhs ^ bit, rhs) for bit in mask_bits(lhs)
-            ):
-                tag = preserved
-                break
-        tagged.add(d, tag)
-    return tagged
-
-
-def _map_fdset(
-    fds: FdSet, mapping: dict[str, str], origin: str | None = None
-) -> FdSet:
-    """`fds` in join names, tagged `origin` or else as they were."""
+def _map_fdset(fds: FdSet, mapping: dict[str, str], origin: str) -> FdSet:
+    """`fds` in join names, tagged `origin`."""
     out = FdSet()
     for d in fds.as_set():
-        out.add(d.rename(mapping), origin or fds.origins.get(d))
+        out.add(d.rename(mapping), origin)
     return out
 
 
@@ -159,9 +107,10 @@ def run_pipeline(
 
     The frugal strategies work out every input dependency set they need
     themselves: stage 0 mines an input table's own set only for a side that
-    an outer operator pads (`single_tables` times it), and upstaging
-    reports the members that padding breaks as `violated_fds`. Upstaging
-    mines each side's join rows once, whole.
+    an outer operator pads (`single_tables` times it), and its members that
+    do not hold on the side's join rows are reported as `violated_fds`.
+    Upstaging mines each side's join rows once, whole, and inference and
+    mining reason from those two sets.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
@@ -187,7 +136,7 @@ def run_pipeline(
         t0 = time.perf_counter()
         final = oracle_join_fds(left, right, spec, context=context)
         timings["oracle"] = time.perf_counter() - t0
-        tagged = _tag_preserved(final, context)
+        tagged = preserved_tags(final, final, context)
         timings["total"] = time.perf_counter() - started
         return DiscoveryReport(
             strategy=strategy,
@@ -198,8 +147,7 @@ def run_pipeline(
             timings=timings,
         )
 
-    # stage 0: a padded side's input dependency set; upstaging reports the
-    # members that padding breaks
+    # stage 0: a padded side's input dependency set
     t0 = time.perf_counter()
     pads = {"left": context.pads_left(), "right": context.pads_right()}
     padded = [side for side in pads if pads[side]]
@@ -207,15 +155,27 @@ def run_pipeline(
         context.input_fds(side)
     timings["single_tables"] = time.perf_counter() - t0
 
-    # stage 1: preserved and upstaged dependencies per side
+    # stage 1: each side's dependencies on its join rows, and a padded
+    # side's survivors: the input members that hold on its rows, judged in
+    # ascending lhs mask order, so that the partitions built here, and the
+    # parents later ones are refined from, do not follow the hash seed
     t0 = time.perf_counter()
-    up = upstage(context)
+    sigma_left, sigma_right = upstage(context)
+    survivors: dict[str, FdSet] = {}
+    for side in padded:
+        partitions = context.side_partitions(side)
+        ordinal = context.side_subinstance(side).ordinal
+        by_lhs = sorted(
+            context.input_fds(side).as_set(), key=lambda d: partitions.mask(d.lhs)
+        )
+        survivors[side] = FdSet(
+            d for d in by_lhs if partitions.holds(partitions.mask(d.lhs), ordinal(d.rhs))
+        )
     timings["upstage"] = time.perf_counter() - t0
     warnings: list[str] = []
     violated: list[str] = []
     for side in padded:
-        survived = up.left_preserved if side == "left" else up.right_preserved
-        dropped = [d for d in context.input_fds(side) if d not in survived]
+        dropped = [d for d in context.input_fds(side) if d not in survivors[side]]
         # natural-join padding rows are null outside the merged key columns,
         # where they carry the other side's join values: without any null in
         # the data they can still agree with a row on a lhs within those
@@ -237,20 +197,16 @@ def run_pipeline(
                 f"are broken by outer-join padding"
             )
 
-    eff_left = up.left_preserved.union(up.left_upstaged)
-    eff_right = up.right_preserved.union(up.right_upstaged)
     # stage outputs in priority order: a member keeps its first tag
-    prior = _map_fdset(up.left_preserved, context.lmap, "preserved-left").union(
-        _map_fdset(up.right_preserved, context.rmap, "preserved-right"),
-        _map_fdset(up.left_upstaged, context.lmap),
-        _map_fdset(up.right_upstaged, context.rmap),
+    prior = _map_fdset(sigma_left, context.lmap, "upstaged-left").union(
+        _map_fdset(sigma_right, context.rmap, "upstaged-right")
     )
     provenance: dict[FunctionalDependency, tuple[str, str]] = {}
 
     if spec.kind not in SEMI_KINDS:
         # stage 2: inference through the join attributes
         t0 = time.perf_counter()
-        inferred = infer_join_fds(context, eff_left, eff_right)
+        inferred = infer_join_fds(context, sigma_left, sigma_right)
         timings["infer"] = time.perf_counter() - t0
         provenance = inferred.provenance
         prior = prior.union(inferred.fds)
@@ -258,13 +214,13 @@ def run_pipeline(
         # stage 3: remaining dependencies
         t0 = time.perf_counter()
         if strategy == "selective":
-            prior = prior.union(discover_selective(context, eff_left, eff_right, prior))
+            prior = prior.union(discover_selective(context, sigma_left, sigma_right, prior))
             timings["mine"] = time.perf_counter() - t0
         else:
             prior = prior.union(discover_sampled(context, sample_cfg or SampleConfig()))
             timings["sample"] = time.perf_counter() - t0
 
-    tagged = _tag_from(remove_implied(prior), prior)
+    tagged = preserved_tags(remove_implied(prior), prior, context, survivors)
     if context.counters.full_join_rows:
         raise InternalInvariantError(
             "a frugal strategy materialized the full join; refusing to report"

@@ -125,7 +125,7 @@ class Instance:
 
 def take_rows(instance: Instance, row_ids: Sequence[int]) -> Instance:
     """New instance keeping `row_ids` in the given order; codes are reused."""
-    cols = tuple(tuple(map(col.__getitem__, row_ids)) for col in instance.columns)
+    cols = tuple(tuple([col[r] for r in row_ids]) for col in instance.columns)
     return Instance(
         name=instance.name,
         schema=instance.schema,

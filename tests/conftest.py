@@ -33,7 +33,6 @@ from joinfd.fds import (
     Rules,
     compile_rules,
     implies,
-    remove_implied,
 )
 from joinfd.joins import (
     PADS_LEFT_ATTRS,
@@ -45,7 +44,6 @@ from joinfd.joins import (
 )
 from joinfd.relation import Instance, loads_csv
 from joinfd.sample import _rank, _value_sort_key
-from joinfd.upstage import UpstageResult
 
 
 @pytest.fixture
@@ -305,38 +303,19 @@ def reference_search(cache, known=()) -> FdSet:
     return exact
 
 
-def reference_upstage(context) -> UpstageResult:
+def reference_upstage(context) -> tuple[FdSet, FdSet]:
     """`upstage.upstage` mining every input table whole, then each side's
-    join rows again for what the surviving members do not imply, by
-    `reference_search` pruned with them; every member that holds on the
-    side's rows is preserved."""
-    out: dict[str, FdSet] = {}
-    preserved: dict[str, FdSet] = {}
+    join rows again for what the input members that hold there do not
+    imply, by `reference_search` pruned with them."""
+    out = []
     for side, inst in (("left", context.left), ("right", context.right)):
-        fds = discover_fds(inst)
         sub = context.side_subinstance(side)
         if sub is None:
-            out[side] = preserved[side] = FdSet()
+            out.append(FdSet())
             continue
-        padded = context.pads_left() if side == "left" else context.pads_right()
-        survivors = FdSet(d for d in fds if not padded or holds(sub, d))
-        preserved[side] = survivors
-        if not padded and sub.row_count == inst.row_count:
-            out[side] = FdSet()
-            continue
-        new = reference_search(_PartitionCache(sub), survivors)
-        out[side] = remove_implied(new)
-    left_up, right_up = FdSet(), FdSet()
-    for d in out["left"]:
-        left_up.add(d, "upstaged-left")
-    for d in out["right"]:
-        right_up.add(d, "upstaged-right")
-    return UpstageResult(
-        left_upstaged=left_up,
-        right_upstaged=right_up,
-        left_preserved=preserved["left"],
-        right_preserved=preserved["right"],
-    )
+        survivors = FdSet(d for d in discover_fds(inst) if holds(sub, d))
+        out.append(survivors.union(reference_search(_PartitionCache(sub), survivors)))
+    return out[0], out[1]
 
 
 def reference_minimal_determiners(target, fds) -> list[frozenset]:

@@ -143,17 +143,17 @@ def test_criterion_4_upstage_promotion():
         )
         left, right, spec = make_fixture(profile, seed=seed)
         planted = planted_afd(profile)
-        result = upstage(JoinContext(left, right, spec))
+        mined, _ = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
         renamed = planted.rename(left_name_map(left, right, spec))
         if positive:
-            assert planted in result.left_upstaged or implies(
-                result.left_upstaged, planted
+            assert implies(mined, planted) and not holds(
+                left, planted
             ), f"seed {seed}: planted dependency not promoted"
             assert holds(joined, renamed), f"seed {seed}: oracle disagrees"
             promoted += 1
         else:
-            assert planted not in result.left_upstaged, f"seed {seed}: bad promotion"
+            assert not implies(mined, planted), f"seed {seed}: bad promotion"
             assert not holds(joined, renamed)
             blocked += 1
     assert promoted == blocked == 50

@@ -75,9 +75,7 @@ def test_inferred_fds_hold_on_the_full_join():
         left, right, spec = make_fixture(prof, seed=seed)
         if spec.kind in (JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI):
             continue
-        up = upstage(JoinContext(left, right, spec))
-        sigma_l = up.left_preserved.union(up.left_upstaged)
-        sigma_r = up.right_preserved.union(up.right_upstaged)
+        sigma_l, sigma_r = upstage(JoinContext(left, right, spec))
         got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
         joined = join(left, right, spec)
         for d in got.fds:
@@ -165,9 +163,7 @@ def test_refine_never_emits_a_violated_dependency():
             dangling_fraction=0.25,
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        up = upstage(JoinContext(left, right, spec))
-        sigma_l = up.left_preserved.union(up.left_upstaged)
-        sigma_r = up.right_preserved.union(up.right_upstaged)
+        sigma_l, sigma_r = upstage(JoinContext(left, right, spec))
         got = infer_join_fds(JoinContext(left, right, spec), sigma_l, sigma_r)
         joined = join(left, right, spec)
         for d in got.fds:
@@ -186,9 +182,7 @@ def test_refined_output_implies_inferred_input():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         context = JoinContext(left, right, spec)
-        up = upstage(context)
-        sigma_l = up.left_preserved.union(up.left_upstaged)
-        sigma_r = up.right_preserved.union(up.right_upstaged)
+        sigma_l, sigma_r = upstage(context)
         raw = infer(
             spec.left_on, spec.right_on, sigma_l, sigma_r,
             lhs_map=context.lmap, rhs_map=context.rmap,

@@ -19,9 +19,7 @@ from conftest import random_rules, reference_anchors, reference_mine
 
 def _stage12(left, right, spec):
     context = JoinContext(left, right, spec)
-    up = upstage(context)
-    sigma_l = up.left_preserved.union(up.left_upstaged)
-    sigma_r = up.right_preserved.union(up.right_upstaged)
+    sigma_l, sigma_r = upstage(context)
     inferred = infer_join_fds(context, sigma_l, sigma_r)
     prior = FdSet()
     for d in sigma_l:

@@ -11,10 +11,10 @@ from joinfd.discovery import discover_fds, holds
 from joinfd.errors import InternalInvariantError
 from joinfd.fds import FdSet, closure_equal, fd, implies
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
-from joinfd.joins import JoinKind, JoinSpec, join, left_name_map
+from joinfd.joins import JoinKind, JoinSpec, join, left_name_map, right_name_map
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
-from joinfd.upstage import upstage
+from joinfd.upstage import preserved_tags, upstage
 from test_differential import _pairs as tiny_random_pairs
 
 
@@ -24,11 +24,31 @@ def _bijective_pair():
     return left, right, JoinSpec.equi(["k"], ["k"])
 
 
+def _upstaged_tags(left, right, spec) -> list[str]:
+    """The `upstaged-*` tags of every strategy's report."""
+    return [
+        tag
+        for strategy in ("selective", "sampling", "oracle")
+        for tag in run_pipeline(left, right, spec, strategy=strategy).fds.origins.values()
+        if tag.startswith("upstaged-")
+    ]
+
+
+def _tag(left, right, spec, d, side="left"):
+    """The tag `preserved_tags` gives the side-local final member `d`,
+    mined on the join rows of the unpadded side `side`."""
+    context = JoinContext(left, right, spec)
+    joined = d.rename(context.lmap if side == "left" else context.rmap)
+    final = FdSet()
+    final.add(joined, f"upstaged-{side}")
+    return preserved_tags(final, final, context).origins[joined]
+
+
 def test_nothing_upstaged_when_join_values_preserved():
     left, right, spec = _bijective_pair()
     got = upstage(JoinContext(left, right, spec))
-    assert len(got.left_upstaged) == 0
-    assert len(got.right_upstaged) == 0
+    assert got == (discover_fds(left), discover_fds(right))
+    assert _upstaged_tags(left, right, spec) == []
 
 
 def test_dangling_violator_promotes_the_dependency():
@@ -39,8 +59,10 @@ def test_dangling_violator_promotes_the_dependency():
     )
     right = loads_csv("k,ward\np1,w\np2,w\np3,w\np4,w", name="R")
     spec = JoinSpec.equi(["k"], ["k"])
-    got = upstage(JoinContext(left, right, spec))
-    assert fd(["flag"], "date") in got.left_upstaged
+    got, _ = upstage(JoinContext(left, right, spec))
+    assert fd(["flag"], "date") in got
+    assert not holds(left, fd(["flag"], "date"))
+    assert _tag(left, right, spec, fd(["flag"], "date")) == "upstaged-left"
     joined = join(left, right, spec)
     assert holds(joined, fd(["flag"], "date").rename(left_name_map(left, right, spec)))
 
@@ -50,17 +72,18 @@ def test_surviving_violator_blocks_promotion():
         "k,flag,date\np1,0,d1\np2,0,d1\np3,1,d2\np4,1,d2\np5,1,dX", name="L"
     )
     right = loads_csv("k,ward\np1,w\np2,w\np3,w\np4,w\np5,w", name="R")
-    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
-    assert fd(["flag"], "date") not in got.left_upstaged
-    on_join = got.left_preserved.union(got.left_upstaged)
-    assert not implies(on_join, fd(["flag"], "date"))
+    got, _ = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
+    assert fd(["flag"], "date") not in got
+    assert not implies(got, fd(["flag"], "date"))
 
 
 def test_no_filtering_means_no_new_fds():
     left = loads_csv("k,a\n1,x\n2,y", name="L")
     right = loads_csv("k,b\n1,p\n2,q", name="R")
-    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
-    assert len(got.left_upstaged) == 0
+    spec = JoinSpec.equi(["k"], ["k"])
+    got, _ = upstage(JoinContext(left, right, spec))
+    assert got == discover_fds(left)
+    assert "upstaged-left" not in _upstaged_tags(left, right, spec)
 
 
 def test_dangled_duplicate_reveals_key():
@@ -69,8 +92,9 @@ def test_dangled_duplicate_reveals_key():
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
     exact = discover_fds(left)
-    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"]))).left_upstaged
-    assert implies(list(got) + list(exact), fd(["a"], "b"))
+    got, _ = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
+    assert implies(got, fd(["a"], "b"))
+    assert not implies(exact, fd(["a"], "b"))
 
 
 def test_known_dependencies_never_reappear():
@@ -82,9 +106,16 @@ def test_known_dependencies_never_reappear():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         exact = discover_fds(left)
-        got = upstage(JoinContext(left, right, spec)).left_upstaged
+        got, _ = upstage(JoinContext(left, right, spec))
+        # a mined member the input implies is one of the input's own
         for d in got:
-            assert not implies(exact, d)
+            assert d in exact or not implies(exact, d)
+        # and none tagged upstaged is implied there
+        rep = run_pipeline(left, right, spec)
+        base = {qual: a for a, qual in left_name_map(left, right, spec).items()}
+        for d in rep.fds:
+            if rep.fds.origins[d] == "upstaged-left":
+                assert not implies(exact, d.rename(base))
 
 
 def test_promotion_and_blocking_match_the_oracle():
@@ -101,14 +132,14 @@ def test_promotion_and_blocking_match_the_oracle():
         )
         left, right, spec = make_fixture(prof, seed=seed)
         planted = planted_afd(prof)
-        got = upstage(JoinContext(left, right, spec))
+        got, _ = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
         renamed = planted.rename(left_name_map(left, right, spec))
         if positive:
-            assert planted in got.left_upstaged or implies(got.left_upstaged, planted)
+            assert implies(got, planted) and not holds(left, planted)
             assert holds(joined, renamed)
         else:
-            assert planted not in got.left_upstaged
+            assert planted not in got and not implies(got, planted)
             assert not holds(joined, renamed)
 
 
@@ -124,17 +155,15 @@ def test_upstaged_fds_hold_on_the_join():
             op=list(JoinKind)[seed % 6],
         )
         left, right, spec = make_fixture(prof, seed=seed)
-        got = upstage(JoinContext(left, right, spec))
+        got_left, got_right = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
         lmap = left_name_map(left, right, spec)
-        from joinfd.joins import right_name_map
-
         rmap = right_name_map(left, right, spec)
         if spec.kind is not JoinKind.RIGHT_SEMI:
-            for d in got.left_upstaged:
+            for d in got_left:
                 assert holds(joined, d.rename(lmap))
         if spec.kind is not JoinKind.LEFT_SEMI:
-            for d in got.right_upstaged:
+            for d in got_right:
                 assert holds(joined, d.rename(rmap))
 
 
@@ -143,14 +172,13 @@ def test_a_dropped_value_breaks_a_member_holding_the_join_key():
     # value k = 3 break it on the input, so the join made it exact
     right = loads_csv("k,c\n1,m\n2,n", name="R")
     left = loads_csv("k,a,b\n1,x,p\n1,y,q\n2,x,q\n2,y,p\n3,x,p\n3,x,q", name="L")
-    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
-    assert fd(["a", "k"], "b") in got.left_upstaged
-    assert fd(["a", "k"], "b") not in got.left_preserved
+    spec = JoinSpec.equi(["k"], ["k"])
+    assert fd(["a", "k"], "b") in upstage(JoinContext(left, right, spec))[0]
+    assert _tag(left, right, spec, fd(["a", "k"], "b")) == "upstaged-left"
     # the same dropped rows, consistent with the member: it holds on the input
     left = loads_csv("k,a,b\n1,x,p\n1,y,q\n2,x,q\n2,y,p\n3,x,p\n3,y,q", name="L")
-    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
-    assert fd(["a", "k"], "b") in got.left_preserved
-    assert fd(["a", "k"], "b") not in got.left_upstaged
+    assert fd(["a", "k"], "b") in upstage(JoinContext(left, right, spec))[0]
+    assert _tag(left, right, spec, fd(["a", "k"], "b")) == "preserved-left"
 
 
 def test_a_dropped_row_breaks_a_member_missing_a_join_attribute():
@@ -158,21 +186,25 @@ def test_a_dropped_row_breaks_a_member_missing_a_join_attribute():
     # can show it, so the input's partitions decide
     right = loads_csv("k,c\n1,m\n2,n", name="R")
     left = loads_csv("k,a,b\n1,x,p\n2,y,q\n3,x,q", name="L")
-    got = upstage(JoinContext(left, right, JoinSpec.equi(["k"], ["k"])))
-    assert fd(["a"], "b") in got.left_upstaged
+    spec = JoinSpec.equi(["k"], ["k"])
+    assert fd(["a"], "b") in upstage(JoinContext(left, right, spec))[0]
+    assert _tag(left, right, spec, fd(["a"], "b")) == "upstaged-left"
     # a lhs with part of a composite key: the dropped value (1, 3) has one
     # row, which breaks a, k0 -> b against the kept row of (1, 1)
     left = loads_csv("k0,k1,a,b\n1,1,x,p\n1,2,y,q\n2,1,x,q\n1,3,x,q", name="L")
     right = loads_csv("k0,k1,c\n1,1,m\n1,2,n\n2,1,m", name="R")
     spec = JoinSpec.equi(["k0", "k1"], ["k0", "k1"])
-    got = upstage(JoinContext(left, right, spec))
-    assert fd(["a", "k0"], "b") in got.left_upstaged
-    assert fd(["k0", "k1"], "b") in got.left_preserved
+    got, _ = upstage(JoinContext(left, right, spec))
+    assert fd(["a", "k0"], "b") in got and fd(["k0", "k1"], "b") in got
+    assert _tag(left, right, spec, fd(["a", "k0"], "b")) == "upstaged-left"
+    assert _tag(left, right, spec, fd(["k0", "k1"], "b")) == "preserved-left"
 
 
 def test_input_partitions_only_for_a_lhs_missing_a_join_attribute(monkeypatch):
-    # a row-subset side builds its input's partitions at most once, and only
-    # when a mined member's lhs lacks one of the side's join attributes
+    # tagging a row-subset side builds its input's partitions at most once,
+    # and only when a final member tested there lacks one of the side's join
+    # attributes; the left side is tried first, and a member preserved there
+    # is not tested on the right
     built = []
 
     def spy(instance):
@@ -183,18 +215,35 @@ def test_input_partitions_only_for_a_lhs_missing_a_join_attribute(monkeypatch):
     fallbacks = 0
     for left, right, spec in _fixture_pairs():
         context = JoinContext(left, right, spec)
-        want = []
-        for side, inst, on, padded in (
-            ("left", left, spec.left_on, context.pads_left()),
-            ("right", right, spec.right_on, context.pads_right()),
-        ):
-            sub = context.side_subinstance(side)
-            if sub is None or sub is inst or padded:
-                continue
-            if any(not set(on) <= d.lhs for d in discover_fds(sub)):
-                want.append(inst)
+        # the row-subset sides: neither padded nor their own input
+        subsets = {
+            side
+            for side, inst, padded in (
+                ("left", left, context.pads_left()),
+                ("right", right, context.pads_right()),
+            )
+            if not padded and context.side_subinstance(side) not in (None, inst)
+        }
+        sides = [
+            (side, inst, set(on), {qual: a for a, qual in names.items()})
+            for side, inst, on, names in (
+                ("left", left, spec.left_on, context.lmap),
+                ("right", right, spec.right_on, context.rmap),
+            )
+            if side != context.dropped_side()
+        ]
         built.clear()
-        upstage(context)
+        rep = run_pipeline(left, right, spec)
+        want = []
+        for d in rep.fds:
+            for side, inst, on, base in sides:
+                if d.rhs not in base or not d.lhs <= base.keys():
+                    continue
+                lacks = not on <= d.rename(base).lhs
+                if side in subsets and lacks and inst not in want:
+                    want.append(inst)
+                if rep.fds.origins[d] == f"preserved-{side}":
+                    break
         assert built == want, spec
         fallbacks += len(want)
     assert fallbacks > 0
@@ -204,8 +253,9 @@ def test_preserved_side_of_outer_join_never_upstages():
     left = loads_csv("k,a,b\n1,x,p\n2,x,q\n3,y,p", name="L")
     right = loads_csv("k,c\n1,m\n3,n", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.LEFT_OUTER)
-    got = upstage(JoinContext(left, right, spec))
-    assert len(got.left_upstaged) == 0  # left rows all survive a left outer
+    got, _ = upstage(JoinContext(left, right, spec))
+    assert got == discover_fds(left)  # left rows all survive a left outer
+    assert "upstaged-left" not in _upstaged_tags(left, right, spec)
 
 
 def _fixture_pairs():
@@ -230,13 +280,25 @@ def _fixture_pairs():
 def test_reports_match_mining_every_input_whole(monkeypatch):
     violated = {"selective": 0, "sampling": 0}
     for left, right, spec in _fixture_pairs():
+        # per padded side, the input members that do not hold on its rows
+        context = JoinContext(left, right, spec)
+        broken = [
+            f"{side}: {d}"
+            for side, inst, padded in (
+                ("left", left, context.pads_left()),
+                ("right", right, context.pads_right()),
+            )
+            if padded
+            for d in discover_fds(inst)
+            if not holds(context.side_subinstance(side), d)
+        ]
         for strategy in violated:
             got = run_pipeline(left, right, spec, strategy=strategy)
             with monkeypatch.context() as patched:
                 patched.setattr(pipeline, "upstage", reference_upstage)
                 want = run_pipeline(left, right, spec, strategy=strategy)
             assert closure_equal(got.fds, want.fds), (spec, strategy)
-            assert got.violated_fds == want.violated_fds, (spec, strategy)
+            assert got.violated_fds == want.violated_fds == broken, (spec, strategy)
             violated[strategy] += bool(got.violated_fds)
     # padding breaks some input member on some pair, for both strategies
     assert all(violated.values()), violated
@@ -256,7 +318,7 @@ def test_side_local_output_is_preserved_iff_an_input_member():
             )
             if (sub := context.side_subinstance(side)) is not None
         ]
-        for strategy in ("selective", "sampling"):
+        for strategy in ("selective", "sampling", "oracle"):
             rep = run_pipeline(left, right, spec, strategy=strategy)
             for d in rep.fds:
                 local = [
@@ -277,22 +339,29 @@ def test_side_local_output_is_preserved_iff_an_input_member():
 
 
 def test_preserved_are_input_members_and_cover_the_side_rows():
-    # on a padded side a smaller lhs can hold on the input and be broken by
-    # padding, so a minimal dependency of the side's rows that holds on the
-    # input need not be minimal there
+    # each side's mined set is exactly the minimal dependencies of its join
+    # rows; on a padded side a smaller lhs can hold on the input and be
+    # broken by padding, so a minimal dependency of the side's rows that
+    # holds on the input need not be minimal there, and only input members
+    # are ever tagged preserved
     for left, right, spec in _fixture_pairs():
         context = JoinContext(left, right, spec)
         got = upstage(context)
-        for side, inst, kept, upstaged in (
-            ("left", left, got.left_preserved, got.left_upstaged),
-            ("right", right, got.right_preserved, got.right_upstaged),
+        rep = run_pipeline(left, right, spec)
+        for side, inst, mined, names in (
+            ("left", left, got[0], context.lmap),
+            ("right", right, got[1], context.rmap),
         ):
             sub = context.side_subinstance(side)
             if sub is None:
+                assert mined == FdSet()
                 continue
+            assert mined == discover_fds(sub), (spec, side)
             members = discover_fds(inst)
-            assert all(d in members for d in kept), (spec, side)
-            assert closure_equal(kept.union(upstaged), discover_fds(sub))
+            base = {qual: a for a, qual in names.items()}
+            for d in rep.fds:
+                if rep.fds.origins[d] == f"preserved-{side}":
+                    assert d.rename(base) in members, (spec, side, d)
 
 
 @pytest.fixture
@@ -342,22 +411,25 @@ def test_dropped_preserved_dependency_still_raises(monkeypatch):
     # without nulls, padding breaks no member with a nonempty lhs; a stage
     # that loses one anyway is a bug, and the run must refuse to report
     left, right, spec = _dangling_pair(JoinKind.LEFT_OUTER)
-    real = upstage_module.upstage
+    real = JoinContext.side_partitions
 
-    def lossy(context):
-        got = real(context)
-        got.right_preserved = FdSet(d for d in got.right_preserved if not d.lhs)
-        return got
+    def lossy(self, side):
+        # right partitions on which no member with a nonempty lhs holds
+        cache = real(self, side)
+        if side == "right" and "holds" not in vars(cache):
+            holds = cache.holds
+            cache.holds = lambda lhs, rhs: not lhs and holds(lhs, rhs)
+        return cache
 
-    monkeypatch.setattr(pipeline, "upstage", lossy)
+    monkeypatch.setattr(JoinContext, "side_partitions", lossy)
     with pytest.raises(InternalInvariantError, match="right table no longer holds"):
         run_pipeline(left, right, spec)
 
 
 def test_each_mined_side_is_searched_once_without_a_known_set(monkeypatch):
     # upstaging mines each side's join rows once, whole: one search per side
-    # that is not dropped, handed only that side's partitions; a padded
-    # side's input set is the context's, mined before as stage 0 does
+    # that is not dropped, handed only that side's partitions, and no input
+    # table
     searched = []
     real = discovery._search
 
@@ -370,12 +442,7 @@ def test_each_mined_side_is_searched_once_without_a_known_set(monkeypatch):
     for left, right, spec in _fixture_pairs():
         context = JoinContext(left, right, spec)
         mined = []
-        for side, inst, padded in (
-            ("left", left, context.pads_left()),
-            ("right", right, context.pads_right()),
-        ):
-            if padded:
-                context.input_fds(side)
+        for side, inst in (("left", left), ("right", right)):
             sub = context.side_subinstance(side)
             if sub is not None:
                 own_inputs += sub is inst
