@@ -39,10 +39,11 @@ from .joins import (
     join_attr_directions,
     join_profile,
     left_name_map,
+    pad_rows,
     partial_join,
     right_name_map,
 )
-from .relation import Instance, append_padding, take_rows
+from .relation import Instance, take_rows
 
 
 @dataclass
@@ -104,9 +105,7 @@ class JoinContext:
     def directions(self) -> tuple[bool, bool]:
         """(left join attrs determine right ones, and the converse)."""
         if self._directions is None:
-            self._directions = join_attr_directions(
-                self.left, self.right, self.spec, self.profile
-            )
+            self._directions = join_attr_directions(self.spec, self.profile)
         return self._directions
 
     def pads_left(self) -> bool:
@@ -142,11 +141,9 @@ class JoinContext:
         attributes are absent from the result), hence None. Outer padding
         is modelled by appended padding rows, one per dangling join value
         of the other side, so every row belongs to exactly one join-value
-        group. Under an equi-join a padding row is all null; under a
-        natural join its merged key columns carry the other side's join
-        value and the rest is null. Row multiplicity never affects
-        dependency validity, so one row stands for all padding rows of its
-        group.
+        group; they are padded as the join pads them (`pad_rows`). Row
+        multiplicity never affects dependency validity, so one row stands
+        for all padding rows of its group.
         """
         if side not in self._sides:
             layout = self._side_rows(side)
@@ -155,12 +152,8 @@ class JoinContext:
                 rows, pads = layout
                 inst = self.left if side == "left" else self.right
                 sub = inst if len(rows) == inst.row_count else take_rows(inst, rows)
-                if pads and self.spec.natural:
-                    on = self.spec.left_on if side == "left" else self.spec.right_on
-                    values = list(map(self.profile.values.__getitem__, pads))
-                    sub = append_padding(sub, [inst.ordinal(a) for a in on], values)
-                elif pads:
-                    sub = append_padding(sub, (), [()] * len(pads))
+                on = self.spec.left_on if side == "left" else self.spec.right_on
+                sub = pad_rows(sub, on, self.spec, self.profile, pads)
             self._sides[side] = sub
         return self._sides[side]
 
@@ -197,7 +190,8 @@ class JoinContext:
         if preserved:
             rows: Sequence[int] = range(inst.row_count)
         else:
-            rows = profile.shared_rows(side)
+            n_shared = profile.n_shared
+            rows = [r for r, g in enumerate(profile.ids(side)) if g < n_shared]
         pads: list[int] = []
         if padded:
             # a null and the text "None" print alike: the null goes last

@@ -20,11 +20,23 @@ one disagrees on the rhs.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Sequence
 
 from .fds import FdSet, FunctionalDependency, mask_bits
 from .partition import StrippedPartition, build_partition, refine
 from .relation import Instance
+
+
+def holds_within(
+    rows: Iterable[int], lhs_cols: Sequence[Sequence[int]], rhs_col: Sequence[int]
+) -> bool:
+    """Do the given rows that agree on every `lhs_cols` column agree on
+    `rhs_col`? With no lhs column, are they constant on `rhs_col`?"""
+    seen: dict[tuple[int, ...], int] = {}
+    for r in rows:
+        if seen.setdefault(tuple(col[r] for col in lhs_cols), rhs_col[r]) != rhs_col[r]:
+            return False
+    return True
 
 
 def holds(instance: Instance, fd: FunctionalDependency) -> bool:
@@ -33,21 +45,9 @@ def holds(instance: Instance, fd: FunctionalDependency) -> bool:
     With an empty lhs this asks whether the rhs column is constant. Zero-
     and one-row instances satisfy everything.
     """
-    rhs_ord = instance.ordinal(fd.rhs)
-    lhs_ords = instance.ordinals(fd.lhs)
-    rhs_col = instance.columns[rhs_ord]
-    if instance.row_count <= 1:
-        return True
-    if not lhs_ords:
-        return all(c == rhs_col[0] for c in rhs_col)
-    cols = [instance.columns[o] for o in lhs_ords]
-    seen: dict[tuple[int, ...], int] = {}
-    for r in range(instance.row_count):
-        key = tuple(col[r] for col in cols)
-        prev = seen.setdefault(key, rhs_col[r])
-        if prev != rhs_col[r]:
-            return False
-    return True
+    rhs_col = instance.columns[instance.ordinal(fd.rhs)]
+    lhs_cols = [instance.columns[o] for o in instance.ordinals(fd.lhs)]
+    return holds_within(range(instance.row_count), lhs_cols, rhs_col)
 
 
 def minimal_variants(

@@ -8,10 +8,10 @@ id; only the distinct keys are decoded, once. The join, the coverage scores
 and every pipeline stage read those ids and the per-id row counts instead
 of hashing join values again. Null join values match null join values,
 consistent with the single-null-constant semantics. Outer operators pad the
-missing side with nulls; for natural joins the merged column takes whichever
-side is present. A join result is assembled from its inputs' code columns
-and keeps their dictionaries; only a natural merged column's dictionary can
-grow, by the right join values that pad it.
+missing side with nulls (`pad_rows`); for natural joins the merged column
+takes whichever side is present. A join result is assembled from its inputs'
+code columns and keeps their dictionaries; only a natural merged column's
+dictionary can grow, by the right join values that pad it.
 
 Result attributes are qualified as "table.attr" using the instance names, and
 natural-join merged columns keep the left qualifier. Semi-joins return the
@@ -157,8 +157,35 @@ def _semi(side: Instance, rows: Sequence[int]) -> Instance:
     return take_rows(side, list(first.values()))
 
 
+def pad_rows(
+    instance: Instance,
+    on: Sequence[str],
+    spec: JoinSpec,
+    profile: JoinProfile,
+    ids: Sequence[int],
+) -> Instance:
+    """One side of the join, `instance`, with one outer-join padding row
+    appended per group id in `ids`: the other side's dangling join values.
+
+    A padding row is all null, except that under a natural join its join
+    columns `on` carry the id's join value, decoded only then.
+    """
+    if not ids:
+        return instance
+    if not spec.natural:
+        return append_padding(instance, (), [()] * len(ids))
+    values = profile.values
+    return append_padding(
+        instance, [instance.ordinal(a) for a in on], [values[g] for g in ids]
+    )
+
+
 def join(
-    left: Instance, right: Instance, spec: JoinSpec, profile: JoinProfile | None = None
+    left: Instance,
+    right: Instance,
+    spec: JoinSpec,
+    profile: JoinProfile | None = None,
+    shared: Iterable[int] | None = None,
 ) -> Instance:
     """Compute one of the six join operators.
 
@@ -168,25 +195,30 @@ def join(
     codes and dictionaries. A natural merged column is the left one, whose
     dictionary grows by the right join values it lacks on the padding rows
     of dangling right rows. A given `profile` of the same triple supplies
-    both sides' group ids, which are otherwise worked out here.
+    both sides' group ids, which are otherwise worked out here. Only the
+    rows of the shared ids in `shared` (every one by default) are paired;
+    dangling rows follow the operator as ever.
     """
     spec.validate(left, right)
     if profile is None:
         profile = join_profile(left, right, spec)
+    picked = profile.shared if shared is None else set(shared)
     if spec.kind is JoinKind.LEFT_SEMI:
-        return _semi(left, profile.shared_rows("left"))
+        return _semi(left, [r for r, g in enumerate(profile.left_ids) if g in picked])
     if spec.kind is JoinKind.RIGHT_SEMI:
-        return _semi(right, profile.shared_rows("right"))
+        return _semi(right, [r for r, g in enumerate(profile.right_ids) if g in picked])
 
     names = result_schema(left, right, spec)
-    # per id, the right rows each left row carrying it pairs with: a shared
-    # id's right rows in ascending order, and a dangling one's padding null
-    # (-1) when the operator keeps the row, else none
+    # per id, the right rows each left row carrying it pairs with: a picked
+    # shared id's right rows in ascending order, and a dangling one's
+    # padding null (-1) when the operator keeps the row, else none
     rids, n_shared = profile.right_ids, profile.n_shared
     hits: list[Sequence[int]] = [[] for _ in range(n_shared)]
     for j, g in enumerate(rids):
         if g < n_shared:
             hits[g].append(j)
+    if shared is not None:
+        hits = [h if g in picked else () for g, h in enumerate(hits)]
     pad = (-1,) if spec.kind in PADS_RIGHT_ATTRS else ()
     hits += [pad] * (profile.n_left - n_shared)
     # the result's source rows per side
@@ -202,12 +234,8 @@ def join(
         n_left = profile.n_left
         dangling = [j for j, g in enumerate(rids) if g >= n_left]
         rrows += dangling
-        if spec.natural:
-            on = [left.ordinal(a) for a in spec.left_on]
-            pads = [profile.values[rids[j]] for j in dangling]
-            lpart = append_padding(lpart, on, pads)
-        else:
-            lpart = append_padding(lpart, (), [()] * len(dangling))
+        pads = [rids[j] for j in dangling]
+        lpart = pad_rows(lpart, spec.left_on, spec, profile, pads)
     dropped = set(spec.right_on) if spec.natural else set()
     keep = [a.ordinal for a in right.schema if a.name not in dropped]
     rcols = tuple(
@@ -307,12 +335,6 @@ class JoinProfile:
     def counts(self, side: str) -> Sequence[int]:
         return self.left_counts if side == "left" else self.right_counts
 
-    def shared_rows(self, side: str) -> list[int]:
-        """Ascending rows of one side whose join value the other side has,
-        those whose id is below `n_shared`."""
-        n_shared = self.n_shared
-        return [r for r, g in enumerate(self.ids(side)) if g < n_shared]
-
     def count(self, side: str, ids: range) -> int:
         """Rows of one side carrying an id of the range `ids`."""
         return sum(self.counts(side)[ids.start : ids.stop])
@@ -400,20 +422,17 @@ def join_profile(left: Instance, right: Instance, spec: JoinSpec) -> JoinProfile
     )
 
 
-def join_attr_directions(
-    left: Instance, right: Instance, spec: JoinSpec, profile: JoinProfile | None = None
-) -> tuple[bool, bool]:
+def join_attr_directions(spec: JoinSpec, profile: JoinProfile) -> tuple[bool, bool]:
     """Whether the left join columns determine the right ones on the join,
     and vice versa.
 
     A join that pads neither side (inner and both semi-joins) pairs every
     join value only with itself, so both directions hold without a scan;
-    outer padding can break either one. Computed from value pairs alone.
+    outer padding can break either one. Computed from the value pairs of
+    `profile`, the join's.
     """
     if spec.kind not in PADS_LEFT_ATTRS and spec.kind not in PADS_RIGHT_ATTRS:
         return True, True
-    if profile is None:
-        profile = join_profile(left, right, spec)
     null_key = (None,) * len(spec.left_on)
     values = profile.values
     pairs = [(v, v) for v in values[: profile.n_shared]]

@@ -7,7 +7,8 @@ produce the same report shape: dependencies in join-result names tagged with
 the first stage that produced them, coverage, per-stage timings, and
 materialization counters. Which final dependencies an input already had is
 settled once, on the final set, by one rule for every strategy
-(`upstage.preserved_tags`), and its `preserved-*` tag overrides the stage's.
+(`upstage.preserved_tags`, timed as `tag`), and its `preserved-*` tag
+overrides the stage's.
 A single frugal run never records a full join; left-deep chains count their
 materialized intermediates as full joins.
 """
@@ -21,7 +22,7 @@ from .context import Counters, JoinContext
 from .errors import InputError, InternalInvariantError
 from .fds import FdSet, FunctionalDependency, remove_implied
 from .infer import infer_join_fds
-from .joins import CoverageReport, JoinKind, JoinSpec, SEMI_KINDS, profile_coverage
+from .joins import CoverageReport, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
 from .oracle import oracle_join_fds
 from .relation import Instance, has_nulls
@@ -136,7 +137,9 @@ def run_pipeline(
         t0 = time.perf_counter()
         final = oracle_join_fds(left, right, spec, context=context)
         timings["oracle"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
         tagged = preserved_tags(final, final, context)
+        timings["tag"] = time.perf_counter() - t0
         timings["total"] = time.perf_counter() - started
         return DiscoveryReport(
             strategy=strategy,
@@ -220,17 +223,17 @@ def run_pipeline(
             prior = prior.union(discover_sampled(context, sample_cfg or SampleConfig()))
             timings["sample"] = time.perf_counter() - t0
 
-    tagged = preserved_tags(remove_implied(prior), prior, context, survivors)
+    final = remove_implied(prior)
+    t0 = time.perf_counter()
+    tagged = preserved_tags(final, prior, context, survivors)
+    timings["tag"] = time.perf_counter() - t0
     if context.counters.full_join_rows:
         raise InternalInvariantError(
             "a frugal strategy materialized the full join; refusing to report"
         )
     ratio = None
     if strategy == "sampling":
-        denom = context.result_rows()
-        if denom is None:  # semi-join: bounded by the matched kept rows
-            kept = "left" if spec.kind is JoinKind.LEFT_SEMI else "right"
-            denom = context.profile.count(kept, context.profile.shared)
+        denom = context.result_rows()  # None on a semi-join, never sampled
         ratio = (context.counters.sample_join_rows / denom) if denom else 0.0
     warnings.extend(context.warnings)
     timings["total"] = time.perf_counter() - started
@@ -267,11 +270,12 @@ def run_left_deep(
 ) -> DiscoveryReport:
     """Chain binary joins left-deep: ((t0 ? t1) ? t2) ...
 
-    Each intermediate join is materialized so the next binary step has a
-    left input, and each step is a plain `run_pipeline` that mines its own
-    inputs as it needs them. Every counter and per-stage timing of the
-    earlier steps accumulates into the final report, and every intermediate
-    join counts as a full join: a chain is not frugal.
+    Each intermediate join is materialized, on its step's profile, so the
+    next binary step has a left input, and each step is a plain
+    `run_pipeline` that mines its own inputs as it needs them. Every
+    counter and per-stage timing of the earlier steps accumulates into the
+    final report, and every intermediate join counts as a full join: a
+    chain is not frugal.
     """
     from .joins import join
 
@@ -286,7 +290,7 @@ def run_left_deep(
         )
         _carry(report, carried, carried_timings)
         if step < len(specs) - 1:
-            current = join(current, nxt, spec)
+            current = join(current, nxt, spec, report.coverage.profile)
             report.counters.full_join_rows += current.row_count
             carried, carried_timings = report.counters, report.timings
     assert report is not None

@@ -9,13 +9,14 @@ read by both sides. Join values are the profile's group ids throughout.
 Each side lays its candidate rows out once in that order, by sorting them
 on their id's rank, labelled by that rank, so an attribute's picks are the
 first `n_b` distinct labels per attribute value in one pass over its
-column. The two sides' selections are intersected, the rows of the selected
-ids joined, together with every row an outer operator keeps dangling, and
-exact dependencies mined from that micro-join. The dependencies discovered
-this way imply the true join dependencies (tested with composite and
-null-bearing keys, natural joins and all six operators); they are only
-exact themselves when the sample happened to contain a counterexample pair
-for everything false, so precision is measured, never assumed.
+column. The two sides' selections are intersected, and `join` pairs the
+rows of the selected ids on the run's own profile, together with every row
+an outer operator keeps dangling, copying no side first; exact dependencies
+are mined from that micro-join. The dependencies discovered this way imply
+the true join dependencies (tested with composite and null-bearing keys,
+natural joins and all six operators); they are only exact themselves when
+the sample happened to contain a counterexample pair for everything false,
+so precision is measured, never assumed.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .context import JoinContext
 from .discovery import discover_fds
 from .errors import InputError
 from .fds import FdSet
-from .joins import PADS_LEFT_ATTRS, PADS_RIGHT_ATTRS, join
-from .relation import Instance, take_rows
+from .joins import join
+from .relation import Instance
 
 
 @dataclass(frozen=True)
@@ -145,41 +146,27 @@ def selective_sampling(context: JoinContext, cfg: SampleConfig) -> set[int]:
     return picked_left & picked_right
 
 
-def _rows_of(ids: Sequence[int], kept: Sequence[bool]) -> list[int]:
-    """The ascending rows whose group id is kept."""
-    return list(compress(range(len(ids)), map(kept.__getitem__, ids)))
-
-
 def micro_join_batch(
     context: JoinContext, cfg: SampleConfig
 ) -> tuple[Instance | None, FdSet]:
     """Select, join, and mine; one micro-join over the selected values.
 
-    The selected rows of both sides are joined with the real operator.
-    Rows an outer operator keeps dangling are part of that operator's
-    semantics, not of the shared value space, so they always participate,
-    even when no shared value was selected; the micro-join is therefore a
-    sub-multiset of the full join result. Rows are picked by group id.
+    The micro-join is `join` on the run's profile, pairing only the rows of
+    the selected shared ids. Rows an outer operator keeps dangling are part
+    of that operator's semantics, not of the shared value space, so they
+    always participate, even when no shared value was selected; the
+    micro-join is therefore a sub-multiset of the full join result.
     Returns the micro-join (None when it is empty) and its dependencies as
     mined, each with a minimal lhs; the pipeline drops the implied members
     of everything the stages found in one pass.
     """
-    spec, profile = context.spec, context.profile
-    # per id, whether each side keeps its rows: the selected ids, and the
-    # dangling ones an outer operator keeps
-    chosen = [False] * len(profile.keys)
-    for g in selective_sampling(context, cfg):
-        chosen[g] = True
-    left_kept, right_kept = chosen[:], chosen
-    if spec.kind in PADS_RIGHT_ATTRS:
-        for g in profile.dangling_left:
-            left_kept[g] = True
-    if spec.kind in PADS_LEFT_ATTRS:
-        for g in profile.dangling_right:
-            right_kept[g] = True
-    li = take_rows(context.left, _rows_of(profile.left_ids, left_kept))
-    ri = take_rows(context.right, _rows_of(profile.right_ids, right_kept))
-    micro = join(li, ri, spec)
+    micro = join(
+        context.left,
+        context.right,
+        context.spec,
+        context.profile,
+        selective_sampling(context, cfg),
+    )
     context.counters.sample_join_rows += micro.row_count
     if micro.row_count == 0:
         context.warnings.append("sample micro-join is empty; no dependencies mined")

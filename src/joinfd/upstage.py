@@ -44,20 +44,9 @@ from itertools import compress
 from typing import Callable, Sequence
 
 from .context import JoinContext
-from .discovery import _PartitionCache, discover_new_fds
+from .discovery import _PartitionCache, discover_new_fds, holds_within
 from .errors import InternalInvariantError
 from .fds import FdSet, FunctionalDependency, mask_bits
-
-
-def _holds_within(
-    rows: Sequence[int], lhs: list[Sequence[int]], rhs: Sequence[int]
-) -> bool:
-    """Do the given rows that agree on every `lhs` column agree on `rhs`?"""
-    seen: dict[tuple, int] = {}
-    for r in rows:
-        if seen.setdefault(tuple(col[r] for col in lhs), rhs[r]) != rhs[r]:
-            return False
-    return True
 
 
 def _rows_by_id(
@@ -129,7 +118,7 @@ def _preserved_test(
         rhs = inst.ordinal(d.rhs)
         if on <= d.lhs:
             lhs = [inst.columns[o] for o in inst.ordinals(d.lhs)]
-            return all(_holds_within(rows, lhs, inst.columns[rhs]) for rows in dropped)
+            return all(holds_within(rows, lhs, inst.columns[rhs]) for rows in dropped)
         cache = cache or _PartitionCache(inst)
         return cache.holds(cache.mask(d.lhs), rhs)
 

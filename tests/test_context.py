@@ -21,6 +21,7 @@ from joinfd.joins import (
     JoinSpec,
     join,
     join_attr_directions,
+    join_profile,
 )
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
@@ -275,10 +276,11 @@ def test_directions_skip_the_scan_on_joins_that_pad_neither_side():
         left, right, spec = make_fixture(prof, seed=3)
         got = JoinContext(left, right, spec).directions()
         if kind in PADS_LEFT_ATTRS or kind in PADS_RIGHT_ATTRS:
-            assert got == join_attr_directions(left, right, spec), kind
+            want = join_attr_directions(spec, join_profile(left, right, spec))
+            assert got == want, kind
         else:
             # a profile without attributes: a scan would fail on it
-            assert join_attr_directions(left, right, spec, object()) == (True, True)
+            assert join_attr_directions(spec, object()) == (True, True)
             assert got == (True, True), kind
 
 

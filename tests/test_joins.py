@@ -6,6 +6,8 @@ import pytest
 from joinfd.discovery import discover_fds, holds
 from joinfd.errors import JoinSpecError
 from joinfd.joins import (
+    PADS_LEFT_ATTRS,
+    PADS_RIGHT_ATTRS,
     JoinKind,
     JoinSpec,
     SEMI_KINDS,
@@ -223,7 +225,7 @@ def test_join_attr_directions_on_outer_ops():
     left = loads_csv("k,a\n1,x\n2,y\n3,z", name="L")
     right = loads_csv("k,b\n1,p", name="R")
     lo = JoinSpec.equi(["k"], ["k"], JoinKind.LEFT_OUTER)
-    x_to_y, y_to_x = join_attr_directions(left, right, lo)
+    x_to_y, y_to_x = join_attr_directions(lo, join_profile(left, right, lo))
     assert x_to_y  # every left key maps to one right key or the null
     assert not y_to_x  # two dangling left keys share the null right key
 
@@ -266,6 +268,36 @@ def test_join_reads_the_groups_of_a_given_profile():
         left, right, spec = _tiny_pair(rng, index)
         profile = join_profile(left, right, spec)
         assert join(left, right, spec, profile) == join(left, right, spec), spec
+
+
+def _join_of_copies(left, right, spec, profile, shared):
+    """The join of copies of each side's rows that carry an id of `shared`
+    or that the operator keeps dangling, the copies profiled again."""
+    kept = [False] * len(profile.keys)
+    for g in shared:
+        kept[g] = True
+    left_kept, right_kept = kept[:], kept
+    if spec.kind in PADS_RIGHT_ATTRS:
+        for g in profile.dangling_left:
+            left_kept[g] = True
+    if spec.kind in PADS_LEFT_ATTRS:
+        for g in profile.dangling_right:
+            right_kept[g] = True
+    li = take_rows(left, [r for r, g in enumerate(profile.left_ids) if left_kept[g]])
+    ri = take_rows(right, [r for r, g in enumerate(profile.right_ids) if right_kept[g]])
+    return join(li, ri, spec)
+
+
+def test_join_of_picked_shared_ids_equals_the_join_of_their_rows():
+    rng = random.Random(39)
+    for index in range(600):
+        left, right, spec = _tiny_pair(rng, index)
+        profile = join_profile(left, right, spec)
+        n_shared = profile.n_shared
+        shared = rng.sample(range(n_shared), rng.randint(0, n_shared))
+        got = join(left, right, spec, profile, shared)
+        # names, schema, columns, dictionaries and row order
+        assert got == _join_of_copies(left, right, spec, profile, shared), spec
 
 
 def test_left_deep_chain_over_a_code_level_intermediate():

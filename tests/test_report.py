@@ -329,3 +329,48 @@ def test_left_deep_chain_counts_intermediates_as_full_joins():
         first.counters.partial_joins_built + last.counters.partial_joins_built
     )
     assert set(first.timings) <= set(rep.timings)
+
+
+def test_a_run_profiles_its_pair_once(monkeypatch):
+    from joinfd import context, joins
+
+    calls = []
+
+    def spy(left, right, spec):
+        calls.append(spec)
+        return profile(left, right, spec)
+
+    # both modules bind the function itself
+    profile = joins.join_profile
+    monkeypatch.setattr(context, "join_profile", spy)
+    monkeypatch.setattr(joins, "join_profile", spy)
+    for kind in JoinKind:
+        prof = FixtureProfile(
+            left_rows=12, right_rows=12, left_attrs=3, right_attrs=3,
+            dangling_fraction=0.3, duplicate_fraction=0.3, op=kind,
+        )
+        left, right, spec = make_fixture(prof, seed=4)
+        for strategy in pipeline.STRATEGIES:
+            calls.clear()
+            run_pipeline(left, right, spec, strategy=strategy)
+            assert calls == [spec], (kind, strategy)
+
+    # a chain of n tables profiles each of its n - 1 steps once
+    prof = FixtureProfile(
+        left_rows=8, right_rows=8, left_attrs=2, right_attrs=2,
+        dangling_fraction=0.3, op=JoinKind.FULL_OUTER,
+    )
+    a, b, spec_ab = make_fixture(prof, seed=1)
+    c = loads_csv("k2,z\n" + "\n".join(f"s{i},w{i % 2}" for i in range(6)), name="C")
+    d = loads_csv("k3,y\n" + "\n".join(f"s{i},u{i % 3}" for i in range(5)), name="D")
+    specs = [
+        spec_ab,
+        JoinSpec.equi(["L.k"], ["k2"], JoinKind.LEFT_OUTER),
+        JoinSpec.equi(["(L*R).L.k"], ["k3"], JoinKind.INNER),
+    ]
+    tables = [a, b, c, d]
+    for n in (2, 3, 4):
+        for strategy in pipeline.STRATEGIES:
+            calls.clear()
+            run_left_deep(tables[:n], specs[: n - 1], strategy=strategy)
+            assert calls == specs[: n - 1], (n, strategy)
