@@ -3,8 +3,11 @@
 `walk` is the apriori search over attribute sets as integer bitmasks that
 every search over attribute sets in the package runs on: a mask reaches the
 next level only if all its one-smaller subsets were judged False, so a hit
-prunes every superset of itself. Single-table mining is one walk from the
-empty set (constant columns) over `lattice_bits` for every rhs together:
+prunes every superset of itself. Besides single-table mining, inference's
+determiner search and stage 3's anchor and lhs walks (`mine`) run on it;
+the lhs walk alone finds the minimal lhs of a join dependency, on the
+join's validator. Single-table mining is one walk from the empty set
+(constant columns) over `lattice_bits` for every rhs together:
 the first name in sorted order takes the highest bit, so a mask minus its
 lowest bit lacks its largest name, and within one level descending masks
 come out in lexicographic order of sorted names. Like TANE's rhs candidate
@@ -19,7 +22,6 @@ one disagrees on the rhs.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Collection, Iterable, Sequence
 
 from .fds import FdSet, FunctionalDependency, mask_bits
@@ -48,26 +50,6 @@ def holds(instance: Instance, fd: FunctionalDependency) -> bool:
     rhs_col = instance.columns[instance.ordinal(fd.rhs)]
     lhs_cols = [instance.columns[o] for o in instance.ordinals(fd.lhs)]
     return holds_within(range(instance.row_count), lhs_cols, rhs_col)
-
-
-def minimal_variants(
-    fd: FunctionalDependency, valid: Callable[[FunctionalDependency], bool]
-) -> list[FunctionalDependency]:
-    """Every holding lhs variant of `fd` at the smallest size, else `fd`.
-
-    Proper lhs subsets are tried bottom-up, the empty one first; `valid`
-    says whether a candidate holds wherever the caller validates.
-    """
-    attrs = sorted(fd.lhs)
-    for size in range(len(attrs)):
-        candidates = [
-            FunctionalDependency(frozenset(sub), fd.rhs)
-            for sub in combinations(attrs, size)
-        ]
-        found = [cand for cand in candidates if valid(cand)]
-        if found:
-            return found
-    return [fd]
 
 
 def lattice_bits(names: Iterable[str]) -> dict[str, int]:

@@ -7,8 +7,12 @@ Inner joins equate them both ways; outer padding can break one or both
 directions, which is checked on value pairs before a direction is used.
 
 Determination is read through attribute closure, not syntactic membership,
-since the input sets are covers. Each inferred dependency then gets its lhs
-minimized on the join's validator, which materializes no join rows.
+since the input sets are covers. Inference only infers: no inferred lhs is
+minimized here. An inferred A -> b has b anchored purely on the other side
+(its join attributes determine b there), so every smaller A' -> b that
+holds on the join is a stage-3 mining candidate under the anchor (b, {}),
+which the level-wise walk judges before A; the pipeline's final
+`remove_implied` then drops A -> b.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .context import JoinContext
-from .discovery import minimal_variants, walk
+from .discovery import walk
 from .fds import (
     FdSet,
     FunctionalDependency,
@@ -88,43 +92,21 @@ def infer(
     return out
 
 
-def refine(context: JoinContext, inferred: FdSet) -> FdSet:
-    """Minimize each dependency's lhs on the join's validator.
+def refine(inferred: FdSet) -> FdSet:
+    """The inferred products less those the others imply; no validation.
 
-    Dependencies arrive in join-result names. Proper lhs subsets, the empty
-    one included, are tried bottom-up: one that a recorded counterexample
-    refutes (`JoinContext.refutes`) fails unvalidated and is counted as
-    refuted, and any other is validated by `JoinContext.check_fd`. All
-    variants holding at the smallest size replace the original. Members
-    that were actually shrunk come back tagged "refined".
+    The name stays for this one reduction because the benchmark's tracer
+    (`bench/spans.py`) traces `infer.refine`, and the tier-1 test
+    `tests/test_bench_names.py` resolves every name it traces.
     """
-    bits, counters = context.join_bits, context.counters
-
-    def valid(cand: FunctionalDependency) -> bool:
-        if context.refutes(sum(map(bits.__getitem__, cand.lhs)), cand.rhs):
-            counters.candidates_refuted += 1
-            return False
-        return context.check_fd(cand)
-
-    out = FdSet()
-    shrunk: set[FunctionalDependency] = set()
-    for d in inferred:
-        variants = minimal_variants(d, valid)
-        for v in variants:
-            out.add(v)
-        if variants != [d]:
-            shrunk.update(variants)
-    reduced = remove_implied(out)
-    result = FdSet()
-    for d in reduced:
-        result.add(d, "refined" if d in shrunk else None)
-    return result
+    return remove_implied(inferred)
 
 
 def infer_join_fds(
     context: JoinContext, sigma_left: FdSet, sigma_right: FdSet
 ) -> InferredFdSet:
-    """Both inference directions, mapped into the join schema and refined.
+    """Both inference directions, mapped into the join schema and reduced,
+    every member tagged `inferred`.
 
     `sigma_left` / `sigma_right` are the per-side dependency sets mined on
     the join's row sets by upstaging, in side-local names.
@@ -156,8 +138,7 @@ def infer_join_fds(
                     f"{','.join(other_names)} -> {d.rhs}",
                 ),
             )
-    refined = refine(context, collected)
     result = FdSet()
-    for d in refined:
-        result.add(d, refined.origins.get(d, "inferred"))
+    for d in refine(collected).as_set():
+        result.add(d, "inferred")
     return InferredFdSet(result, {d: p for d, p in provenance.items() if d in result})

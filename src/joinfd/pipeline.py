@@ -5,10 +5,11 @@ sampling strategy swaps the mining stage for micro-join sampling; the oracle
 strategy materializes the join and mines it exhaustively. All strategies
 produce the same report shape: dependencies in join-result names tagged with
 the first stage that produced them, coverage, per-stage timings, and
-materialization counters. Which final dependencies an input already had is
-settled once, on the final set, by one rule for every strategy
-(`upstage.preserved_tags`, timed as `tag`), and its `preserved-*` tag
-overrides the stage's.
+materialization counters. The clock starts before the join profile is
+built, so `total` covers it and `profile` times it. Which final
+dependencies an input already had is settled once, on the final set, by
+one rule for every strategy (`upstage.preserved_tags`, timed as `tag`),
+and its `preserved-*` tag overrides the stage's.
 A single frugal run never records a full join; left-deep chains count their
 materialized intermediates as full joins.
 """
@@ -115,10 +116,11 @@ def run_pipeline(
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    context = JoinContext(left, right, spec)
     timings: dict[str, float] = {}
     started = time.perf_counter()
+    context = JoinContext(left, right, spec)
     cov = profile_coverage(context.profile)
+    timings["profile"] = time.perf_counter() - started
 
     if _vacuous(context):
         timings["total"] = time.perf_counter() - started

@@ -117,7 +117,7 @@ def test_criterion_3_four_row_tables_exactly():
         if d.rhs == "R.C":
             assert not (
                 d.lhs <= {"L.X", "L.A"}
-                and report.fds.origins[d] in ("inferred", "refined")
+                and report.fds.origins[d] == "inferred"
             )
     assert report.fds.origins.get(fd(["L.A", "R.B"], "R.C")) == "mined"
     print("PASS criterion 3: 4-row fixture reproduced exactly")

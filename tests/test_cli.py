@@ -255,3 +255,39 @@ def test_non_integer_row_limit_exits_2(tables, capsys, monkeypatch):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "JOINFD_MAX_JOIN_ROWS" in err
+
+
+# odd inputs: per case, the left and right file contents and the extra
+# join-discover arguments
+ODD_INPUTS = {
+    "empty-file": ("", "k,b\n1,p\n", ["--on", "k=k"]),
+    "header-only": ("k,a\n", "k,b\n1,p\n", ["--on", "k=k"]),
+    "duplicate-columns": ("k,a,a\n1,x,y\n", "k,b\n1,p\n", ["--on", "k=k"]),
+    "dotted-columns": ("k,a.b\n1,x\n2,y\n", "k,b.c\n1,p\n2,q\n", ["--on", "k=k"]),
+    "ragged-rows": ("k,a\n1,x\n2\n", "k,b\n1,p\n", ["--on", "k=k"]),
+    "natural-keys-named-apart": (
+        "k,a\n1,x\n2,y\n", "j,b\n1,p\n2,q\n", ["--on", "k=j", "--natural"]
+    ),
+    "nb-zero": ("k,a\n1,x\n2,y\n", "k,b\n1,p\n2,q\n", ["--on", "k=k", "--nb", "0"]),
+    "repeated-key-column": (
+        "k,a\n1,x\n2,y\n2,z\n", "k,b\n1,p\n2,q\n", ["--on", "k,k=k,k"]
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", ["selective", "sampling", "oracle"])
+@pytest.mark.parametrize("case", sorted(ODD_INPUTS))
+def test_odd_join_inputs_exit_0_or_2(tmp_path, capsys, case, strategy):
+    # a normal input never exits 4 or raises; a refusal is one error line
+    left_text, right_text, extra = ODD_INPUTS[case]
+    left, right = tmp_path / "l.csv", tmp_path / "r.csv"
+    left.write_text(left_text)
+    right.write_text(right_text)
+    argv = ["join-discover", "--left", str(left), "--right", str(right), *extra]
+    code = main([*argv, "--strategy", strategy])
+    out, err = capsys.readouterr()
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error:"), err
+    else:
+        assert json.loads(out)["strategy"] == strategy

@@ -14,6 +14,12 @@ under a selection tree drawn per pair (`n_b`, `n_v` and seed).
 After each selective run, every counterexample the validator kept, and
 every mining candidate it refuted with one, must be false on the
 materialized join.
+
+A second generator makes 300 wider pairs (1-3 key attributes, up to 5
+more attributes and 30 rows a side, domains of 1-5 values, nulls in about
+60% of the pairs) on which selective must be closure-equal to the oracle
+and sampling must imply it. Stage 2 shrinks no inferred lhs, so these
+pairs also check that mining alone finds every minimal lhs.
 """
 
 import random
@@ -31,30 +37,40 @@ from joinfd.sample import SampleConfig
 
 PAIRS = 600
 VALUES = ("x", "y", "z")
+# the wider pairs: at most this many key attributes, rows and other
+# attributes a side, and values in a domain
+WIDE = {
+    "max_keys": 3, "max_rows": 30, "max_others": 5, "values": ("v", "w", "x", "y", "z")
+}
+WIDE_PAIRS = 300
 
 
 def _side(
-    rng: random.Random, name: str, keys: list[str], prefix: str, nulls: list[None]
+    rng: random.Random, name: str, keys: list[str], prefix: str, nulls: list[None],
+    max_rows: int, max_others: int, values: tuple[str, ...],
 ) -> Instance:
-    rows = rng.randint(0, 8)
-    attrs = keys + [f"{prefix}{i}" for i in range(rng.randint(0, 2))]
+    rows = rng.randint(0, max_rows)
+    attrs = keys + [f"{prefix}{i}" for i in range(rng.randint(0, max_others))]
     columns = []
     for _ in attrs:
-        domain = list(VALUES[: rng.randint(1, len(VALUES))]) + nulls
+        domain = list(values[: rng.randint(1, len(values))]) + nulls
         columns.append([rng.choice(domain) for _ in range(rows)])
     return Instance.from_rows(attrs, list(zip(*columns)), name=name)
 
 
-def _pair(rng: random.Random, index: int) -> tuple[Instance, Instance, JoinSpec]:
-    keys = [f"k{i}" for i in range(rng.randint(1, 2))]
+def _pair(
+    rng: random.Random, index: int, max_keys: int = 2, null_share: float = 0.75,
+    max_rows: int = 8, max_others: int = 2, values: tuple[str, ...] = VALUES,
+) -> tuple[Instance, Instance, JoinSpec]:
+    keys = [f"k{i}" for i in range(rng.randint(1, max_keys))]
     natural = rng.random() < 0.5
     # about half of the equi-joins match keys named apart
     right_keys = keys
     if not natural and rng.random() < 0.5:
         right_keys = [f"j{i}" for i in range(len(keys))]
-    nulls = [None] if rng.random() < 0.75 else []
-    left = _side(rng, "L", keys, "a", nulls)
-    right = _side(rng, "R", right_keys, "b", nulls)
+    nulls = [None] if rng.random() < null_share else []
+    left = _side(rng, "L", keys, "a", nulls, max_rows, max_others, values)
+    right = _side(rng, "R", right_keys, "b", nulls, max_rows, max_others, values)
     kind = list(JoinKind)[index % len(JoinKind)]
     spec = JoinSpec(kind, tuple(keys), tuple(right_keys), natural=natural)
     return left, right, spec
@@ -85,6 +101,33 @@ def test_sampling_implies_oracle_on_tiny_random_pairs():
         truth = oracle_join_fds(left, right, spec)
         if not all(implies(rep.fds, d) for d in truth):
             missed.append((i, spec, cfg))
+    assert not missed
+
+
+def _wide_pairs():
+    """The wider pairs, nulls in about 60% of them, each with a selection
+    tree drawn for it."""
+    rng = random.Random(20261020)
+    out = []
+    for index in range(WIDE_PAIRS):
+        left, right, spec = _pair(rng, index, null_share=0.6, **WIDE)
+        cfg = SampleConfig(
+            n_b=rng.randint(1, 3), n_v=rng.randint(0, 2), seed=rng.randrange(1 << 16)
+        )
+        out.append((left, right, spec, cfg))
+    return out
+
+
+def test_selective_matches_and_sampling_implies_oracle_on_wider_random_pairs():
+    wrong, missed = [], []
+    for i, (left, right, spec, cfg) in enumerate(_wide_pairs()):
+        truth = oracle_join_fds(left, right, spec)
+        if not closure_equal(run_pipeline(left, right, spec).fds, truth):
+            wrong.append((i, spec))
+        rep = run_pipeline(left, right, spec, strategy="sampling", sample_cfg=cfg)
+        if not all(implies(rep.fds, d) for d in truth):
+            missed.append((i, spec, cfg))
+    assert not wrong
     assert not missed
 
 

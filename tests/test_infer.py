@@ -5,6 +5,7 @@ from joinfd.discovery import discover_fds, holds
 from joinfd.fds import FdSet, fd, implies
 from joinfd.infer import _minimal_determiners, infer, infer_join_fds, refine
 from joinfd.joins import JoinKind, JoinSpec, join
+from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 from joinfd.upstage import upstage
 
@@ -105,52 +106,51 @@ def test_pruning_theorem_on_random_joins():
 
 
 def test_refine_keeps_singleton_lhs_without_a_join():
-    left = loads_csv("k,a\n1,x\n2,y", name="L")
-    right = loads_csv("k,b\n1,p\n2,q", name="R")
-    spec = JoinSpec.equi(["k"], ["k"])
+    got = refine(FdSet([fd(["L.a"], "R.b")]))
+    assert got == {fd(["L.a"], "R.b")}
+
+
+def _adm_pair():
+    # the inferred rule needs both loc and diag to reach pid on ADM, but diag
+    # alone determines dob on the join: pids 1 and 2 share diag d1 and dob b1
+    left = loads_csv("pid,loc,diag\n1,e,d1\n2,w,d1\n3,w,d3", name="ADM")
+    right = loads_csv("pid,dob\n1,b1\n2,b1\n3,b3", name="PAT")
+    return left, right, JoinSpec.equi(["pid"], ["pid"])
+
+
+def test_mining_finds_the_smaller_lhs_of_an_inferred_fd():
+    left, right, spec = _adm_pair()
     context = JoinContext(left, right, spec)
-    got = refine(context, FdSet([fd(["L.a"], "R.b")]))
-    assert fd(["L.a"], "R.b") in got
-    assert context.counters.partial_joins_built == 0
+    inferred = infer_join_fds(context, *upstage(context))
+    assert implies(inferred.fds, fd(["ADM.loc", "ADM.diag"], "PAT.dob"))
+    assert not implies(inferred.fds, fd(["ADM.diag"], "PAT.dob"))
+    report = run_pipeline(left, right, spec, strategy="selective")
+    assert report.fds.origins.get(fd(["ADM.diag"], "PAT.dob")) == "mined"
+    assert fd(["ADM.loc", "ADM.diag"], "PAT.dob") not in report.fds
 
 
-def test_refine_finds_smaller_variant():
-    # diag alone determines dob on the join even though the inferred rule
-    # needed both location and diag
-    left = loads_csv(
-        "pid,loc,diag\n1,e,d1\n2,e,d2\n3,w,d3\n3,w,d3", name="ADM"
-    )
-    right = loads_csv("pid,dob\n1,b1\n2,b2\n3,b3", name="PAT")
-    spec = JoinSpec.equi(["pid"], ["pid"])
-    inferred = FdSet([fd(["ADM.loc", "ADM.diag"], "PAT.dob")])
-    got = refine(JoinContext(left, right, spec), inferred)
-    assert fd(["ADM.diag"], "PAT.dob") in got
-    assert got.origins.get(fd(["ADM.diag"], "PAT.dob")) == "refined"
-    assert fd(["ADM.loc", "ADM.diag"], "PAT.dob") not in got
+def test_only_mining_validates_on_the_join_validator():
+    # inference neither validates nor refutes; mining validates on the join
+    # validator, and no partial join is behind any validation
+    left, right, spec = _adm_pair()
+    context = JoinContext(left, right, spec)
+    infer_join_fds(context, *upstage(context))
+    assert context.counters.candidates_validated == 0
+    assert context.counters.candidates_refuted == 0
+    counters = run_pipeline(left, right, spec, strategy="selective").counters
+    assert counters.candidates_validated >= 1
+    assert counters.partial_joins_built == counters.partial_join_rows == 0
 
 
-def test_refine_validates_on_the_join_validator():
-    # the same pair: the empty lhs fails on the join validator, and its
-    # counterexample (rows of pids 1 and 2, which share loc e) refutes loc
-    # unvalidated; diag holds. No partial join is behind any of them
-    left = loads_csv(
-        "pid,loc,diag\n1,e,d1\n2,e,d2\n3,w,d3\n3,w,d3", name="ADM"
-    )
-    right = loads_csv("pid,dob\n1,b1\n2,b2\n3,b3", name="PAT")
-    context = JoinContext(left, right, JoinSpec.equi(["pid"], ["pid"]))
-    refine(context, FdSet([fd(["ADM.loc", "ADM.diag"], "PAT.dob")]))
-    assert context.counters.partial_joins_built == 0
-    assert context.counters.partial_join_rows == 0
-    assert context.counters.candidates_validated == 2
-    assert context.counters.candidates_refuted == 1
-
-
-def test_refine_tests_the_constant_subset():
+def test_upstaging_finds_the_constant_subset():
+    # b is constant on R's join rows (k 3 dangles), not on R: upstaging, not
+    # inference, reports the empty lhs
     left = loads_csv("k,a\n1,x\n2,y", name="L")
-    right = loads_csv("k,b\n1,same\n2,same", name="R")
+    right = loads_csv("k,b\n1,same\n2,same\n3,other", name="R")
     spec = JoinSpec.equi(["k"], ["k"])
-    got = refine(JoinContext(left, right, spec), FdSet([fd(["L.a"], "R.b")]))
-    assert fd([], "R.b") in got
+    report = run_pipeline(left, right, spec, strategy="selective")
+    assert report.fds.origins.get(fd([], "R.b")) == "upstaged-right"
+    assert fd(["L.a"], "R.b") not in report.fds
 
 
 def test_refine_never_emits_a_violated_dependency():
@@ -187,7 +187,7 @@ def test_refined_output_implies_inferred_input():
             spec.left_on, spec.right_on, sigma_l, sigma_r,
             lhs_map=context.lmap, rhs_map=context.rmap,
         )
-        refined = refine(context, raw)
+        refined = refine(raw)
         for d in raw:
             assert implies(refined, d)
 

@@ -10,7 +10,7 @@ from joinfd.discovery import discover_fds
 from joinfd.joins import JoinKind, JoinSpec, coverage, left_name_map, right_name_map
 from joinfd.metrics import evaluate
 from joinfd.oracle import oracle_join_fds
-from joinfd.pipeline import run_left_deep, run_pipeline
+from joinfd.pipeline import STRATEGIES, run_left_deep, run_pipeline
 from joinfd.relation import loads_csv
 
 from conftest import brute_force_fds, brute_force_violations, random_instance
@@ -229,6 +229,26 @@ def test_report_json_shape(pair_with_join_only_fd):
     assert "coverage" in doc and "timings" in doc
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_total_time_covers_every_stage_and_the_profile(strategy):
+    prof = FixtureProfile(left_rows=12, right_rows=12, dangling_fraction=0.3)
+    pairs = [make_fixture(prof, seed=4)]
+    # a vacuous run: no join value is shared
+    pairs.append((
+        loads_csv("k,a\n1,x\n2,y", name="L"),
+        loads_csv("k,b\n3,p\n4,q", name="R"),
+        JoinSpec.equi(["k"], ["k"]),
+    ))
+    for kind in (JoinKind.LEFT_SEMI, JoinKind.FULL_OUTER):
+        left, right, spec = make_fixture(FixtureProfile(op=kind), seed=5)
+        pairs.append((left, right, spec))
+    for left, right, spec in pairs:
+        timings = run_pipeline(left, right, spec, strategy=strategy).timings
+        stages = {k: v for k, v in timings.items() if k != "total"}
+        assert "profile" in stages
+        assert timings["total"] >= sum(stages.values()) - 1e-9, timings
+
+
 def test_wide_pair_reports_the_mining_funnel():
     # many two-valued attributes: mining refutes candidates by recorded
     # counterexamples and prunes others the pool implies
@@ -315,16 +335,16 @@ def test_left_deep_chain_counts_intermediates_as_full_joins():
         first.counters.partial_join_rows + last.counters.partial_join_rows
     )
     # every counter and stage timing of the first step is carried, too
-    assert first.counters.candidates_validated == 4
-    assert last.counters.candidates_validated == 5
+    assert first.counters.candidates_validated == 3
+    assert last.counters.candidates_validated == 4
     assert rep.counters.candidates_validated == (
         first.counters.candidates_validated + last.counters.candidates_validated
-    ) == 9
-    assert first.counters.candidates_refuted == 6
-    assert last.counters.candidates_refuted == 18
+    ) == 7
+    assert first.counters.candidates_refuted == 3
+    assert last.counters.candidates_refuted == 11
     assert rep.counters.candidates_refuted == (
         first.counters.candidates_refuted + last.counters.candidates_refuted
-    ) == 24
+    ) == 14
     assert rep.counters.partial_joins_built == (
         first.counters.partial_joins_built + last.counters.partial_joins_built
     )
