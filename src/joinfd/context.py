@@ -41,6 +41,7 @@ from .joins import (
     left_name_map,
     pad_rows,
     partial_join,
+    result_schema,
     right_name_map,
 )
 from .relation import Instance, take_rows
@@ -65,6 +66,7 @@ class JoinContext:
 
     def __init__(self, left: Instance, right: Instance, spec: JoinSpec):
         spec.validate(left, right)
+        result_schema(left, right, spec)  # refuses colliding join names
         self.left = left
         self.right = right
         self.spec = spec

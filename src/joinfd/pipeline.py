@@ -1,11 +1,13 @@
 """End-to-end strategies and the discovery report.
 
 The selective strategy runs upstaging, inference, and selective mining; the
-sampling strategy swaps the mining stage for micro-join sampling; the oracle
-strategy materializes the join and mines it exhaustively. All strategies
-produce the same report shape: dependencies in join-result names tagged with
-the first stage that produced them, coverage, per-stage timings, and
-materialization counters. The clock starts before the join profile is
+sampling strategy runs upstaging and then micro-join sampling, with no
+inference, since the micro-join's rows are join rows and what it mines
+implies every inferred member; the oracle strategy materializes the join
+and mines it exhaustively. All strategies produce the same report shape:
+dependencies in join-result names tagged with the first stage that
+produced them, coverage, per-stage timings, and materialization counters.
+The clock starts before the join profile is
 built, so `total` covers it and `profile` times it. Which final
 dependencies an input already had is settled once, on the final set, by
 one rule for every strategy (`upstage.preserved_tags`, timed as `tag`),
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 from .context import Counters, JoinContext
 from .errors import InputError, InternalInvariantError
-from .fds import FdSet, FunctionalDependency, remove_implied
+from .fds import FdSet, FunctionalDependency, implies, remove_implied
 from .infer import infer_join_fds
 from .joins import CoverageReport, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
@@ -111,8 +113,9 @@ def run_pipeline(
     themselves: stage 0 mines an input table's own set only for a side that
     an outer operator pads (`single_tables` times it), and its members that
     do not hold on the side's join rows are reported as `violated_fds`.
-    Upstaging mines each side's join rows once, whole, and inference and
-    mining reason from those two sets.
+    Upstaging mines each side's join rows once, whole, and the later stages
+    reason from those two sets: a padded side's mined set decides by
+    implication which input members survive on its rows.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
@@ -161,21 +164,15 @@ def run_pipeline(
     timings["single_tables"] = time.perf_counter() - t0
 
     # stage 1: each side's dependencies on its join rows, and a padded
-    # side's survivors: the input members that hold on its rows, judged in
-    # ascending lhs mask order, so that the partitions built here, and the
-    # parents later ones are refined from, do not follow the hash seed
+    # side's survivors: the input members that hold on its rows, which are
+    # exactly those its mined set implies
     t0 = time.perf_counter()
     sigma_left, sigma_right = upstage(context)
-    survivors: dict[str, FdSet] = {}
-    for side in padded:
-        partitions = context.side_partitions(side)
-        ordinal = context.side_subinstance(side).ordinal
-        by_lhs = sorted(
-            context.input_fds(side).as_set(), key=lambda d: partitions.mask(d.lhs)
-        )
-        survivors[side] = FdSet(
-            d for d in by_lhs if partitions.holds(partitions.mask(d.lhs), ordinal(d.rhs))
-        )
+    sigma = {"left": sigma_left, "right": sigma_right}
+    survivors = {
+        side: FdSet(d for d in context.input_fds(side) if implies(sigma[side], d))
+        for side in padded
+    }
     timings["upstage"] = time.perf_counter() - t0
     warnings: list[str] = []
     violated: list[str] = []
@@ -208,7 +205,7 @@ def run_pipeline(
     )
     provenance: dict[FunctionalDependency, tuple[str, str]] = {}
 
-    if spec.kind not in SEMI_KINDS:
+    if spec.kind not in SEMI_KINDS and strategy == "selective":
         # stage 2: inference through the join attributes
         t0 = time.perf_counter()
         inferred = infer_join_fds(context, sigma_left, sigma_right)
@@ -218,12 +215,14 @@ def run_pipeline(
 
         # stage 3: remaining dependencies
         t0 = time.perf_counter()
-        if strategy == "selective":
-            prior = prior.union(discover_selective(context, sigma_left, sigma_right, prior))
-            timings["mine"] = time.perf_counter() - t0
-        else:
-            prior = prior.union(discover_sampled(context, sample_cfg or SampleConfig()))
-            timings["sample"] = time.perf_counter() - t0
+        prior = prior.union(discover_selective(context, sigma_left, sigma_right, prior))
+        timings["mine"] = time.perf_counter() - t0
+    elif spec.kind not in SEMI_KINDS:
+        # stage 3: the micro-join's rows are join rows, so what it mines
+        # implies everything inference would add
+        t0 = time.perf_counter()
+        prior = prior.union(discover_sampled(context, sample_cfg or SampleConfig()))
+        timings["sample"] = time.perf_counter() - t0
 
     final = remove_implied(prior)
     t0 = time.perf_counter()

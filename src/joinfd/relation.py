@@ -154,15 +154,6 @@ def project(instance: Instance, attrs: Iterable[AttrRef]) -> Instance:
     )
 
 
-def distinct_values(
-    instance: Instance, attrs: Iterable[AttrRef]
-) -> set[tuple[int, ...]]:
-    """Deduplicated set of code tuples over `attrs` (schema order)."""
-    ords = instance.ordinals(attrs)
-    cols = [instance.columns[o] for o in ords]
-    return {tuple(col[r] for col in cols) for r in range(instance.row_count)}
-
-
 def distinct_rows(instance: Instance) -> Instance:
     """Drop duplicate rows, keeping the first occurrence of each."""
     seen: set[tuple[int, ...]] = set()

@@ -1,4 +1,5 @@
-"""Stage 4: sampling-based discovery from micro-joins.
+"""The sampling strategy's stage 3, run right after upstaging: discovery
+from micro-joins, whose mined set implies everything inference would add.
 
 Representative join values are picked per side by walking the non-join
 attributes in ascending distinct-value order (skipping the most diverse ones)

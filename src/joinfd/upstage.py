@@ -2,11 +2,12 @@
 the one rule that tags the final dependencies an input already had.
 
 `upstage` mines each side's rows in the join (the input rows that survive
-it, plus padding rows) once, whole, as a single table. The later stages
-reason from those two sets, and the report tags their members
-`upstaged-left` and `upstaged-right`: the join made a dependency exact when
-it filtered out every row violating it, rows whose join value has no
-partner on the other side.
+it, plus padding rows) once, whole, as a single table. Each set holds every
+minimal dependency of its side's join rows, so it implies exactly those
+that hold there. The later stages reason from those two sets, and the
+report tags their members `upstaged-left` and `upstaged-right`: the join
+made a dependency exact when it filtered out every row violating it, rows
+whose join value has no partner on the other side.
 
 `preserved_tags` then settles, once, on the final set and for every
 strategy, which members an input already had, and that tag overrides the
@@ -29,10 +30,10 @@ one implies (the oracle's members are minimal on the whole join). So:
   once per side when first needed.
 - A side that an outer operator pads with nulls is no row subset, since a
   smaller lhs may hold on the input and be broken by padding. A frugal run
-  hands in the survivors, the members of the input's own set that hold on
-  the side's rows, and a member is preserved iff it is one of them. The
-  oracle mines no input set: there a member is preserved iff it holds on
-  the input's partitions and no one-smaller lhs does.
+  hands in the survivors, the members of the input's own set that the
+  side's mined set implies, and a member is preserved iff it is one of
+  them. The oracle mines no input set: there a member is preserved iff it
+  holds on the input's partitions and no one-smaller lhs does.
 
 A member still tagged `sampled` is not preserved: had it held on the side's
 rows, it would be in that side's mined set and tagged `upstaged-*` first.

@@ -291,3 +291,19 @@ def test_odd_join_inputs_exit_0_or_2(tmp_path, capsys, case, strategy):
         assert err.count("\n") == 1 and err.startswith("error:"), err
     else:
         assert json.loads(out)["strategy"] == strategy
+
+
+@pytest.mark.parametrize("strategy", ["selective", "sampling", "oracle"])
+def test_colliding_join_names_exit_2(tmp_path, capsys, strategy):
+    # two files with one stem make two tables named t, so t.k would name
+    # both key columns in the join
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    left, right = tmp_path / "a" / "t.csv", tmp_path / "b" / "t.csv"
+    left.write_text("k,a\n1,x\n2,y\n")
+    right.write_text("k,b\n1,p\n2,q\n")
+    argv = ["join-discover", "--left", str(left), "--right", str(right), "--on", "k=k"]
+    code = main([*argv, "--strategy", strategy])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out, (code, out)
+    assert err.count("\n") == 1 and err.startswith("error:"), err

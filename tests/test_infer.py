@@ -1,10 +1,12 @@
 import random
 
+from joinfd import pipeline
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds, holds
 from joinfd.fds import FdSet, fd, implies
 from joinfd.infer import _minimal_determiners, infer, infer_join_fds, refine
-from joinfd.joins import JoinKind, JoinSpec, join
+from joinfd.fixtures import FixtureProfile, make_fixture
+from joinfd.joins import SEMI_KINDS, JoinKind, JoinSpec, join
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 from joinfd.upstage import upstage
@@ -65,8 +67,6 @@ def test_proof_tables_infer_nothing_for_the_mixed_rhs(pair_with_join_only_fd):
 def test_inferred_fds_hold_on_the_full_join():
     rng = random.Random(61)
     for seed in range(30):
-        from joinfd.fixtures import FixtureProfile, make_fixture
-
         prof = FixtureProfile(
             left_rows=rng.randint(6, 14), right_rows=rng.randint(6, 14),
             left_attrs=3, right_attrs=3,
@@ -86,7 +86,6 @@ def test_inferred_fds_hold_on_the_full_join():
 def test_pruning_theorem_on_random_joins():
     # if the join attributes do not determine b, no pure one-sided lhs does
     rng = random.Random(62)
-    from joinfd.fixtures import FixtureProfile, make_fixture
     from itertools import combinations
 
     for seed in range(20):
@@ -142,6 +141,35 @@ def test_only_mining_validates_on_the_join_validator():
     assert counters.partial_joins_built == counters.partial_join_rows == 0
 
 
+def test_only_selective_runs_inference(monkeypatch):
+    # the micro-join's rows are join rows, so what sampling mines implies
+    # every member inference would add: sampling runs no stage 2, and its
+    # reports carry no inferred origin, no provenance and no infer timing
+    calls = []
+    real = pipeline.infer_join_fds
+
+    def spy(context, sigma_left, sigma_right):
+        calls.append(context.spec)
+        return real(context, sigma_left, sigma_right)
+
+    monkeypatch.setattr(pipeline, "infer_join_fds", spy)
+    inferred = 0
+    for seed, kind in enumerate(list(JoinKind) * 4):
+        prof = FixtureProfile(left_attrs=4, right_attrs=4, dangling_fraction=0.2, op=kind)
+        left, right, spec = make_fixture(prof, seed=seed)
+        calls.clear()
+        sampled = run_pipeline(left, right, spec, strategy="sampling")
+        assert calls == [], spec
+        assert "inferred" not in sampled.origin_counts(), spec
+        assert "infer" not in sampled.timings and not sampled.provenance, spec
+        assert not any("provenance" in d for d in sampled.to_json()["fds"]), spec
+        selective = run_pipeline(left, right, spec, strategy="selective")
+        assert calls == ([] if kind in SEMI_KINDS else [spec]), spec
+        assert ("infer" in selective.timings) == (kind not in SEMI_KINDS), spec
+        inferred += selective.origin_counts().get("inferred", 0)
+    assert inferred > 0
+
+
 def test_upstaging_finds_the_constant_subset():
     # b is constant on R's join rows (k 3 dangles), not on R: upstaging, not
     # inference, reports the empty lhs
@@ -155,8 +183,6 @@ def test_upstaging_finds_the_constant_subset():
 
 def test_refine_never_emits_a_violated_dependency():
     rng = random.Random(63)
-    from joinfd.fixtures import FixtureProfile, make_fixture
-
     for seed in range(20):
         prof = FixtureProfile(
             left_rows=12, right_rows=12, left_attrs=4, right_attrs=3,
@@ -172,7 +198,6 @@ def test_refine_never_emits_a_violated_dependency():
 
 def test_refined_output_implies_inferred_input():
     rng = random.Random(64)
-    from joinfd.fixtures import FixtureProfile, make_fixture
     from joinfd.infer import infer
 
     for seed in range(15):

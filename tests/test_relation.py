@@ -6,7 +6,6 @@ from joinfd.errors import CsvFormatError, SchemaError
 from joinfd.joins import JoinSpec, join_profile
 from joinfd.relation import (
     NULL_CODE,
-    distinct_values,
     load_csv,
     loads_csv,
     project,
@@ -114,21 +113,11 @@ def test_project_composes_as_intersection():
         assert project(project(inst, outer), inner) == project(inst, inner)
 
 
-def test_distinct_values_single_column():
-    inst = loads_csv("X\n0\n1\n1\n2")
-    assert len(distinct_values(inst, ["X"])) == 3
-
-
-def test_distinct_values_constant_column():
-    inst = loads_csv("a\nx\nx\nx\nx")
-    assert len(distinct_values(inst, ["a"])) == 1
-
-
 def test_shared_join_values_of_the_four_row_pair():
     left = loads_csv("X,A\n0,0\n1,0\n1,1\n2,2")
     right = loads_csv("Y,B,C\n0,0,0\n1,0,0\n1,1,1\n2,1,0")
-    lx = {left.decode(0, c[0]) for c in distinct_values(left, ["X"])}
-    ry = {right.decode(0, c[0]) for c in distinct_values(right, ["Y"])}
+    lx = {left.decode(0, c) for c in left.columns[0]}
+    ry = {right.decode(0, c) for c in right.columns[0]}
     assert lx & ry == {"0", "1", "2"}
 
 

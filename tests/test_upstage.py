@@ -279,7 +279,8 @@ def _fixture_pairs():
 
 def test_reports_match_mining_every_input_whole(monkeypatch):
     violated = {"selective": 0, "sampling": 0}
-    for left, right, spec in _fixture_pairs():
+    # every tiny pair, not only the half the other tests take
+    for left, right, spec in _fixture_pairs() + tiny_random_pairs()[1::2]:
         # per padded side, the input members that do not hold on its rows
         context = JoinContext(left, right, spec)
         broken = [
@@ -411,17 +412,13 @@ def test_dropped_preserved_dependency_still_raises(monkeypatch):
     # without nulls, padding breaks no member with a nonempty lhs; a stage
     # that loses one anyway is a bug, and the run must refuse to report
     left, right, spec = _dangling_pair(JoinKind.LEFT_OUTER)
-    real = JoinContext.side_partitions
+    real = pipeline.upstage
 
-    def lossy(self, side):
-        # right partitions on which no member with a nonempty lhs holds
-        cache = real(self, side)
-        if side == "right" and "holds" not in vars(cache):
-            holds = cache.holds
-            cache.holds = lambda lhs, rhs: not lhs and holds(lhs, rhs)
-        return cache
+    def lossy(context):
+        # a right set that implies no input member of the right table
+        return real(context)[0], FdSet()
 
-    monkeypatch.setattr(JoinContext, "side_partitions", lossy)
+    monkeypatch.setattr(pipeline, "upstage", lossy)
     with pytest.raises(InternalInvariantError, match="right table no longer holds"):
         run_pipeline(left, right, spec)
 
