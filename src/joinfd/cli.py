@@ -20,18 +20,11 @@ from .fds import FdSet, FunctionalDependency
 from .fixtures import FixtureProfile, make_fixture
 from .joins import JoinKind, JoinSpec, coverage
 from .metrics import evaluate
-from .pipeline import run_pipeline
+from .pipeline import STRATEGIES, run_pipeline
 from .relation import Instance, load_csv, to_csv
 from .sample import SampleConfig
 
-_OP_ALIASES = {
-    "inner": JoinKind.INNER,
-    "lsemi": JoinKind.LEFT_SEMI,
-    "rsemi": JoinKind.RIGHT_SEMI,
-    "louter": JoinKind.LEFT_OUTER,
-    "router": JoinKind.RIGHT_OUTER,
-    "fouter": JoinKind.FULL_OUTER,
-}
+_OP_ALIASES = {kind.value: kind for kind in JoinKind}
 
 
 def _parse_on(text: str) -> tuple[list[str], list[str]]:
@@ -56,7 +49,8 @@ def _load_table(path: str, args) -> Instance:
 
 def _load_fd_file(path: str) -> FdSet:
     """The dependencies of an FD JSON file: a list of entries, or a report
-    holding one under "fds". Every entry must be exact (error 0)."""
+    holding one under "fds". Every entry must be exact: an "error", which
+    joinfd no longer writes, must be 0."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
@@ -212,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("join-discover", help="mine the join of two tables")
     _add_join_options(p)
-    p.add_argument("--strategy", default="selective", choices=["selective", "sampling", "oracle"])
+    p.add_argument("--strategy", default="selective", choices=STRATEGIES)
     p.add_argument("--nb", type=int, default=1, help="sample tuples per branch")
     p.add_argument("--nv", type=int, default=0, help="most-distinct attributes to skip")
     p.add_argument("--seed", type=int, default=0)

@@ -38,11 +38,9 @@ from .joins import (
     SEMI_KINDS,
     join_attr_directions,
     join_profile,
-    left_name_map,
+    name_maps,
     pad_rows,
     partial_join,
-    result_schema,
-    right_name_map,
 )
 from .relation import Instance, take_rows
 
@@ -66,15 +64,13 @@ class JoinContext:
 
     def __init__(self, left: Instance, right: Instance, spec: JoinSpec):
         spec.validate(left, right)
-        result_schema(left, right, spec)  # refuses colliding join names
+        self.lmap, self.rmap = name_maps(left, right, spec)  # refuses collisions
         self.left = left
         self.right = right
         self.spec = spec
         self.counters = Counters()
         self.warnings: list[str] = []
         self.profile: JoinProfile = join_profile(left, right, spec)
-        self.lmap = left_name_map(left, right, spec)
-        self.rmap = right_name_map(left, right, spec)
         # join name -> (side, base name); left wins merged natural columns,
         # and a semi-join's names are its kept side's
         self.owner: dict[str, tuple[str, str]] = {}

@@ -42,7 +42,7 @@ class FunctionalDependency:
         )
 
     def to_json(self, origin: str | None = None) -> dict:
-        doc: dict = {"lhs": sorted(self.lhs), "rhs": self.rhs, "error": 0.0}
+        doc: dict = {"lhs": sorted(self.lhs), "rhs": self.rhs}
         if origin is not None:
             doc["origin"] = origin
         return doc

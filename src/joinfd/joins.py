@@ -16,6 +16,8 @@ dictionary can grow, by the right join values that pad it.
 Result attributes are qualified as "table.attr" using the instance names, and
 natural-join merged columns keep the left qualifier. Semi-joins return the
 kept side unqualified: they are a filtered, deduplicated view of one input.
+`name_maps` names every column this way in one pass, and refuses a join
+whose result would hold one name twice; `result_schema` reads it off.
 """
 
 from __future__ import annotations
@@ -29,15 +31,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import JoinSpecError
-from .relation import (
-    NULL_CODE,
-    AttrRef,
-    AttributeId,
-    Instance,
-    append_padding,
-    project,
-    take_rows,
-)
+from .relation import NULL_CODE, Instance, append_padding, project, take_rows
 
 
 class JoinKind(enum.Enum):
@@ -105,46 +99,36 @@ def _qualify(instance: Instance, attr: str) -> str:
     return f"{instance.name}.{attr}" if instance.name else attr
 
 
-def result_schema(left: Instance, right: Instance, spec: JoinSpec) -> list[str]:
-    """Attribute names of join(left, right, spec), without computing it."""
-    if spec.kind is JoinKind.LEFT_SEMI:
-        return list(left.attr_names)
-    if spec.kind is JoinKind.RIGHT_SEMI:
-        return list(right.attr_names)
-    names = [_qualify(left, a) for a in left.attr_names]
-    dropped = set(spec.right_on) if spec.natural else set()
-    names += [_qualify(right, a) for a in right.attr_names if a not in dropped]
+def name_maps(
+    left: Instance, right: Instance, spec: JoinSpec
+) -> tuple[dict[str, str], dict[str, str]]:
+    """Each side's attribute name -> its name in the join result.
+
+    Semi-join names stay unqualified. Under a natural join the right join
+    columns are merged into the left ones, so they map to the left names.
+    Raises JoinSpecError when two result columns would share a name.
+    """
+    if spec.kind in SEMI_KINDS:
+        return {a: a for a in left.attr_names}, {a: a for a in right.attr_names}
+    lmap = {a: _qualify(left, a) for a in left.attr_names}
+    merged = set(spec.right_on) if spec.natural else set()
+    rmap = {a: lmap[a] if a in merged else _qualify(right, a) for a in right.attr_names}
+    names = [*lmap.values(), *(rmap[a] for a in right.attr_names if a not in merged)]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise JoinSpecError(f"join result would duplicate attribute names: {dupes}")
-    return names
+    return lmap, rmap
 
 
-def left_name_map(left: Instance, right: Instance, spec: JoinSpec) -> dict[str, str]:
-    """Left-side attribute name -> its name in the join result."""
-    if spec.kind in SEMI_KINDS:
-        return {a: a for a in left.attr_names}
-    return {a: _qualify(left, a) for a in left.attr_names}
-
-
-def right_name_map(left: Instance, right: Instance, spec: JoinSpec) -> dict[str, str]:
-    """Right-side attribute name -> its name in the join result.
-
-    Under a natural join the right join columns are merged into the left
-    ones, so they map to the left-qualified name.
-    """
-    if spec.kind in SEMI_KINDS:
-        return {a: a for a in right.attr_names}
-    mapping = {}
-    merged = (
-        dict(zip(spec.right_on, spec.left_on)) if spec.natural else {}
-    )
-    for a in right.attr_names:
-        if a in merged:
-            mapping[a] = _qualify(left, merged[a])
-        else:
-            mapping[a] = _qualify(right, a)
-    return mapping
+def result_schema(left: Instance, right: Instance, spec: JoinSpec) -> list[str]:
+    """Attribute names of join(left, right, spec), without computing it."""
+    lmap, rmap = name_maps(left, right, spec)
+    if spec.kind is JoinKind.LEFT_SEMI:
+        return list(lmap.values())
+    if spec.kind is JoinKind.RIGHT_SEMI:
+        return list(rmap.values())
+    # a merged natural column maps to its left name, which is kept once
+    return list(dict.fromkeys([*lmap.values(), *rmap.values()]))
 
 
 def _semi(side: Instance, rows: Sequence[int]) -> Instance:
@@ -237,7 +221,7 @@ def join(
         pads = [rids[j] for j in dangling]
         lpart = pad_rows(lpart, spec.left_on, spec, profile, pads)
     dropped = set(spec.right_on) if spec.natural else set()
-    keep = [a.ordinal for a in right.schema if a.name not in dropped]
+    keep = [o for o, a in enumerate(right.attr_names) if a not in dropped]
     rcols = tuple(
         tuple([col[r] for r in rrows])
         for col in (right.columns[o] + (NULL_CODE,) for o in keep)
@@ -245,7 +229,7 @@ def join(
     result_name = f"({left.name}*{right.name})" if (left.name or right.name) else ""
     return Instance(
         name=result_name,
-        schema=tuple(AttributeId(p, n) for p, n in enumerate(names)),
+        attr_names=tuple(names),
         columns=lpart.columns + rcols,
         dictionaries=lpart.dictionaries + tuple(right.dictionaries[o] for o in keep),
         row_count=len(rrows),
@@ -256,8 +240,8 @@ def partial_join(
     left: Instance,
     right: Instance,
     spec: JoinSpec,
-    keep_left: Iterable[AttrRef],
-    keep_right: Iterable[AttrRef],
+    keep_left: Iterable[str],
+    keep_right: Iterable[str],
     distinct: bool = False,
 ) -> Instance:
     """Join after projecting each side to the kept attributes.
@@ -268,8 +252,7 @@ def partial_join(
     sides, which preserves dependency validity while materializing far
     fewer rows.
     """
-    keep_left = {left.schema[o].name for o in left.ordinals(keep_left)}
-    keep_right = {right.schema[o].name for o in right.ordinals(keep_right)}
+    keep_left, keep_right = set(keep_left), set(keep_right)
     missing = (set(spec.left_on) - keep_left) | (set(spec.right_on) - keep_right)
     if missing:
         raise JoinSpecError(f"keep sets must include join attributes: {sorted(missing)}")

@@ -35,7 +35,6 @@ def oracle_join_fds(
     left: Instance,
     right: Instance,
     spec: JoinSpec,
-    limit: int | None = None,
     context: JoinContext | None = None,
 ) -> FdSet:
     """Minimal cover of all dependencies on the materialized join, tagged
@@ -46,8 +45,7 @@ def oracle_join_fds(
     """
     if context is None:
         context = JoinContext(left, right, spec)
-    if limit is None:
-        limit = row_limit()
+    limit = row_limit()
     expected = context.result_rows()
     if expected is not None and expected > limit:
         raise GuardError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
-from .relation import AttrRef, Instance
+from .relation import Instance
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class StrippedPartition:
 
 
 def refine(
-    part: StrippedPartition, instance: Instance, attr: AttrRef
+    part: StrippedPartition, instance: Instance, attr: str
 ) -> StrippedPartition:
     """Partition under attrs(part) | {attr}, split class by class.
 
@@ -35,8 +35,7 @@ def refine(
     come out in ascending row order, ordered by their first row, so the
     result does not depend on which coarser partition it was refined from.
     """
-    ordinal = instance.ordinal(attr)
-    col = instance.columns[ordinal]
+    col = instance.columns[instance.ordinal(attr)]
     out: list[tuple[int, ...]] = []
     for cls in part.classes:
         if len(cls) == 2:
@@ -51,11 +50,10 @@ def refine(
             continue
         out.extend(tuple(g) for g in groups.values() if len(g) >= 2)
     out.sort(key=itemgetter(0))
-    name = instance.schema[ordinal].name
-    return StrippedPartition(part.attrs | {name}, tuple(out), sum(map(len, out)))
+    return StrippedPartition(part.attrs | {attr}, tuple(out), sum(map(len, out)))
 
 
-def build_partition(instance: Instance, attrs: Iterable[AttrRef]) -> StrippedPartition:
+def build_partition(instance: Instance, attrs: Iterable[str]) -> StrippedPartition:
     """Group rows with identical codes on `attrs`, dropping singletons.
 
     The empty attribute set is allowed and produces the single all-rows
@@ -66,5 +64,5 @@ def build_partition(instance: Instance, attrs: Iterable[AttrRef]) -> StrippedPar
     classes = (tuple(range(n)),) if n >= 2 else ()
     part = StrippedPartition(frozenset(), classes, sum(map(len, classes)))
     for ordinal in instance.ordinals(attrs):
-        part = refine(part, instance, instance.schema[ordinal])
+        part = refine(part, instance, instance.attr_names[ordinal])
     return part

@@ -34,7 +34,7 @@ from .upstage import preserved_tags, upstage
 
 STRATEGIES = ("selective", "sampling", "oracle")
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass

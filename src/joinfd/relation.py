@@ -9,7 +9,8 @@ no row uses; each word still has a single code. A single reserved code
 (NULL_CODE) represents the null value; all nulls compare equal, which is
 exactly the "nulls are one constant" semantics the rest of the package
 relies on. Cell equality is code equality, nothing else -- no numeric
-coercion, no trimming.
+coercion, no trimming. An instance's schema is its tuple of distinct
+attribute names; an attribute's ordinal is its position there.
 """
 
 from __future__ import annotations
@@ -17,33 +18,24 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import CsvFormatError, SchemaError
 
 NULL_CODE = -1
-
-AttrRef = Union[str, "AttributeId"]
-
-
-@dataclass(frozen=True)
-class AttributeId:
-    """Position and name of one attribute within a single schema."""
-
-    ordinal: int
-    name: str
 
 
 @dataclass(frozen=True)
 class Instance:
     """An immutable relational instance with dictionary-encoded columns.
 
-    columns[i][r] is the code of attribute i in row r; dictionaries[i][c]
-    is the raw string behind code c. NULL_CODE never appears in a dictionary.
+    attr_names[i] names attribute i, columns[i][r] is its code in row r,
+    and dictionaries[i][c] is the raw string behind code c. NULL_CODE never
+    appears in a dictionary.
     """
 
     name: str
-    schema: tuple[AttributeId, ...]
+    attr_names: tuple[str, ...]
     columns: tuple[tuple[int, ...], ...]
     dictionaries: tuple[tuple[str, ...], ...]
     row_count: int
@@ -82,10 +74,9 @@ class Instance:
                     dicts[i].append(value)
                 cols[i].append(code)
             n += 1
-        schema = tuple(AttributeId(i, nm) for i, nm in enumerate(names))
         return cls(
             name=name,
-            schema=schema,
+            attr_names=tuple(names),
             columns=tuple(tuple(c) for c in cols),
             dictionaries=tuple(tuple(d) for d in dicts),
             row_count=n,
@@ -93,21 +84,15 @@ class Instance:
 
     # -- lookups -----------------------------------------------------------
 
-    @property
-    def attr_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.schema)
+    def ordinal(self, attr: str) -> int:
+        try:
+            return self.attr_names.index(attr)
+        except ValueError:
+            raise SchemaError(
+                f"unknown attribute {attr!r} in instance {self.name!r}"
+            ) from None
 
-    def ordinal(self, attr: AttrRef) -> int:
-        if isinstance(attr, AttributeId):
-            if attr.ordinal < len(self.schema) and self.schema[attr.ordinal] == attr:
-                return attr.ordinal
-            attr = attr.name
-        for a in self.schema:
-            if a.name == attr:
-                return a.ordinal
-        raise SchemaError(f"unknown attribute {attr!r} in instance {self.name!r}")
-
-    def ordinals(self, attrs: Iterable[AttrRef]) -> tuple[int, ...]:
+    def ordinals(self, attrs: Iterable[str]) -> tuple[int, ...]:
         """Resolve a set of attributes to ordinals, in schema order."""
         return tuple(sorted(self.ordinal(a) for a in attrs))
 
@@ -116,7 +101,7 @@ class Instance:
 
     def raw_row(self, row: int) -> tuple[str | None, ...]:
         return tuple(
-            self.decode(o, self.columns[o][row]) for o in range(len(self.schema))
+            self.decode(o, self.columns[o][row]) for o in range(len(self.attr_names))
         )
 
     def raw_rows(self) -> list[tuple[str | None, ...]]:
@@ -128,26 +113,23 @@ def take_rows(instance: Instance, row_ids: Sequence[int]) -> Instance:
     cols = tuple(tuple([col[r] for r in row_ids]) for col in instance.columns)
     return Instance(
         name=instance.name,
-        schema=instance.schema,
+        attr_names=instance.attr_names,
         columns=cols,
         dictionaries=instance.dictionaries,
         row_count=len(row_ids),
     )
 
 
-def project(instance: Instance, attrs: Iterable[AttrRef]) -> Instance:
+def project(instance: Instance, attrs: Iterable[str]) -> Instance:
     """Restrict to `attrs` (schema order), keeping every row.
 
     Duplicate rows are not removed. An empty attribute set yields a
     zero-column instance that still reports the original row count.
     """
     ords = instance.ordinals(attrs)
-    schema = tuple(
-        AttributeId(i, instance.schema[o].name) for i, o in enumerate(ords)
-    )
     return Instance(
         name=instance.name,
-        schema=schema,
+        attr_names=tuple(instance.attr_names[o] for o in ords),
         columns=tuple(instance.columns[o] for o in ords),
         dictionaries=tuple(instance.dictionaries[o] for o in ords),
         row_count=instance.row_count,
@@ -198,7 +180,7 @@ def append_padding(
         dictionaries[o] = tuple(words)
     return Instance(
         name=instance.name,
-        schema=instance.schema,
+        attr_names=instance.attr_names,
         columns=tuple(col + tuple(pad) for col, pad in zip(instance.columns, padding)),
         dictionaries=tuple(dictionaries),
         row_count=instance.row_count + len(values),

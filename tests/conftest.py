@@ -422,7 +422,7 @@ def reference_join(left: Instance, right: Instance, spec: JoinSpec) -> Instance:
         if i is not None:
             lpart = list(left.raw_row(i))
         else:
-            lpart = [None] * len(left.schema)
+            lpart = [None] * len(left.attr_names)
             if spec.natural:
                 for lo, ro in zip(lords, rords):
                     lpart[lo] = rrow[ro]

@@ -17,8 +17,7 @@ from joinfd.joins import (
     JoinSpec,
     coverage,
     join,
-    left_name_map,
-    right_name_map,
+    name_maps,
 )
 from joinfd.metrics import evaluate
 from joinfd.oracle import oracle_join_fds
@@ -68,8 +67,7 @@ def test_criterion_2_preservation():
     checked = 0
     for seed, (left, right, spec) in _corpus(500):
         joined = join(left, right, spec)
-        lmap = left_name_map(left, right, spec)
-        rmap = right_name_map(left, right, spec)
+        lmap, rmap = name_maps(left, right, spec)
         pads = spec.kind in (
             JoinKind.LEFT_OUTER, JoinKind.RIGHT_OUTER, JoinKind.FULL_OUTER
         )
@@ -145,7 +143,7 @@ def test_criterion_4_upstage_promotion():
         planted = planted_afd(profile)
         mined, _ = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
-        renamed = planted.rename(left_name_map(left, right, spec))
+        renamed = planted.rename(name_maps(left, right, spec)[0])
         if positive:
             assert implies(mined, planted) and not holds(
                 left, planted

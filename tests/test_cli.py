@@ -27,7 +27,7 @@ def test_discover_single_table(tmp_path, capsys):
     assert code == 0
     assert set(doc) == {"table", "rows", "attributes", "fds"}
     assert doc["rows"] == 2
-    assert {"lhs": ["k"], "rhs": "a", "error": 0.0} in doc["fds"]
+    assert {"lhs": ["k"], "rhs": "a"} in doc["fds"]
 
 
 def test_discover_with_epsilon(tables, capsys):

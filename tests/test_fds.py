@@ -143,4 +143,4 @@ def test_fdset_origin_tags_survive_union():
 
 def test_serialization_shape():
     doc = fd(["b", "a"], "c").to_json(origin="mined")
-    assert doc == {"lhs": ["a", "b"], "rhs": "c", "error": 0.0, "origin": "mined"}
+    assert doc == {"lhs": ["a", "b"], "rhs": "c", "origin": "mined"}

@@ -14,9 +14,9 @@ from joinfd.joins import (
     join,
     join_attr_directions,
     join_profile,
-    left_name_map,
+    name_maps,
     partial_join,
-    right_name_map,
+    result_schema,
 )
 from joinfd.fds import closure_equal, implies
 from joinfd.oracle import oracle_join_fds
@@ -30,7 +30,7 @@ def _pair(rng, dangling=True):
     left = random_instance(rng, n_attrs=rng.randint(2, 3), n_rows=rng.randint(3, 12))
     right = random_instance(rng, n_attrs=rng.randint(2, 3), n_rows=rng.randint(3, 12))
     left = loads_csv(
-        "k," + ",".join(f"a{i}" for i in range(len(left.schema))) + "\n"
+        "k," + ",".join(f"a{i}" for i in range(len(left.attr_names))) + "\n"
         + "\n".join(
             f"j{rng.randint(0, 6 if dangling else 3)},"
             + ",".join(r)
@@ -39,7 +39,7 @@ def _pair(rng, dangling=True):
         name="L",
     )
     right = loads_csv(
-        "k," + ",".join(f"b{i}" for i in range(len(right.schema))) + "\n"
+        "k," + ",".join(f"b{i}" for i in range(len(right.attr_names))) + "\n"
         + "\n".join(
             f"j{rng.randint(0, 3)}," + ",".join(r)
             for r in (tuple(row) for row in right.raw_rows())
@@ -131,8 +131,7 @@ def test_every_single_table_fd_survives_the_join():
         kind = list(JoinKind)[trial % 6]
         spec = JoinSpec.equi(["k"], ["k"], kind)
         joined = join(left, right, spec)
-        lmap = left_name_map(left, right, spec)
-        rmap = right_name_map(left, right, spec)
+        lmap, rmap = name_maps(left, right, spec)
         for inst, mapping, skip in (
             (left, lmap, kind is JoinKind.RIGHT_SEMI),
             (right, rmap, kind is JoinKind.LEFT_SEMI),
@@ -250,6 +249,53 @@ def _tiny_pair(rng, index):
     right = _tiny_side(rng, "R", keys, "b")
     kind = list(JoinKind)[index % 6]
     return left, right, JoinSpec(kind, tuple(keys), tuple(keys), rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("natural", [False, True], ids=["equi", "natural"])
+@pytest.mark.parametrize("kind", list(JoinKind), ids=lambda k: k.value)
+def test_join_names_written_out(kind, natural):
+    left = loads_csv("k1,k2,a\n1,2,x", name="L")
+    right = loads_csv("k2,b,k1\n2,y,1", name="R")
+    spec = JoinSpec(kind, ("k1", "k2"), ("k1", "k2"), natural)
+    lmap, rmap = name_maps(left, right, spec)
+    if kind is JoinKind.LEFT_SEMI:
+        want_l, want_r, want = ("k1", "k2", "a"), ("k2", "b", "k1"), ["k1", "k2", "a"]
+    elif kind is JoinKind.RIGHT_SEMI:
+        want_l, want_r, want = ("k1", "k2", "a"), ("k2", "b", "k1"), ["k2", "b", "k1"]
+    elif natural:
+        want_l, want_r = ("L.k1", "L.k2", "L.a"), ("L.k2", "R.b", "L.k1")
+        want = ["L.k1", "L.k2", "L.a", "R.b"]
+    else:
+        want_l, want_r = ("L.k1", "L.k2", "L.a"), ("R.k2", "R.b", "R.k1")
+        want = ["L.k1", "L.k2", "L.a", "R.k2", "R.b", "R.k1"]
+    assert lmap == dict(zip(left.attr_names, want_l))
+    assert rmap == dict(zip(right.attr_names, want_r))
+    assert result_schema(left, right, spec) == want
+    assert join(left, right, spec).attr_names == tuple(want)
+
+
+@pytest.mark.parametrize("natural", [False, True], ids=["equi", "natural"])
+@pytest.mark.parametrize("kind", list(JoinKind), ids=lambda k: k.value)
+def test_tables_sharing_a_name_join_only_under_a_semi_join(kind, natural):
+    left = loads_csv("k,a\n1,x", name="t")
+    right = loads_csv("k,a\n1,y", name="t")
+    spec = JoinSpec(kind, ("k",), ("k",), natural)
+    if kind in SEMI_KINDS:
+        kept = left if kind is JoinKind.LEFT_SEMI else right
+        assert result_schema(left, right, spec) == ["k", "a"]
+        assert join(left, right, spec).raw_rows() == kept.raw_rows()
+        return
+    dupes = r"\['t.a'\]" if natural else r"\['t.a', 't.k'\]"
+    for call in (name_maps, result_schema, join):
+        with pytest.raises(JoinSpecError, match=f"would duplicate attribute names: {dupes}"):
+            call(left, right, spec)
+
+
+def test_result_schema_names_the_join_it_describes():
+    rng = random.Random(36)
+    for index in range(120):
+        left, right, spec = _tiny_pair(rng, index)
+        assert result_schema(left, right, spec) == list(join(left, right, spec).attr_names)
 
 
 def test_join_matches_the_decoding_reference_row_for_row():

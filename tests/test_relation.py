@@ -95,7 +95,7 @@ def test_project_empty_attr_set_keeps_row_count():
     inst = loads_csv("a,b\n1,2\n3,4")
     p = project(inst, [])
     assert p.row_count == 2
-    assert p.schema == ()
+    assert p.attr_names == ()
 
 
 def test_project_unknown_attribute_named_in_error():

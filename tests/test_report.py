@@ -7,7 +7,7 @@ from joinfd.errors import GuardError, InputError, InternalInvariantError
 from joinfd.fds import FdSet, fd, minimal_cover
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
 from joinfd.discovery import discover_fds
-from joinfd.joins import JoinKind, JoinSpec, coverage, left_name_map, right_name_map
+from joinfd.joins import JoinKind, JoinSpec, coverage, name_maps
 from joinfd.metrics import evaluate
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import STRATEGIES, run_left_deep, run_pipeline
@@ -34,11 +34,12 @@ def test_oracle_flags_empty_join_as_vacuous():
     assert len(rep.fds) == 0
 
 
-def test_oracle_guard_refuses_large_joins():
+def test_oracle_guard_refuses_large_joins(monkeypatch):
+    monkeypatch.setenv("JOINFD_MAX_JOIN_ROWS", "100")
     left = loads_csv("k\n" + "\n".join("1" for _ in range(40)), name="L")
     right = loads_csv("k\n" + "\n".join("1" for _ in range(40)), name="R")
     with pytest.raises(GuardError, match="limit"):
-        oracle_join_fds(left, right, JoinSpec.equi(["k"], ["k"]), limit=100)
+        oracle_join_fds(left, right, JoinSpec.equi(["k"], ["k"]))
 
 
 def test_oracle_matches_brute_force_on_random_pairs():
@@ -106,8 +107,9 @@ def test_oracle_tags_each_minimal_input_dependency_as_preserved():
             FdSet() if spec.kind is dropped else discover_fds(inst)
             for inst, dropped in ((left, JoinKind.RIGHT_SEMI), (right, JoinKind.LEFT_SEMI))
         )
-        preserved_l = {x.rename(left_name_map(left, right, spec)) for x in sigma_l}
-        preserved_r = {x.rename(right_name_map(left, right, spec)) for x in sigma_r}
+        lmap, rmap = name_maps(left, right, spec)
+        preserved_l = {x.rename(lmap) for x in sigma_l}
+        preserved_r = {x.rename(rmap) for x in sigma_r}
         for d in rep.fds:
             if d in preserved_l:
                 expected = "preserved-left"
@@ -221,10 +223,11 @@ def test_unknown_strategy_rejected():
 def test_report_json_shape(pair_with_join_only_fd):
     left, right, spec = pair_with_join_only_fd
     doc = run_pipeline(left, right, spec).to_json()
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["strategy"] == "selective"
     assert doc["operator"] == "inner"
     assert doc["fd_count"] == len(doc["fds"])
+    assert doc["fds"] and not any("error" in d for d in doc["fds"])
     assert set(doc["counters"]) >= {"partial_join_rows", "full_join_rows"}
     assert "coverage" in doc and "timings" in doc
 

@@ -11,7 +11,7 @@ from joinfd.discovery import discover_fds, holds
 from joinfd.errors import InternalInvariantError
 from joinfd.fds import FdSet, closure_equal, fd, implies
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
-from joinfd.joins import JoinKind, JoinSpec, join, left_name_map, right_name_map
+from joinfd.joins import JoinKind, JoinSpec, join, name_maps
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
 from joinfd.upstage import preserved_tags, upstage
@@ -64,7 +64,7 @@ def test_dangling_violator_promotes_the_dependency():
     assert not holds(left, fd(["flag"], "date"))
     assert _tag(left, right, spec, fd(["flag"], "date")) == "upstaged-left"
     joined = join(left, right, spec)
-    assert holds(joined, fd(["flag"], "date").rename(left_name_map(left, right, spec)))
+    assert holds(joined, fd(["flag"], "date").rename(name_maps(left, right, spec)[0]))
 
 
 def test_surviving_violator_blocks_promotion():
@@ -112,7 +112,7 @@ def test_known_dependencies_never_reappear():
             assert d in exact or not implies(exact, d)
         # and none tagged upstaged is implied there
         rep = run_pipeline(left, right, spec)
-        base = {qual: a for a, qual in left_name_map(left, right, spec).items()}
+        base = {qual: a for a, qual in name_maps(left, right, spec)[0].items()}
         for d in rep.fds:
             if rep.fds.origins[d] == "upstaged-left":
                 assert not implies(exact, d.rename(base))
@@ -134,7 +134,7 @@ def test_promotion_and_blocking_match_the_oracle():
         planted = planted_afd(prof)
         got, _ = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
-        renamed = planted.rename(left_name_map(left, right, spec))
+        renamed = planted.rename(name_maps(left, right, spec)[0])
         if positive:
             assert implies(got, planted) and not holds(left, planted)
             assert holds(joined, renamed)
@@ -157,8 +157,7 @@ def test_upstaged_fds_hold_on_the_join():
         left, right, spec = make_fixture(prof, seed=seed)
         got_left, got_right = upstage(JoinContext(left, right, spec))
         joined = join(left, right, spec)
-        lmap = left_name_map(left, right, spec)
-        rmap = right_name_map(left, right, spec)
+        lmap, rmap = name_maps(left, right, spec)
         if spec.kind is not JoinKind.RIGHT_SEMI:
             for d in got_left:
                 assert holds(joined, d.rename(lmap))
