@@ -2,20 +2,22 @@
 
 The context owns the value-level join profile, name mapping between side
 attributes and join-result attributes, each input table's own dependency
-set (mined on first use), the per-side sub-instances (the join's
-row set restricted to one side's columns, with one padding row per dangling
-join value of the other side under outer padding), a cache of partial joins
-keyed by kept attribute sets, and the validator's caches: each sub-instance
-row's join-value group, per-side stripped partitions refined from cached
-parents (shared with upstaging through `side_partitions`), and per (side,
-lhs part) a link table of the groups each partition class spans, each built
-on first use and reused by every later candidate. The validator answers a
-candidate from one side's partition of its lhs part there and the link
-table of the other side's, copying no rows. Every rejected candidate leaves
-a counterexample: the agree set of the two join rows that violate it, a
-bitmask over `join_bits`. It refutes every dependency whose lhs lies inside
-it and whose rhs lies outside, so it is filed under each join name outside
-it, and per name only the maximal agree sets are kept (`agree_sets`).
+set (mined on first use) and its members that survive on the side's join
+rows (`survivors`), the per-side sub-instances (the join's row set
+restricted to one side's columns, with one padding row per dangling join
+value of the other side under outer padding), a cache of partial joins
+keyed by kept attribute sets, and the validator's caches: each
+sub-instance row's join-value group, per-side stripped partitions refined from
+cached parents (shared through `side_partitions` with upstaging, the
+survivors test and the tagger), and per (side, lhs part) a link table of
+the groups each partition class spans, each built on first use and reused
+by every later candidate. The validator answers a candidate from one
+side's partition of its lhs part there and the link table of the other
+side's, copying no rows. Every rejected candidate leaves a counterexample:
+the agree set of the two join rows that violate it, a bitmask over
+`join_bits`. It refutes every dependency whose lhs lies inside it and
+whose rhs lies outside, so it is filed under each join name outside it,
+and per name only the maximal agree sets are kept (`agree_sets`).
 `refutes` reads them, so mining and inference can drop a candidate that
 fits inside one without validating it. Counters record how much was
 materialized, which is the frugality evidence the report exposes.
@@ -69,7 +71,6 @@ class JoinContext:
         self.right = right
         self.spec = spec
         self.counters = Counters()
-        self.warnings: list[str] = []
         self.profile: JoinProfile = join_profile(left, right, spec)
         # join name -> (side, base name); left wins merged natural columns,
         # and a semi-join's names are its kept side's
@@ -88,6 +89,7 @@ class JoinContext:
         self._directions: tuple[bool, bool] | None = None
         self._sides: dict[str, Instance | None] = {}
         self._input_fds: dict[str, FdSet] = {}
+        self._survivors: dict[str, FdSet] = {}
         self._layouts: dict[str, tuple[Sequence[int], list[int]] | None] = {}
         # validator caches, see check_fd
         self._groups: dict[str, list[int]] = {}
@@ -131,6 +133,28 @@ class JoinContext:
             inst = self.left if side == "left" else self.right
             self._input_fds[side] = discover_fds(inst)
         return self._input_fds[side]
+
+    def survivors(self, side: str) -> FdSet:
+        """The members of `input_fds(side)` that hold on the side's join
+        rows, worked out once per side.
+
+        They are judged in `input_fds` order, so the side partitions they
+        build do not depend on the hash seed.
+        """
+        if side not in self._survivors:
+            self._survivors[side] = FdSet(
+                d for d in self.input_fds(side) if self.holds_on_side(side, d)
+            )
+        return self._survivors[side]
+
+    def holds_on_side(self, side: str, fd: FunctionalDependency) -> bool:
+        """Does `fd`, in the side's base names, hold on `side_subinstance(side)`?
+
+        Read off the side partitions the validator shares
+        (`side_partitions`).
+        """
+        cache = self.side_partitions(side)
+        return cache.holds(cache.mask(fd.lhs), cache.instance.ordinal(fd.rhs))
 
     def side_subinstance(self, side: str) -> Instance | None:
         """The join's row set restricted to one side's attributes.

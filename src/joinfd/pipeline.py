@@ -1,19 +1,20 @@
 """End-to-end strategies and the discovery report.
 
-The selective strategy runs upstaging, inference, and selective mining; the
-sampling strategy runs upstaging and then micro-join sampling, with no
-inference, since the micro-join's rows are join rows and what it mines
-implies every inferred member; the oracle strategy materializes the join
-and mines it exhaustively. All strategies produce the same report shape:
-dependencies in join-result names tagged with the first stage that
-produced them, coverage, per-stage timings, and materialization counters.
-The clock starts before the join profile is
+The selective strategy runs upstaging, inference, and selective mining; on
+a join that is not a semi-join the sampling strategy runs micro-join
+sampling alone, right after stage 0, since the micro-join's rows are join
+rows and what it mines implies every member upstaging or inference would
+add (on a semi-join upstaging is the whole answer of both); the oracle
+strategy materializes the join and mines it exhaustively. All strategies
+produce the same report shape: dependencies in join-result names tagged
+with the first stage that produced them, coverage, per-stage timings, and
+materialization counters. The clock starts before the join profile is
 built, so `total` covers it and `profile` times it. Which final
-dependencies an input already had is settled once, on the final set, by
-one rule for every strategy (`upstage.preserved_tags`, timed as `tag`),
-and its `preserved-*` tag overrides the stage's.
-A single frugal run never records a full join; left-deep chains count their
-materialized intermediates as full joins.
+dependencies an input already had is settled once, on the final set, by one
+rule for every strategy (`upstage.preserved_tags`, timed as `tag`), and its
+`preserved-*` tag overrides the stage's. A single frugal run never records
+a full join; left-deep chains count their materialized intermediates as
+full joins.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 from .context import Counters, JoinContext
 from .errors import InputError, InternalInvariantError
-from .fds import FdSet, FunctionalDependency, implies, remove_implied
+from .fds import FdSet, FunctionalDependency, remove_implied
 from .infer import infer_join_fds
 from .joins import CoverageReport, JoinSpec, SEMI_KINDS, profile_coverage
 from .mine import discover_selective
@@ -111,11 +112,12 @@ def run_pipeline(
 
     The frugal strategies work out every input dependency set they need
     themselves: stage 0 mines an input table's own set only for a side that
-    an outer operator pads (`single_tables` times it), and its members that
-    do not hold on the side's join rows are reported as `violated_fds`.
-    Upstaging mines each side's join rows once, whole, and the later stages
-    reason from those two sets: a padded side's mined set decides by
-    implication which input members survive on its rows.
+    an outer operator pads, and keeps its members that hold on the side's
+    join rows (`JoinContext.survivors`; `single_tables` times both). The
+    others are reported as `violated_fds`. Selective upstaging mines each
+    side's join rows once, whole, and the later stages reason from those
+    two sets; sampling mines no side's join rows unless the join is a
+    semi-join.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
@@ -155,25 +157,14 @@ def run_pipeline(
             timings=timings,
         )
 
-    # stage 0: a padded side's input dependency set
+    # stage 0: a padded side's input dependency set, and its survivors: the
+    # members that hold on the side's join rows
     t0 = time.perf_counter()
     pads = {"left": context.pads_left(), "right": context.pads_right()}
     padded = [side for side in pads if pads[side]]
-    for side in padded:
-        context.input_fds(side)
+    survivors = {side: context.survivors(side) for side in padded}
     timings["single_tables"] = time.perf_counter() - t0
 
-    # stage 1: each side's dependencies on its join rows, and a padded
-    # side's survivors: the input members that hold on its rows, which are
-    # exactly those its mined set implies
-    t0 = time.perf_counter()
-    sigma_left, sigma_right = upstage(context)
-    sigma = {"left": sigma_left, "right": sigma_right}
-    survivors = {
-        side: FdSet(d for d in context.input_fds(side) if implies(sigma[side], d))
-        for side in padded
-    }
-    timings["upstage"] = time.perf_counter() - t0
     warnings: list[str] = []
     violated: list[str] = []
     for side in padded:
@@ -199,30 +190,38 @@ def run_pipeline(
                 f"are broken by outer-join padding"
             )
 
-    # stage outputs in priority order: a member keeps its first tag
-    prior = _map_fdset(sigma_left, context.lmap, "upstaged-left").union(
-        _map_fdset(sigma_right, context.rmap, "upstaged-right")
-    )
     provenance: dict[FunctionalDependency, tuple[str, str]] = {}
-
-    if spec.kind not in SEMI_KINDS and strategy == "selective":
-        # stage 2: inference through the join attributes
+    if spec.kind not in SEMI_KINDS and strategy == "sampling":
+        # stage 3 right after stage 0: the micro-join's rows are join rows,
+        # so what it mines implies every member upstaging or inference
+        # would add, and the tagger finds those upstaging would have mined
         t0 = time.perf_counter()
-        inferred = infer_join_fds(context, sigma_left, sigma_right)
-        timings["infer"] = time.perf_counter() - t0
-        provenance = inferred.provenance
-        prior = prior.union(inferred.fds)
-
-        # stage 3: remaining dependencies
-        t0 = time.perf_counter()
-        prior = prior.union(discover_selective(context, sigma_left, sigma_right, prior))
-        timings["mine"] = time.perf_counter() - t0
-    elif spec.kind not in SEMI_KINDS:
-        # stage 3: the micro-join's rows are join rows, so what it mines
-        # implies everything inference would add
-        t0 = time.perf_counter()
-        prior = prior.union(discover_sampled(context, sample_cfg or SampleConfig()))
+        prior = discover_sampled(context, sample_cfg or SampleConfig())
         timings["sample"] = time.perf_counter() - t0
+    else:
+        # stage 1: each side's dependencies on its join rows, the whole
+        # answer on a semi-join
+        t0 = time.perf_counter()
+        sigma_left, sigma_right = upstage(context)
+        timings["upstage"] = time.perf_counter() - t0
+        # stage outputs in priority order: a member keeps its first tag
+        prior = _map_fdset(sigma_left, context.lmap, "upstaged-left").union(
+            _map_fdset(sigma_right, context.rmap, "upstaged-right")
+        )
+        if spec.kind not in SEMI_KINDS:
+            # stage 2: inference through the join attributes
+            t0 = time.perf_counter()
+            inferred = infer_join_fds(context, sigma_left, sigma_right)
+            timings["infer"] = time.perf_counter() - t0
+            provenance = inferred.provenance
+            prior = prior.union(inferred.fds)
+
+            # stage 3: remaining dependencies
+            t0 = time.perf_counter()
+            prior = prior.union(
+                discover_selective(context, sigma_left, sigma_right, prior)
+            )
+            timings["mine"] = time.perf_counter() - t0
 
     final = remove_implied(prior)
     t0 = time.perf_counter()
@@ -236,7 +235,6 @@ def run_pipeline(
     if strategy == "sampling":
         denom = context.result_rows()  # None on a semi-join, never sampled
         ratio = (context.counters.sample_join_rows / denom) if denom else 0.0
-    warnings.extend(context.warnings)
     timings["total"] = time.perf_counter() - started
     return DiscoveryReport(
         strategy=strategy,

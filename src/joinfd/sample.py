@@ -1,5 +1,6 @@
-"""The sampling strategy's stage 3, run right after upstaging: discovery
-from micro-joins, whose mined set implies everything inference would add.
+"""The sampling strategy's stage 3, run right after stage 0: discovery from
+micro-joins, whose mined set implies everything upstaging or inference
+would add.
 
 Representative join values are picked per side by walking the non-join
 attributes in ascending distinct-value order (skipping the most diverse ones)
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from .context import JoinContext
 from .discovery import discover_fds
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 from .fds import FdSet
 from .joins import join
 from .relation import Instance
@@ -149,7 +150,7 @@ def selective_sampling(context: JoinContext, cfg: SampleConfig) -> set[int]:
 
 def micro_join_batch(
     context: JoinContext, cfg: SampleConfig
-) -> tuple[Instance | None, FdSet]:
+) -> tuple[Instance, FdSet]:
     """Select, join, and mine; one micro-join over the selected values.
 
     The micro-join is `join` on the run's profile, pairing only the rows of
@@ -157,9 +158,13 @@ def micro_join_batch(
     of that operator's semantics, not of the shared value space, so they
     always participate, even when no shared value was selected; the
     micro-join is therefore a sub-multiset of the full join result.
-    Returns the micro-join (None when it is empty) and its dependencies as
-    mined, each with a minimal lhs; the pipeline drops the implied members
-    of everything the stages found in one pass.
+    Returns the micro-join and its dependencies as mined, each with a
+    minimal lhs; the pipeline drops the implied members in one pass.
+
+    On a join that is not empty the micro-join never is: both sides pick
+    the top-ranked shared id, and with no shared id an outer join keeps
+    its dangling rows. An empty one would report no dependencies at all,
+    so it raises `InternalInvariantError`.
     """
     micro = join(
         context.left,
@@ -170,8 +175,9 @@ def micro_join_batch(
     )
     context.counters.sample_join_rows += micro.row_count
     if micro.row_count == 0:
-        context.warnings.append("sample micro-join is empty; no dependencies mined")
-        return None, FdSet()
+        raise InternalInvariantError(
+            "sample micro-join is empty on a join with rows; refusing to report"
+        )
     return micro, discover_fds(micro)
 
 

@@ -7,7 +7,8 @@ minimal dependency of its side's join rows, so it implies exactly those
 that hold there. The later stages reason from those two sets, and the
 report tags their members `upstaged-left` and `upstaged-right`: the join
 made a dependency exact when it filtered out every row violating it, rows
-whose join value has no partner on the other side.
+whose join value has no partner on the other side. Selective runs it, and
+sampling runs it only on a semi-join, where it is the whole answer.
 
 `preserved_tags` then settles, once, on the final set and for every
 strategy, which members an input already had, and that tag overrides the
@@ -30,13 +31,19 @@ one implies (the oracle's members are minimal on the whole join). So:
   once per side when first needed.
 - A side that an outer operator pads with nulls is no row subset, since a
   smaller lhs may hold on the input and be broken by padding. A frugal run
-  hands in the survivors, the members of the input's own set that the
-  side's mined set implies, and a member is preserved iff it is one of
-  them. The oracle mines no input set: there a member is preserved iff it
-  holds on the input's partitions and no one-smaller lhs does.
+  hands in the survivors, the members of the input's own set that hold on
+  the side's rows (`JoinContext.survivors`), and a member is preserved iff
+  it is one of them. The oracle mines no input set: there a member is
+  preserved iff it holds on the input's partitions and no one-smaller lhs
+  does.
 
-A member still tagged `sampled` is not preserved: had it held on the side's
-rows, it would be in that side's mined set and tagged `upstaged-*` first.
+Sampling mines no side's rows on other joins, so the same pass finds the
+members upstaging would have mined: a `sampled` member whose names all map
+to side S, in the same side order, and that holds on S's join rows is
+tagged `upstaged-S`, and the rule above then applies to it. It is minimal
+on the micro-join, whose S-projection lies inside S's join rows, so it is
+minimal there too. A `sampled` member that holds on no side's rows keeps
+its tag and is not preserved.
 """
 
 from __future__ import annotations
@@ -134,7 +141,9 @@ def preserved_tags(
 ) -> FdSet:
     """`final` with each member tagged `preserved-left` or `preserved-right`
     by the module docstring's rule, or else as in `sources`, the union of
-    the stage outputs in priority order, whose first tag per member stands.
+    the stage outputs in priority order, whose first tag per member stands,
+    but for a `sampled` member that holds on one side's join rows, which
+    is `upstaged-*`.
 
     `survivors` maps each padded side of a frugal run to the members of
     its input's set that hold on the side's rows; the oracle passes none.
@@ -154,12 +163,17 @@ def preserved_tags(
             raise InternalInvariantError(
                 f"dependency {d} in the final set has no producing stage"
             )
-        for side, base in sides if tag != "sampled" else ():
+        for side, base in sides:
             if d.rhs not in base or not d.lhs <= base.keys():
                 continue
+            local = d.rename(base)
+            if tag == "sampled":
+                if not context.holds_on_side(side, local):
+                    continue
+                tag = f"upstaged-{side}"
             if side not in tests:
                 tests[side] = _preserved_test(context, side, survivors)
-            if tests[side](d.rename(base)):
+            if tests[side](local):
                 tag = f"preserved-{side}"
                 break
         tagged.add(d, tag)

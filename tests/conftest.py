@@ -16,6 +16,9 @@ the upstaging stage that mines every input table whole and then re-mines
 each side's join rows for what the input's set does not imply, pruning
 the reference search with that set: reports made with it must be
 closure-equal to the library's, which mines each side's rows once, whole.
+So is the sampling strategy as it ran with stage 1, upstaging each side's
+join rows before the micro-join (`reference_sampling`): the library's
+sampling reports must match it exactly, tags included.
 `recorded_contexts` and `counterexamples_refuted_on_join` check the
 validator's counterexamples against the materialized join.
 """
@@ -33,6 +36,7 @@ from joinfd.fds import (
     Rules,
     compile_rules,
     implies,
+    remove_implied,
 )
 from joinfd.joins import (
     PADS_LEFT_ATTRS,
@@ -43,7 +47,8 @@ from joinfd.joins import (
     result_schema,
 )
 from joinfd.relation import Instance, loads_csv
-from joinfd.sample import _rank, _value_sort_key
+from joinfd.sample import _rank, _value_sort_key, discover_sampled
+from joinfd.upstage import _preserved_test, upstage
 
 
 @pytest.fixture
@@ -316,6 +321,55 @@ def reference_upstage(context) -> tuple[FdSet, FdSet]:
         survivors = FdSet(d for d in discover_fds(inst) if holds(sub, d))
         out.append(survivors.union(reference_search(_PartitionCache(sub), survivors)))
     return out[0], out[1]
+
+
+def reference_sampling(left, right, spec, cfg) -> tuple[FdSet, list, list]:
+    """The sampling strategy on a non-semi pair as it ran with stage 1.
+
+    Each side's join rows are mined whole (`upstage`), and a padded side's
+    survivors are the input members its mined set implies. The micro-join
+    follows. Each final member takes the tag of the first stage that made
+    it, `upstaged-left`, `upstaged-right`, then `sampled`, and becomes
+    `preserved-*` by `upstage._preserved_test` unless it is still
+    `sampled`. Returns the tagged set, `violated_fds` and the warnings.
+    """
+    context = JoinContext(left, right, spec)
+    sigma = dict(zip(("left", "right"), upstage(context)))
+    names = {"left": context.lmap, "right": context.rmap}
+    pads = {"left": context.pads_left(), "right": context.pads_right()}
+    padded = [side for side in pads if pads[side]]
+    survivors: dict[str, FdSet] = {}
+    violated, warnings = [], []
+    for side in padded:
+        members = context.input_fds(side)
+        survivors[side] = FdSet(d for d in members if implies(sigma[side], d))
+        dropped = [f"{side}: {d}" for d in members if d not in survivors[side]]
+        violated += dropped
+        if dropped:
+            warnings.append(
+                f"{len(dropped)} single-table dependencies of the {side} side "
+                f"are broken by outer-join padding"
+            )
+    prior = FdSet()
+    for side in ("left", "right"):
+        for d in sigma[side]:
+            prior.add(d.rename(names[side]), f"upstaged-{side}")
+    prior = prior.union(discover_sampled(context, cfg))
+    tests = {}
+    tagged = FdSet()
+    for d in remove_implied(prior):
+        tag = prior.origins[d]
+        for side in ("left", "right") if tag != "sampled" else ():
+            base = {qual: a for a, qual in names[side].items()}
+            if d.rhs not in base or not d.lhs <= base.keys():
+                continue
+            if side not in tests:
+                tests[side] = _preserved_test(context, side, survivors)
+            if tests[side](d.rename(base)):
+                tag = f"preserved-{side}"
+                break
+        tagged.add(d, tag)
+    return tagged, violated, warnings
 
 
 def reference_minimal_determiners(target, fds) -> list[frozenset]:

@@ -20,6 +20,11 @@ more attributes and 30 rows a side, domains of 1-5 values, nulls in about
 60% of the pairs) on which selective must be closure-equal to the oracle
 and sampling must imply it. Stage 2 shrinks no inferred lhs, so these
 pairs also check that mining alone finds every minimal lhs.
+
+On every pair of both generators whose join has rows, the sampling
+micro-join has rows too, under several random selection trees: sampling
+mines nothing but the micro-join, so an empty one would lose every
+dependency.
 """
 
 import random
@@ -33,7 +38,7 @@ from joinfd.joins import SEMI_KINDS, JoinKind, JoinSpec, join
 from joinfd.oracle import oracle_join_fds
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import Instance
-from joinfd.sample import SampleConfig
+from joinfd.sample import SampleConfig, selective_sampling
 
 PAIRS = 600
 VALUES = ("x", "y", "z")
@@ -164,3 +169,26 @@ def test_counterexamples_are_false_on_tiny_random_pairs(recorded_contexts):
         refuted += hits
     assert len(recorded_contexts) == PAIRS
     assert agree_sets > 0 and refuted > 0
+
+
+def test_every_join_with_rows_samples_a_row():
+    rng = random.Random(20261021)
+    sampled = 0
+    for left, right, spec in _pairs() + [pair[:3] for pair in _wide_pairs()]:
+        if spec.kind in SEMI_KINDS:
+            continue
+        context = JoinContext(left, right, spec)
+        if not context.result_rows():
+            continue
+        for _ in range(3):
+            cfg = SampleConfig(
+                n_b=rng.randint(1, 3),
+                n_v=rng.randint(0, 2),
+                seed=rng.randrange(1 << 16),
+            )
+            picked = selective_sampling(context, cfg)
+            micro = join(left, right, spec, context.profile, picked)
+            assert micro.row_count > 0, (spec, cfg)
+            sampled += 1
+    # 514 of the 900 pairs are neither semi-joins nor empty
+    assert sampled == 3 * 514, sampled

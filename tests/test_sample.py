@@ -6,7 +6,7 @@ import conftest
 from joinfd import sample
 from joinfd.context import JoinContext
 from joinfd.discovery import discover_fds
-from joinfd.errors import InputError
+from joinfd.errors import InputError, InternalInvariantError
 from joinfd.fds import closure_equal, fd, implies, minimal_cover, remove_implied
 from joinfd.fixtures import FixtureProfile, make_fixture
 from joinfd.joins import JoinKind, JoinSpec, join, join_profile
@@ -153,7 +153,6 @@ def test_micro_join_batch_returns_the_micro_joins_fds():
     micro, cover = micro_join_batch(
         JoinContext(left, right, spec), SampleConfig(n_b=1, seed=9)
     )
-    assert micro is not None
     assert cover == discover_fds(micro)
 
 
@@ -173,8 +172,6 @@ def test_micro_join_is_submultiset_of_full_join():
         micro, _ = micro_join_batch(
             JoinContext(left, right, spec), SampleConfig(n_b=1, seed=seed)
         )
-        if micro is None:
-            continue
         micro = Counter(micro.raw_rows())
         full = Counter(join(left, right, spec).raw_rows())
         assert all(micro[row] <= full[row] for row in micro)
@@ -245,15 +242,21 @@ def test_tiny_sample_may_overclaim_but_is_recorded():
     assert seen_below_one
 
 
-def test_empty_selection_warns_and_returns_nothing():
-    # an inner join of two sides sharing no value has an empty micro-join
+def test_empty_micro_join_raises(monkeypatch):
+    # an inner join of two sides sharing no value is empty, so the pipeline
+    # never samples it; a micro-join that is empty anyway would report no
+    # dependencies, so it refuses
     left = loads_csv("k,a\n1,x", name="L")
     right = loads_csv("k,b\n2,p", name="R")
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.INNER)
-    context = JoinContext(left, right, spec)
-    micro, cover = micro_join_batch(context, SampleConfig())
-    assert micro is None and len(cover) == 0
-    assert any("empty" in w for w in context.warnings)
+    with pytest.raises(InternalInvariantError, match="micro-join is empty"):
+        micro_join_batch(JoinContext(left, right, spec), SampleConfig())
+    # on a join with rows both sides pick the top-ranked shared id; a
+    # selection that loses it leaves the micro-join empty
+    right = loads_csv("k,b\n1,p\n2,q", name="R")
+    monkeypatch.setattr(sample, "selective_sampling", lambda context, cfg: set())
+    with pytest.raises(InternalInvariantError, match="micro-join is empty"):
+        run_pipeline(left, right, spec, strategy="sampling")
 
 
 def test_empty_selection_still_joins_dangling_rows():
@@ -264,9 +267,8 @@ def test_empty_selection_still_joins_dangling_rows():
     spec = JoinSpec.equi(["k"], ["k"], JoinKind.FULL_OUTER)
     context = JoinContext(left, right, spec)
     micro, cover = micro_join_batch(context, SampleConfig())
-    assert micro is not None and micro.row_count == 2
+    assert micro.row_count == 2
     assert remove_implied(cover) == oracle_join_fds(left, right, spec)
-    assert not context.warnings
 
 
 def test_key_only_side_selects_every_shared_value():

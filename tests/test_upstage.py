@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import reference_upstage
+from conftest import reference_sampling, reference_upstage
 from joinfd import context as context_module
 from joinfd import discovery, pipeline
 from joinfd import upstage as upstage_module
@@ -11,11 +11,13 @@ from joinfd.discovery import discover_fds, holds
 from joinfd.errors import InternalInvariantError
 from joinfd.fds import FdSet, closure_equal, fd, implies
 from joinfd.fixtures import FixtureProfile, make_fixture, planted_afd
-from joinfd.joins import JoinKind, JoinSpec, join, name_maps
+from joinfd.joins import SEMI_KINDS, JoinKind, JoinSpec, join, name_maps, result_schema
 from joinfd.pipeline import run_pipeline
 from joinfd.relation import loads_csv
+from joinfd.sample import SampleConfig
 from joinfd.upstage import preserved_tags, upstage
 from test_differential import _pairs as tiny_random_pairs
+from test_differential import _wide_pairs as wide_random_pairs
 
 
 def _bijective_pair():
@@ -304,6 +306,31 @@ def test_reports_match_mining_every_input_whole(monkeypatch):
     assert all(violated.values()), violated
 
 
+def test_sampling_matches_upstaging_before_the_micro_join():
+    # the micro-join's mined set implies every member upstaging adds, and
+    # the tagger finds those upstaging would have mined: sampling without
+    # stage 1 gives the same set, tags, violated members and warnings
+    rng = random.Random(54)
+    pairs = [
+        (*pair, SampleConfig(rng.randint(1, 3), rng.randint(0, 2), rng.randrange(99)))
+        for pair in _fixture_pairs() + tiny_random_pairs()[1::2]
+    ]
+    compared = upstaged = 0
+    for left, right, spec, cfg in pairs + wide_random_pairs():
+        if spec.kind in SEMI_KINDS:
+            continue
+        got = run_pipeline(left, right, spec, strategy="sampling", sample_cfg=cfg)
+        if got.vacuous:
+            continue
+        fds, violated, warnings = reference_sampling(left, right, spec, cfg)
+        assert got.fds == fds, (spec, cfg)
+        assert got.fds.origins == fds.origins, (spec, cfg)
+        assert (got.violated_fds, got.warnings) == (violated, warnings), (spec, cfg)
+        compared += 1
+        upstaged += any(t.startswith("upstaged-") for t in fds.origins.values())
+    assert (compared, upstaged) == (658, 271)
+
+
 def test_side_local_output_is_preserved_iff_an_input_member():
     # a member that padding breaks is no dependency of the join, though a
     # sampled report may still claim it
@@ -411,15 +438,16 @@ def test_dropped_preserved_dependency_still_raises(monkeypatch):
     # without nulls, padding breaks no member with a nonempty lhs; a stage
     # that loses one anyway is a bug, and the run must refuse to report
     left, right, spec = _dangling_pair(JoinKind.LEFT_OUTER)
-    real = pipeline.upstage
+    real = JoinContext.survivors
 
-    def lossy(context):
-        # a right set that implies no input member of the right table
-        return real(context)[0], FdSet()
+    def lossy(context, side):
+        # no input member of the right table survives
+        return FdSet() if side == "right" else real(context, side)
 
-    monkeypatch.setattr(pipeline, "upstage", lossy)
-    with pytest.raises(InternalInvariantError, match="right table no longer holds"):
-        run_pipeline(left, right, spec)
+    monkeypatch.setattr(JoinContext, "survivors", lossy)
+    for strategy in ("selective", "sampling"):
+        with pytest.raises(InternalInvariantError, match="right table no longer holds"):
+            run_pipeline(left, right, spec, strategy=strategy)
 
 
 def test_each_mined_side_is_searched_once_without_a_known_set(monkeypatch):
@@ -447,3 +475,55 @@ def test_each_mined_side_is_searched_once_without_a_known_set(monkeypatch):
         upstage(context)
         assert searched == mined, spec
     assert own_inputs > 0
+
+
+def test_sampling_searches_the_micro_join_and_padded_inputs_only(monkeypatch):
+    # on a non-semi join sampling mines no side's join rows: it searches a
+    # padded side's input (stage 0) and then the micro-join, and never
+    # calls upstaging; on a semi-join upstaging the kept side is the answer
+    searched, upstaged, mined_whole = [], [], []
+    real_search, real_new = discovery._search, upstage_module.discover_new_fds
+
+    def search(cache):
+        searched.append(cache.instance)
+        return real_search(cache)
+
+    def new_fds(instance, cache=None):
+        mined_whole.append(instance)
+        return real_new(instance, cache)
+
+    def staged(context):
+        upstaged.append(context.spec)
+        return upstage(context)
+
+    monkeypatch.setattr(discovery, "_search", search)
+    monkeypatch.setattr(upstage_module, "discover_new_fds", new_fds)
+    monkeypatch.setattr(pipeline, "upstage", staged)
+    runs = {"semi": 0, "padded": 0, "other": 0}
+    for left, right, spec in _fixture_pairs():
+        context = JoinContext(left, right, spec)
+        for seen in (searched, upstaged, mined_whole):
+            seen.clear()
+        rep = run_pipeline(left, right, spec, strategy="sampling")
+        if rep.vacuous:
+            assert searched == upstaged == mined_whole == [], spec
+        elif spec.kind in SEMI_KINDS:
+            kept = context.side_subinstance(
+                "left" if spec.kind is JoinKind.LEFT_SEMI else "right"
+            )
+            assert [(s.attr_names, s.raw_rows()) for s in searched] == [
+                (kept.attr_names, kept.raw_rows())
+            ], spec
+            assert upstaged == [spec] and len(mined_whole) == 1, spec
+            runs["semi"] += 1
+        else:
+            pads = ((left, context.pads_left()), (right, context.pads_right()))
+            padded = [inst for inst, padding in pads if padding]
+            *inputs, micro = searched
+            assert len(inputs) == len(padded), spec
+            assert all(a is b for a, b in zip(inputs, padded)), spec
+            assert micro.attr_names == tuple(result_schema(left, right, spec)), spec
+            assert micro.row_count == rep.counters.sample_join_rows, spec
+            assert upstaged == mined_whole == [], spec
+            runs["padded" if padded else "other"] += 1
+    assert all(runs.values()), runs
