@@ -1,26 +1,26 @@
 """Shared state for the pipeline stages working over one join.
 
 The context owns the value-level join profile, name mapping between side
-attributes and join-result attributes, each input table's own dependency
-set (mined on first use) and its members that survive on the side's join
-rows (`survivors`), the per-side sub-instances (the join's row set
-restricted to one side's columns, with one padding row per dangling join
-value of the other side under outer padding), a cache of partial joins
-keyed by kept attribute sets, and the validator's caches: each
-sub-instance row's join-value group, per-side stripped partitions refined from
-cached parents (shared through `side_partitions` with upstaging, the
-survivors test and the tagger), and per (side, lhs part) a link table of
-the groups each partition class spans, each built on first use and reused
-by every later candidate. The validator answers a candidate from one
-side's partition of its lhs part there and the link table of the other
+attributes and join-result attributes, each input table's stripped
+partitions (`input_partitions`) and its own dependency set mined on them
+(`input_fds`), both built on first use, the per-side sub-instances (the
+join's row set restricted to one side's columns, with one padding row per
+dangling join value of the other side under outer padding), a cache of
+partial joins keyed by kept attribute sets, and the validator's caches:
+each sub-instance row's join-value group, per-side stripped partitions
+refined from cached parents (shared through `side_partitions` with
+upstaging, stage 0 and the tagger), and per (side, lhs part) a link table
+of the groups each partition class spans, each built on first use and
+reused by every later candidate. The validator answers a candidate from
+one side's partition of its lhs part there and the link table of the other
 side's, copying no rows. Every rejected candidate leaves a counterexample:
 the agree set of the two join rows that violate it, a bitmask over
 `join_bits`. It refutes every dependency whose lhs lies inside it and
 whose rhs lies outside, so it is filed under each join name outside it,
 and per name only the maximal agree sets are kept (`agree_sets`).
-`refutes` reads them, so mining and inference can drop a candidate that
-fits inside one without validating it. Counters record how much was
-materialized, which is the frugality evidence the report exposes.
+`refutes` reads them, so mining can drop a candidate that fits inside one
+without validating it. Counters record how much was materialized, which is
+the frugality evidence the report exposes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .discovery import _PartitionCache, discover_fds, holds, lattice_bits
+from .discovery import _PartitionCache, discover_new_fds, holds, lattice_bits
 from .errors import InternalInvariantError, JoinSpecError
 from .fds import FdSet, FunctionalDependency
 from .joins import (
@@ -88,8 +88,8 @@ class JoinContext:
         self._partials: dict[tuple[frozenset, frozenset], Instance] = {}
         self._directions: tuple[bool, bool] | None = None
         self._sides: dict[str, Instance | None] = {}
+        self._inputs: dict[str, _PartitionCache] = {}
         self._input_fds: dict[str, FdSet] = {}
-        self._survivors: dict[str, FdSet] = {}
         self._layouts: dict[str, tuple[Sequence[int], list[int]] | None] = {}
         # validator caches, see check_fd
         self._groups: dict[str, list[int]] = {}
@@ -126,26 +126,22 @@ class JoinContext:
             return None
         return self.profile.rows_for(self.spec.kind)
 
+    def input_partitions(self, side: str) -> _PartitionCache:
+        """Stripped partitions of one side's input table, built on first
+        use and shared by its mining (`input_fds`) and the tagger."""
+        if side not in self._inputs:
+            self._inputs[side] = _PartitionCache(
+                self.left if side == "left" else self.right
+            )
+        return self._inputs[side]
+
     def input_fds(self, side: str) -> FdSet:
         """The minimal exact dependencies of one side's input table, mined
-        on first use."""
+        on first use, on `input_partitions(side)`."""
         if side not in self._input_fds:
             inst = self.left if side == "left" else self.right
-            self._input_fds[side] = discover_fds(inst)
+            self._input_fds[side] = discover_new_fds(inst, self.input_partitions(side))
         return self._input_fds[side]
-
-    def survivors(self, side: str) -> FdSet:
-        """The members of `input_fds(side)` that hold on the side's join
-        rows, worked out once per side.
-
-        They are judged in `input_fds` order, so the side partitions they
-        build do not depend on the hash seed.
-        """
-        if side not in self._survivors:
-            self._survivors[side] = FdSet(
-                d for d in self.input_fds(side) if self.holds_on_side(side, d)
-            )
-        return self._survivors[side]
 
     def holds_on_side(self, side: str, fd: FunctionalDependency) -> bool:
         """Does `fd`, in the side's base names, hold on `side_subinstance(side)`?

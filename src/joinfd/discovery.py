@@ -206,8 +206,10 @@ def discover_new_fds(
     """All minimal exact dependencies of `instance`, on the partitions in
     `cache` that other readers share; by default the search builds its own.
 
-    This is `discover_fds` with a shared cache. The benchmark's tracer
-    resolves `discover_new_fds` by name to time upstaging's mining, so it
-    stays until the benchmark drops that name.
+    This is `discover_fds` with a shared cache: upstaging mines each
+    side's join rows with it (`JoinContext.side_partitions`), and stage 0 a
+    padded side's input table (`JoinContext.input_partitions`). The
+    benchmark's tracer resolves `discover_new_fds` by name to time that
+    mining, so it stays until the benchmark drops that name.
     """
     return _search(cache or _PartitionCache(instance))

@@ -51,6 +51,8 @@ class FixtureProfile:
             raise InputError("fixture needs at least one row per side")
         if min(self.left_attrs, self.right_attrs) < 1:
             raise InputError("fixture needs at least the join attribute per side")
+        if self.domain_low < 1:
+            raise InputError("fixture domain_low must be at least 1")
         if not 0 <= self.dangling_fraction < 1:
             raise InputError("dangling fraction must be in [0, 1)")
         if not 0 <= self.duplicate_fraction < 1:

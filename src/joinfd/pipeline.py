@@ -1,13 +1,16 @@
 """End-to-end strategies and the discovery report.
 
-The selective strategy runs upstaging, inference, and selective mining; on
-a join that is not a semi-join the sampling strategy runs micro-join
-sampling alone, right after stage 0, since the micro-join's rows are join
-rows and what it mines implies every member upstaging or inference would
-add (on a semi-join upstaging is the whole answer of both); the oracle
-strategy materializes the join and mines it exhaustively. All strategies
-produce the same report shape: dependencies in join-result names tagged
-with the first stage that produced them, coverage, per-stage timings, and
+The frugal strategies start with stage 0, which mines a padded side's
+input table with `discovery.discover_new_fds`, the miner upstaging runs
+on each side's join rows. The selective strategy then runs upstaging,
+inference, and selective mining; on a join that is not a semi-join the
+sampling strategy runs micro-join sampling alone, since the micro-join's
+rows are join rows and what it mines implies every member upstaging or
+inference would add (on a semi-join upstaging is the whole answer of
+both); the oracle strategy materializes the join and mines it
+exhaustively. Every strategy fills one report, of one shape: dependencies
+in join-result names tagged with the first stage that produced them,
+coverage, per-stage timings (each stage timed by `_timed`), and
 materialization counters. The clock starts before the join profile is
 built, so `total` covers it and `profile` times it. Which final
 dependencies an input already had is settled once, on the final set, by one
@@ -101,6 +104,78 @@ def _vacuous(context: JoinContext) -> bool:
     return context.result_rows() == 0
 
 
+def _timed(timings: dict[str, float], stage: str, run, *args):
+    """`run(*args)`, its seconds recorded as `timings[stage]`."""
+    t0 = time.perf_counter()
+    out = run(*args)
+    timings[stage] = time.perf_counter() - t0
+    return out
+
+
+def _padding_breaks(report: DiscoveryReport, context: JoinContext) -> None:
+    """Stage 0: list as `violated_fds` the members of a padded side's input
+    set that do not hold on the side's join rows, in `input_fds` order (so
+    the side partitions they build do not depend on the hash seed), warn
+    per side, and refuse a loss that nulls cannot explain."""
+    spec = context.spec
+    pads = {"left": context.pads_left(), "right": context.pads_right()}
+    for side in filter(pads.get, pads):
+        dropped = [
+            d for d in context.input_fds(side) if not context.holds_on_side(side, d)
+        ]
+        # natural-join padding rows are null outside the merged key columns,
+        # where they carry the other side's join values: without any null in
+        # the data they can still agree with a row on a lhs within those
+        # columns, or disagree with another padding row on a key rhs
+        merged = set(spec.left_on if side == "left" else spec.right_on)
+        for d in dropped:
+            report.violated_fds.append(f"{side}: {d}")
+            if spec.natural and (d.lhs <= merged or d.rhs in merged):
+                continue
+            if d.lhs and not (has_nulls(context.left) or has_nulls(context.right)):
+                raise InternalInvariantError(
+                    f"preserved dependency {d} of the {side} table no longer "
+                    f"holds on the join; this should be impossible without nulls "
+                    f"outside natural join keys"
+                )
+        if dropped:
+            report.warnings.append(
+                f"{len(dropped)} single-table dependencies of the {side} side "
+                f"are broken by outer-join padding"
+            )
+
+
+def _frugal_stages(
+    report: DiscoveryReport, context: JoinContext, sample_cfg: SampleConfig | None
+) -> FdSet:
+    """Stages 0 to 3 of a frugal run. Stage 0 fills the report's padding
+    entries; the rest return the union of their outputs in priority order,
+    each member tagged by the first stage that made it."""
+    timings, kind = report.timings, context.spec.kind
+    _timed(timings, "single_tables", _padding_breaks, report, context)
+    if kind not in SEMI_KINDS and report.strategy == "sampling":
+        # stage 3 right after stage 0: the micro-join's rows are join rows,
+        # so what it mines implies every member upstaging or inference
+        # would add, and the tagger finds those upstaging would have mined
+        cfg = sample_cfg or SampleConfig()
+        return _timed(timings, "sample", discover_sampled, context, cfg)
+    # stage 1: each side's dependencies on its join rows, the whole answer
+    # on a semi-join
+    sigma = _timed(timings, "upstage", upstage, context)
+    prior = _map_fdset(sigma[0], context.lmap, "upstaged-left").union(
+        _map_fdset(sigma[1], context.rmap, "upstaged-right")
+    )
+    if kind in SEMI_KINDS:
+        return prior
+    # stage 2: inference through the join attributes
+    inferred = _timed(timings, "infer", infer_join_fds, context, *sigma)
+    report.provenance = inferred.provenance
+    prior = prior.union(inferred.fds)
+    # stage 3: remaining dependencies
+    mined = _timed(timings, "mine", discover_selective, context, *sigma, prior)
+    return prior.union(mined)
+
+
 def run_pipeline(
     left: Instance,
     right: Instance,
@@ -112,142 +187,51 @@ def run_pipeline(
 
     The frugal strategies work out every input dependency set they need
     themselves: stage 0 mines an input table's own set only for a side that
-    an outer operator pads, and keeps its members that hold on the side's
-    join rows (`JoinContext.survivors`; `single_tables` times both). The
-    others are reported as `violated_fds`. Selective upstaging mines each
-    side's join rows once, whole, and the later stages reason from those
-    two sets; sampling mines no side's join rows unless the join is a
-    semi-join.
+    an outer operator pads, with `discover_new_fds` on the input's
+    partitions (`JoinContext.input_fds`), and reports the members that do
+    not hold on the side's join rows as `violated_fds` (`single_tables`
+    times both). Selective upstaging mines each side's join rows once,
+    whole, and the later stages reason from those two sets; sampling mines
+    no side's join rows unless the join is a semi-join. One report is
+    filled in place for every strategy, vacuous runs included.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    timings: dict[str, float] = {}
     started = time.perf_counter()
     context = JoinContext(left, right, spec)
-    cov = profile_coverage(context.profile)
-    timings["profile"] = time.perf_counter() - started
-
-    if _vacuous(context):
-        timings["total"] = time.perf_counter() - started
-        return DiscoveryReport(
-            strategy=strategy,
-            operator=spec.kind.value,
-            fds=FdSet(),
-            coverage=cov,
-            counters=context.counters,
-            timings=timings,
-            vacuous=True,
-            warnings=["join result is empty; every dependency holds vacuously"],
-        )
-
-    if strategy == "oracle":
-        t0 = time.perf_counter()
-        final = oracle_join_fds(left, right, spec, context=context)
-        timings["oracle"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        tagged = preserved_tags(final, final, context)
-        timings["tag"] = time.perf_counter() - t0
-        timings["total"] = time.perf_counter() - started
-        return DiscoveryReport(
-            strategy=strategy,
-            operator=spec.kind.value,
-            fds=tagged,
-            coverage=cov,
-            counters=context.counters,
-            timings=timings,
-        )
-
-    # stage 0: a padded side's input dependency set, and its survivors: the
-    # members that hold on the side's join rows
-    t0 = time.perf_counter()
-    pads = {"left": context.pads_left(), "right": context.pads_right()}
-    padded = [side for side in pads if pads[side]]
-    survivors = {side: context.survivors(side) for side in padded}
-    timings["single_tables"] = time.perf_counter() - t0
-
-    warnings: list[str] = []
-    violated: list[str] = []
-    for side in padded:
-        dropped = [d for d in context.input_fds(side) if d not in survivors[side]]
-        # natural-join padding rows are null outside the merged key columns,
-        # where they carry the other side's join values: without any null in
-        # the data they can still agree with a row on a lhs within those
-        # columns, or disagree with another padding row on a key rhs
-        merged = set(spec.left_on if side == "left" else spec.right_on)
-        for d in dropped:
-            violated.append(f"{side}: {d}")
-            if spec.natural and (d.lhs <= merged or d.rhs in merged):
-                continue
-            if d.lhs and not (has_nulls(left) or has_nulls(right)):
-                raise InternalInvariantError(
-                    f"preserved dependency {d} of the {side} table no longer "
-                    f"holds on the join; this should be impossible without nulls "
-                    f"outside natural join keys"
-                )
-        if dropped:
-            warnings.append(
-                f"{len(dropped)} single-table dependencies of the {side} side "
-                f"are broken by outer-join padding"
-            )
-
-    provenance: dict[FunctionalDependency, tuple[str, str]] = {}
-    if spec.kind not in SEMI_KINDS and strategy == "sampling":
-        # stage 3 right after stage 0: the micro-join's rows are join rows,
-        # so what it mines implies every member upstaging or inference
-        # would add, and the tagger finds those upstaging would have mined
-        t0 = time.perf_counter()
-        prior = discover_sampled(context, sample_cfg or SampleConfig())
-        timings["sample"] = time.perf_counter() - t0
-    else:
-        # stage 1: each side's dependencies on its join rows, the whole
-        # answer on a semi-join
-        t0 = time.perf_counter()
-        sigma_left, sigma_right = upstage(context)
-        timings["upstage"] = time.perf_counter() - t0
-        # stage outputs in priority order: a member keeps its first tag
-        prior = _map_fdset(sigma_left, context.lmap, "upstaged-left").union(
-            _map_fdset(sigma_right, context.rmap, "upstaged-right")
-        )
-        if spec.kind not in SEMI_KINDS:
-            # stage 2: inference through the join attributes
-            t0 = time.perf_counter()
-            inferred = infer_join_fds(context, sigma_left, sigma_right)
-            timings["infer"] = time.perf_counter() - t0
-            provenance = inferred.provenance
-            prior = prior.union(inferred.fds)
-
-            # stage 3: remaining dependencies
-            t0 = time.perf_counter()
-            prior = prior.union(
-                discover_selective(context, sigma_left, sigma_right, prior)
-            )
-            timings["mine"] = time.perf_counter() - t0
-
-    final = remove_implied(prior)
-    t0 = time.perf_counter()
-    tagged = preserved_tags(final, prior, context, survivors)
-    timings["tag"] = time.perf_counter() - t0
-    if context.counters.full_join_rows:
-        raise InternalInvariantError(
-            "a frugal strategy materialized the full join; refusing to report"
-        )
-    ratio = None
-    if strategy == "sampling":
-        denom = context.result_rows()  # None on a semi-join, never sampled
-        ratio = (context.counters.sample_join_rows / denom) if denom else 0.0
-    timings["total"] = time.perf_counter() - started
-    return DiscoveryReport(
+    report = DiscoveryReport(
         strategy=strategy,
         operator=spec.kind.value,
-        fds=tagged,
-        coverage=cov,
+        fds=FdSet(),
+        coverage=profile_coverage(context.profile),
         counters=context.counters,
-        timings=timings,
-        warnings=warnings,
-        violated_fds=violated,
-        provenance={d: p for d, p in provenance.items() if d in tagged},
-        sample_rows_ratio=ratio,
+        timings={},
     )
+    timings = report.timings
+    timings["profile"] = time.perf_counter() - started
+    if _vacuous(context):
+        report.vacuous = True
+        report.warnings.append("join result is empty; every dependency holds vacuously")
+    else:
+        if strategy == "oracle":
+            args = (left, right, spec, context)
+            final = prior = _timed(timings, "oracle", oracle_join_fds, *args)
+        else:
+            prior = _frugal_stages(report, context, sample_cfg)
+            final = remove_implied(prior)
+            if context.counters.full_join_rows:
+                raise InternalInvariantError(
+                    "a frugal strategy materialized the full join; refusing to report"
+                )
+        report.fds = _timed(timings, "tag", preserved_tags, final, prior, context)
+        report.provenance = {d: p for d, p in report.provenance.items() if d in final}
+        if strategy == "sampling":
+            denom = context.result_rows()  # None on a semi-join, never sampled
+            report.sample_rows_ratio = (
+                context.counters.sample_join_rows / denom if denom else 0.0
+            )
+    timings["total"] = time.perf_counter() - started
+    return report
 
 
 def _carry(

@@ -229,12 +229,13 @@ def load_csv(
     """Load an RFC-4180 CSV file into an Instance.
 
     Cells whose raw text equals one of `null_tokens` become nulls. Attribute
-    names come from the header row, or are synthesized as A0..Ak-1.
+    names come from the header row, or are synthesized as A0..Ak-1. A UTF-8
+    byte-order mark at the start of the file is not part of the first name.
     """
     if name is None:
         stem = path.rsplit("/", 1)[-1]
         name = stem[:-4] if stem.lower().endswith(".csv") else stem
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return _read_records(fh, delimiter, header, null_tokens, name)
 
 

@@ -2,13 +2,15 @@
 the one rule that tags the final dependencies an input already had.
 
 `upstage` mines each side's rows in the join (the input rows that survive
-it, plus padding rows) once, whole, as a single table. Each set holds every
-minimal dependency of its side's join rows, so it implies exactly those
-that hold there. The later stages reason from those two sets, and the
-report tags their members `upstaged-left` and `upstaged-right`: the join
-made a dependency exact when it filtered out every row violating it, rows
-whose join value has no partner on the other side. Selective runs it, and
-sampling runs it only on a semi-join, where it is the whole answer.
+it, plus padding rows) once, whole, as a single table, with the
+`discover_new_fds` that stage 0 also runs on a padded side's input. Each
+set holds every minimal dependency of its side's join rows, so it implies
+exactly those that hold there. The later stages reason from those two
+sets, and the report tags their members `upstaged-left` and
+`upstaged-right`: the join made a dependency exact when it filtered out
+every row violating it, rows whose join value has no partner on the other
+side. Selective runs it, and sampling runs it only on a semi-join, where
+it is the whole answer.
 
 `preserved_tags` then settles, once, on the final set and for every
 strategy, which members an input already had, and that tag overrides the
@@ -25,17 +27,16 @@ one implies (the oracle's members are minimal on the whole join). So:
   input. The subset keeps or drops all rows of a join value, and rows that
   agree on every join attribute of the side carry one join value. So a
   member whose lhs holds all of them holds on the input iff it holds among
-  the rows of each dropped value: only those rows are tested, without
-  partitioning the input. A lhs missing a join attribute can meet a dropped
-  row with a kept one, so it is tested on the input's partitions, built
-  once per side when first needed.
+  the dropped rows, in one pass over the rows of every dropped value that
+  two or more rows carry, without partitioning the input. A lhs missing a
+  join attribute can meet a dropped row with a kept one, so it is tested
+  on the input's partitions (`JoinContext.input_partitions`).
 - A side that an outer operator pads with nulls is no row subset, since a
-  smaller lhs may hold on the input and be broken by padding. A frugal run
-  hands in the survivors, the members of the input's own set that hold on
-  the side's rows (`JoinContext.survivors`), and a member is preserved iff
-  it is one of them. The oracle mines no input set: there a member is
-  preserved iff it holds on the input's partitions and no one-smaller lhs
-  does.
+  smaller lhs may hold on the input and be broken by padding. There a
+  member is preserved iff it holds on the input's partitions and no
+  one-smaller lhs does, under every strategy. A frugal run has mined the
+  input on those partitions in stage 0 (`JoinContext.input_fds`), so the
+  test reads partitions already built; the oracle mines no input.
 
 Sampling mines no side's rows on other joins, so the same pass finds the
 members upstaging would have mined: a `sampled` member whose names all map
@@ -48,27 +49,12 @@ its tag and is not preserved.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable
 
 from .context import JoinContext
-from .discovery import _PartitionCache, discover_new_fds, holds_within
+from .discovery import discover_new_fds, holds_within
 from .errors import InternalInvariantError
 from .fds import FdSet, FunctionalDependency, mask_bits
-
-
-def _rows_by_id(
-    ids: Sequence[int], counts: Sequence[int], dangling: range
-) -> list[list[int]]:
-    """The ascending rows of each dangling id that two or more rows carry,
-    in order of their first row, which is id order."""
-    multi = [False] * len(counts)
-    for g in dangling:
-        multi[g] = counts[g] > 1
-    by_id: dict[int, list[int]] = {}
-    for r in compress(range(len(ids)), map(multi.__getitem__, ids)):
-        by_id.setdefault(ids[r], []).append(r)
-    return list(by_id.values())
 
 
 def upstage(context: JoinContext) -> tuple[FdSet, FdSet]:
@@ -88,16 +74,13 @@ def upstage(context: JoinContext) -> tuple[FdSet, FdSet]:
 
 
 def _preserved_test(
-    context: JoinContext, side: str, survivors: dict[str, FdSet] | None
+    context: JoinContext, side: str
 ) -> Callable[[FunctionalDependency], bool]:
     """Is a final member, in `side`'s names and holding on its join rows, a
     minimal dependency of that input? See the module docstring."""
     inst = context.left if side == "left" else context.right
-    padded = context.pads_left() if side == "left" else context.pads_right()
-    if padded:
-        if survivors is not None:
-            return survivors[side].__contains__
-        cache = _PartitionCache(inst)
+    if context.pads_left() if side == "left" else context.pads_right():
+        cache = context.input_partitions(side)
 
         def minimal_on_input(d: FunctionalDependency) -> bool:
             lhs, rhs = cache.mask(d.lhs), inst.ordinal(d.rhs)
@@ -112,41 +95,36 @@ def _preserved_test(
         return lambda d: True
     profile = context.profile
     on = set(context.spec.left_on if side == "left" else context.spec.right_on)
-    # a dropped value's rows are picked by group id; a member can fail only
-    # among two or more of them, and there are none when the dropped rows
-    # are as many as the dropped values
+    # a member can fail only among two or more rows of one dropped value,
+    # and there are none when the dropped rows are as many as the dropped
+    # values; rows of two values never agree on a lhs holding every join
+    # attribute, so one pass over all such rows decides it
     dangling = profile.dangling_left if side == "left" else profile.dangling_right
-    dropped: list[list[int]] = []
+    dropped: list[int] = []
     if inst.row_count - kept > len(dangling):
-        dropped = _rows_by_id(profile.ids(side), profile.counts(side), dangling)
-    cache = None  # the input's partitions, for any other lhs
+        counts = profile.counts(side)
+        multi = [False] * len(counts)
+        for g in dangling:
+            multi[g] = counts[g] > 1
+        dropped = [r for r, g in enumerate(profile.ids(side)) if multi[g]]
 
     def holds_on_input(d: FunctionalDependency) -> bool:
-        nonlocal cache
         rhs = inst.ordinal(d.rhs)
         if on <= d.lhs:
             lhs = [inst.columns[o] for o in inst.ordinals(d.lhs)]
-            return all(holds_within(rows, lhs, inst.columns[rhs]) for rows in dropped)
-        cache = cache or _PartitionCache(inst)
+            return holds_within(dropped, lhs, inst.columns[rhs])
+        cache = context.input_partitions(side)
         return cache.holds(cache.mask(d.lhs), rhs)
 
     return holds_on_input
 
 
-def preserved_tags(
-    final: FdSet,
-    sources: FdSet,
-    context: JoinContext,
-    survivors: dict[str, FdSet] | None = None,
-) -> FdSet:
+def preserved_tags(final: FdSet, sources: FdSet, context: JoinContext) -> FdSet:
     """`final` with each member tagged `preserved-left` or `preserved-right`
     by the module docstring's rule, or else as in `sources`, the union of
     the stage outputs in priority order, whose first tag per member stands,
     but for a `sampled` member that holds on one side's join rows, which
     is `upstaged-*`.
-
-    `survivors` maps each padded side of a frugal run to the members of
-    its input's set that hold on the side's rows; the oracle passes none.
     """
     sides = [
         (side, {qual: a for a, qual in names.items()})
@@ -172,7 +150,7 @@ def preserved_tags(
                     continue
                 tag = f"upstaged-{side}"
             if side not in tests:
-                tests[side] = _preserved_test(context, side, survivors)
+                tests[side] = _preserved_test(context, side)
             if tests[side](local):
                 tag = f"preserved-{side}"
                 break

@@ -330,8 +330,9 @@ def reference_sampling(left, right, spec, cfg) -> tuple[FdSet, list, list]:
     survivors are the input members its mined set implies. The micro-join
     follows. Each final member takes the tag of the first stage that made
     it, `upstaged-left`, `upstaged-right`, then `sampled`, and becomes
-    `preserved-*` by `upstage._preserved_test` unless it is still
-    `sampled`. Returns the tagged set, `violated_fds` and the warnings.
+    `preserved-*` unless it is still `sampled`: on a padded side iff it is
+    one of the survivors, elsewhere by `upstage._preserved_test`. Returns
+    the tagged set, `violated_fds` and the warnings.
     """
     context = JoinContext(left, right, spec)
     sigma = dict(zip(("left", "right"), upstage(context)))
@@ -364,7 +365,11 @@ def reference_sampling(left, right, spec, cfg) -> tuple[FdSet, list, list]:
             if d.rhs not in base or not d.lhs <= base.keys():
                 continue
             if side not in tests:
-                tests[side] = _preserved_test(context, side, survivors)
+                # a padded side's members are preserved iff they survive
+                if side in survivors:
+                    tests[side] = survivors[side].__contains__
+                else:
+                    tests[side] = _preserved_test(context, side)
             if tests[side](d.rename(base)):
                 tag = f"preserved-{side}"
                 break

@@ -82,6 +82,24 @@ def test_join_discover_natural_exits_0(tmp_path, capsys):
     assert doc["strategy"] == "selective"
 
 
+def test_join_discover_on_byte_order_marked_csvs_exits_0(tmp_path, capsys):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark, which
+    # must not become part of the first column's name
+    left = tmp_path / "l.csv"
+    left.write_bytes("k,a\n1,x\n2,y\n".encode("utf-8-sig"))
+    right = tmp_path / "r.csv"
+    right.write_bytes("k,b\n1,p\n2,q\n".encode("utf-8-sig"))
+    code, doc = _run(
+        capsys,
+        ["join-discover", "--left", str(left), "--right", str(right), "--on", "k=k"],
+    )
+    assert code == 0
+    assert doc["fds"]
+    code, doc = _run(capsys, ["discover", str(left)])
+    assert code == 0
+    assert doc["attributes"] == ["k", "a"]
+
+
 def test_join_discover_oracle_and_compare(tables, tmp_path, capsys):
     left, right = tables
     args = ["--left", str(left), "--right", str(right), "--on", "pid=pid"]
@@ -228,8 +246,12 @@ def test_fd_file_object_without_fds_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "fields, named",
-    [({"left_rows": 8, "rows": 8}, "rows"), ({"left_rows": "ten"}, "left_rows")],
-    ids=["unknown-field", "wrong-type"],
+    [
+        ({"left_rows": 8, "rows": 8}, "rows"),
+        ({"left_rows": "ten"}, "left_rows"),
+        ({"domain_low": 0, "domain_high": -1}, "domain_low"),
+    ],
+    ids=["unknown-field", "wrong-type", "empty-domain"],
 )
 def test_bad_fixture_profile_exits_2(tmp_path, capsys, fields, named):
     profile = tmp_path / "profile.json"

@@ -30,6 +30,14 @@ def test_smallest_wellformed_csv():
     assert inst.row_count == 1
 
 
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes("k,a\n1,x\n".encode("utf-8-sig"))
+    inst = load_csv(str(path))
+    assert inst.attr_names[0] == "k"
+    assert inst.attr_names == ("k", "a")
+
+
 def test_null_token_maps_to_null_code():
     inst = loads_csv("a,b\n1,\n,2", null_tokens=[""])
     assert inst.columns[1][0] == NULL_CODE

@@ -207,12 +207,15 @@ def test_input_partitions_only_for_a_lhs_missing_a_join_attribute(monkeypatch):
     # attributes; the left side is tried first, and a member preserved there
     # is not tested on the right
     built = []
+    real = JoinContext.input_partitions
 
-    def spy(instance):
-        built.append(instance)
-        return discovery._PartitionCache(instance)
+    def spy(context, side):
+        cache = real(context, side)
+        if all(cache is not seen for seen in built):
+            built.append(cache)
+        return cache
 
-    monkeypatch.setattr(upstage_module, "_PartitionCache", spy)
+    monkeypatch.setattr(JoinContext, "input_partitions", spy)
     fallbacks = 0
     for left, right, spec in _fixture_pairs():
         context = JoinContext(left, right, spec)
@@ -235,6 +238,7 @@ def test_input_partitions_only_for_a_lhs_missing_a_join_attribute(monkeypatch):
         ]
         built.clear()
         rep = run_pipeline(left, right, spec)
+        inputs = [cache.instance for cache in built]
         want = []
         for d in rep.fds:
             for side, inst, on, base in sides:
@@ -245,7 +249,9 @@ def test_input_partitions_only_for_a_lhs_missing_a_join_attribute(monkeypatch):
                     want.append(inst)
                 if rep.fds.origins[d] == f"preserved-{side}":
                     break
-        assert built == want, spec
+        # a padded side's input is mined in stage 0, on its partitions
+        pads = ((left, context.pads_left()), (right, context.pads_right()))
+        assert inputs == [inst for inst, padded in pads if padded] + want, spec
         fallbacks += len(want)
     assert fallbacks > 0
 
@@ -333,12 +339,16 @@ def test_sampling_matches_upstaging_before_the_micro_join():
 
 def test_side_local_output_is_preserved_iff_an_input_member():
     # a member that padding breaks is no dependency of the join, though a
-    # sampled report may still claim it
-    preserved = 0
-    for left, right, spec in _fixture_pairs():
+    # sampled report may still claim it; padded sides, the wider pairs'
+    # most of all, hold members that hold on the input but are not minimal
+    # there, since a smaller lhs holding on the input is broken by padding
+    preserved = padded_not_minimal = 0
+    pairs = [(*pair, None) for pair in _fixture_pairs()] + wide_random_pairs()
+    for left, right, spec, cfg in pairs:
         context = JoinContext(left, right, spec)
+        pads = {"left": context.pads_left(), "right": context.pads_right()}
         sides = [
-            (side, {qual: a for a, qual in names.items()}, discover_fds(inst), sub)
+            (side, {qual: a for a, qual in names.items()}, discover_fds(inst), sub, inst)
             for side, inst, names in (
                 ("left", left, context.lmap),
                 ("right", right, context.rmap),
@@ -346,13 +356,17 @@ def test_side_local_output_is_preserved_iff_an_input_member():
             if (sub := context.side_subinstance(side)) is not None
         ]
         for strategy in ("selective", "sampling", "oracle"):
-            rep = run_pipeline(left, right, spec, strategy=strategy)
+            rep = run_pipeline(left, right, spec, strategy=strategy, sample_cfg=cfg)
             for d in rep.fds:
-                local = [
-                    (side, d.rename(base) in members and holds(sub, d.rename(base)))
-                    for side, base, members, sub in sides
-                    if d.rhs in base and d.lhs <= base.keys()
-                ]
+                local = []
+                for side, base, members, sub, inst in sides:
+                    if d.rhs in base and d.lhs <= base.keys():
+                        b = d.rename(base)
+                        on_rows = holds(sub, b)
+                        local.append((side, b in members and on_rows))
+                        padded_not_minimal += (
+                            pads[side] and on_rows and b not in members and holds(inst, b)
+                        )
                 if not local:
                     continue
                 member_of = [side for side, member in local if member]
@@ -362,7 +376,7 @@ def test_side_local_output_is_preserved_iff_an_input_member():
                     preserved += 1
                 else:
                     assert not tag.startswith("preserved-"), (spec, strategy, d)
-    assert preserved > 0
+    assert preserved > 0 and padded_not_minimal > 0, (preserved, padded_not_minimal)
 
 
 def test_preserved_are_input_members_and_cover_the_side_rows():
@@ -393,16 +407,23 @@ def test_preserved_are_input_members_and_cover_the_side_rows():
 
 @pytest.fixture
 def mined_inputs(monkeypatch):
-    """The names of the tables each `discovery.discover_fds` call mines,
-    spied on wherever the package binds it."""
+    """The names of the tables each input-mining call mines: every
+    `discovery.discover_fds` and `discovery.discover_new_fds` call, and the
+    context's `discover_new_fds`, which mines an input table."""
     seen: list[str] = []
+    real_fds, real_new = discover_fds, discovery.discover_new_fds
 
     def spy(instance):
         seen.append(instance.name)
-        return discover_fds(instance)
+        return real_fds(instance)
 
+    def spy_new(instance, cache=None):
+        seen.append(instance.name)
+        return real_new(instance, cache)
+
+    monkeypatch.setattr(discovery, "discover_fds", spy)
     for module in (discovery, context_module):
-        monkeypatch.setattr(module, "discover_fds", spy)
+        monkeypatch.setattr(module, "discover_new_fds", spy_new)
     return seen
 
 
@@ -438,13 +459,13 @@ def test_dropped_preserved_dependency_still_raises(monkeypatch):
     # without nulls, padding breaks no member with a nonempty lhs; a stage
     # that loses one anyway is a bug, and the run must refuse to report
     left, right, spec = _dangling_pair(JoinKind.LEFT_OUTER)
-    real = JoinContext.survivors
+    real = JoinContext.holds_on_side
 
-    def lossy(context, side):
-        # no input member of the right table survives
-        return FdSet() if side == "right" else real(context, side)
+    def lossy(context, side, d):
+        # no input member of the right table holds on its join rows
+        return side != "right" and real(context, side, d)
 
-    monkeypatch.setattr(JoinContext, "survivors", lossy)
+    monkeypatch.setattr(JoinContext, "holds_on_side", lossy)
     for strategy in ("selective", "sampling"):
         with pytest.raises(InternalInvariantError, match="right table no longer holds"):
             run_pipeline(left, right, spec, strategy=strategy)
